@@ -45,8 +45,7 @@
 // paper's named future-work deployment, served like any other method.
 //
 // The experiment harness that regenerates every table and figure of the
-// paper lives in cmd/asybench; DESIGN.md maps each experiment to the
-// modules that implement it.
+// paper lives in cmd/asybench; its -exp flag lists every experiment.
 package asyrgs
 
 import (

@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's tables and figures, one testing.B
-// target per experiment (see DESIGN.md's per-experiment index). Timed
+// target per experiment (the -exp flag of cmd/asybench lists them). Timed
 // sections measure exactly the work the paper times; quality metrics
 // (residuals, A-norm errors, outer-iteration counts) are attached with
 // b.ReportMetric so `go test -bench` output carries the same columns the
@@ -252,7 +252,7 @@ func BenchmarkLSQAsync(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMVPartition is the DESIGN.md ablation for the parallel SpMV
+// BenchmarkSpMVPartition is the ablation for the parallel SpMV
 // row partitioning on the skewed matrix: contiguous blocks suffer load
 // imbalance that round-robin avoids (the paper's choice for CG).
 func BenchmarkSpMVPartition(b *testing.B) {

@@ -1,7 +1,6 @@
 // Command asybench regenerates every table and figure of the paper's
 // evaluation section on the synthetic workload, plus the analytical
-// validation experiments. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// validation experiments. The -exp flag lists every experiment.
 //
 // Usage:
 //
@@ -13,13 +12,10 @@
 // (cold Prepare+Solve vs warm Solve over a cached PreparedSystem); the
 // distmem experiment sweeps the sharded distributed-memory backend
 // (asyrgs-distmem, dispatched through the registry) over worker counts
-// and queue capacities; the serve experiment drives every closed-loop
-// load scenario of internal/load against an in-process server and
-// reports per-scenario latency percentiles. With -json any of them also
-// writes its rows as a machine-readable baseline — the
-// BENCH_prepare.json and BENCH_distmem.json artifacts CI regenerates on
-// every PR (the richer single-scenario BENCH_serve.json comes from
-// cmd/asyload).
+// and queue capacities. With -json either of them also writes its rows
+// as a machine-readable baseline — the BENCH_prepare.json and
+// BENCH_distmem.json artifacts CI regenerates on every PR. Serving load
+// is measured by cmd/asyload.
 package main
 
 import (
@@ -52,7 +48,7 @@ func writeBaseline(path string, write func(*os.File) error) {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all|fig1|fig2|table1|fig3|theory|beta|sync|lsq|rho|delays|sampling|faults|distmem|classic|methods|prepare|hotpath|serve")
+		exp     = flag.String("exp", "all", "experiment: all|fig1|fig2|table1|fig3|theory|beta|sync|lsq|rho|delays|sampling|faults|distmem|classic|methods|prepare|hotpath")
 		jsonOut = flag.String("json", "", "write the prepare/distmem experiment's rows as a JSON baseline to this file")
 		terms   = flag.Int("n", 1500, "Gram matrix dimension (paper: 120147)")
 		rhs     = flag.Int("rhs", 16, "right-hand sides solved together (paper: 51)")
@@ -132,16 +128,13 @@ func main() {
 		case "hotpath":
 			rows := r.Hotpath(*sweeps, nil, nil)
 			writeBaseline(jsonPath, func(f *os.File) error { return bench.WriteHotpathJSON(f, rows) })
-		case "serve":
-			rows := r.ServeLoad(4, 0)
-			writeBaseline(jsonPath, func(f *os.File) error { return bench.WriteServeLoadJSON(f, rows) })
 		default:
 			fmt.Fprintf(os.Stderr, "asybench: unknown experiment %q\n", name)
 			os.Exit(2)
 		}
 	}
 	if *exp == "all" {
-		for _, name := range []string{"rho", "fig1", "fig2", "table1", "fig3", "theory", "beta", "sync", "lsq", "delays", "sampling", "faults", "distmem", "classic", "methods", "prepare", "hotpath", "serve"} {
+		for _, name := range []string{"rho", "fig1", "fig2", "table1", "fig3", "theory", "beta", "sync", "lsq", "delays", "sampling", "faults", "distmem", "classic", "methods", "prepare", "hotpath"} {
 			run(name)
 		}
 		return

@@ -17,10 +17,6 @@
 //	        [-max-concurrent P] [-batch-window 2ms] [-batch-target 0] [-cache 16]
 //	        [-baseline BENCH_serve.json] [-slo-p99-factor 25] [-slo-error-band 0.05]
 //	        [-knee-baseline BENCH_knee.json] [-slo-knee-factor 4]
-//	        [-cold-restart] [-cold-nnz 64] [-cold-trials 3] [-cold-method asyrgs]
-//	        [-cold-out BENCH_coldstart.json]
-//	        [-chaos] [-chaos-store-err 0.2] [-chaos-store-lat 200µs]
-//	        [-chaos-drop 0.1] [-chaos-out BENCH_chaos.json]
 //
 // With -target empty the generator self-hosts a serve.Server behind a
 // direct handler transport (no sockets) sized by the -max-concurrent,
@@ -39,24 +35,6 @@
 // -knee-steps steps of -step-duration each, until p99 explodes or
 // errors appear; the sweep (with every per-step report) is written to
 // -knee-out with -json.
-//
-// -cold-restart runs the durable-prep-store measurement instead of a
-// traffic scenario: it warms an in-memory store with one prepared
-// system, then alternates fresh daemons without a store (full Prepare)
-// and fresh daemons over the warmed store (restore), reporting both
-// first-request prepare latencies and their ratio. -json writes the
-// report to -cold-out.
-//
-// -chaos runs the resilience gate instead of a traffic scenario: a
-// self-hosted daemon whose durable prep store sits on a deterministic
-// fault injector is soaked with store-churn traffic under
-// -chaos-store-err transient errors and -chaos-store-lat injected
-// latency, taken through a total backend outage (circuit breaker trips,
-// then recovers), and finished with a distributed-memory solve under
-// -chaos-drop message loss. Every invariant is asserted — no request
-// lost, fault accounting reconciled exactly, breaker closed again,
-// distmem converged — and the process exits 3 on any violation. -json
-// writes the report to -chaos-out.
 //
 // With -baseline (or, for sweeps, -knee-baseline) the run becomes an
 // SLO gate: the fresh report is compared against the committed baseline
@@ -129,73 +107,8 @@ func main() {
 		sloErrBand  = flag.Float64("slo-error-band", 0.05, "fail (exit 3) when the error rate exceeds the baseline's by more than this; negative disables")
 		kneeBase    = flag.String("knee-baseline", "", "committed BENCH_knee.json to gate a -knee sweep against")
 		sloKnee     = flag.Float64("slo-knee-factor", 4, "fail (exit 3) when the knee falls below the baseline's divided by this; 0 disables")
-		coldRestart = flag.Bool("cold-restart", false, "measure a restarted daemon's first-request prepare latency with and without the durable prep store (self-hosted; ignores -target)")
-		coldNNZ     = flag.Int("cold-nnz", 64, "cold-restart: nonzeros per row (the restore win scales with density)")
-		coldTrials  = flag.Int("cold-trials", 3, "cold-restart: trials per arm (each arm reports its minimum)")
-		coldMethod  = flag.String("cold-method", "asyrgs", "cold-restart: persistent method to measure")
-		coldOut     = flag.String("cold-out", "BENCH_coldstart.json", "cold-restart artifact path used with -json")
-		chaos       = flag.Bool("chaos", false, "run the resilience gate: store faults + outage + distmem message loss against a self-hosted daemon, asserting every invariant (ignores -target)")
-		chaosErr    = flag.Float64("chaos-store-err", 0.2, "chaos: injected transient-error rate on store get/put (negative disables)")
-		chaosLat    = flag.Duration("chaos-store-lat", 200*time.Microsecond, "chaos: injected store-operation latency (negative disables)")
-		chaosDrop   = flag.Float64("chaos-drop", 0.1, "chaos: distmem update-message loss rate (negative disables)")
-		chaosOut    = flag.String("chaos-out", "BENCH_chaos.json", "chaos artifact path used with -json")
 	)
 	flag.Parse()
-
-	if *chaos {
-		rep, err := load.RunChaos(context.Background(), load.ChaosOptions{
-			StoreErrRate: *chaosErr,
-			StoreLatency: *chaosLat,
-			DropRate:     *chaosDrop,
-			Seed:         *seed,
-			Clients:      *clients,
-			Requests:     *requests,
-			N:            *n,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asyload: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(rep.String())
-		if *jsonOut {
-			if err := writeArtifact(*chaosOut, rep.WriteJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "asyload: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("chaos artifact written to %s\n", *chaosOut)
-		}
-		if err := rep.Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "asyload: chaos invariants violated:\n%v\n", err)
-			os.Exit(3)
-		}
-		fmt.Println("chaos gate passed: no request lost, fault accounting exact, breaker recovered, distmem converged under loss")
-		return
-	}
-
-	if *coldRestart {
-		n := *n
-		if n == 96 {
-			// The scenario default, not the shared -n default: at n=96 the
-			// prepare phase is too small to measure.
-			n = 20000
-		}
-		rep, err := load.ColdRestart(context.Background(), load.ColdRestartOptions{
-			N: n, NNZ: *coldNNZ, Trials: *coldTrials, Seed: *seed, Method: *coldMethod,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asyload: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(rep.String())
-		if *jsonOut {
-			if err := writeArtifact(*coldOut, rep.WriteJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "asyload: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("cold-restart artifact written to %s\n", *coldOut)
-		}
-		return
-	}
 
 	if *scenario == "list" {
 		for _, s := range load.Scenarios() {

@@ -11,30 +11,8 @@
 //	asyrgsd [-addr :8080] [-max-concurrent P] [-cache 16] [-prep-cache 64]
 //	        [-batch-window 2ms] [-batch-target 0] [-queue-timeout 5s]
 //	        [-solve-timeout 60s] [-max-dim 1048576] [-drain-timeout 10s]
-//	        [-prep-store] [-prep-store-dir DIR]
-//	        [-store-retries 4] [-store-backoff 1ms]
-//	        [-store-breaker-fails 5] [-store-breaker-probe 5s]
 //
-// With -prep-store the daemon keeps a durable content-addressed store of
-// prepared solver state behind the prep LRU: successful preparations and
-// LRU-evicted entries spill to it on a background writer, and a prep-LRU
-// miss restores from it instead of re-running Prepare. -prep-store-dir
-// persists the blobs on disk, so a restarted daemon serves its first
-// request for a known system at warm cost (see the cold-restart load
-// scenario in cmd/asyload).
-//
-// Store resilience: transient backend failures are retried up to
-// -store-retries times with decorrelated-jitter backoff starting at
-// -store-backoff, and -store-breaker-fails consecutive failed
-// operations trip a circuit breaker that sheds store traffic (serving
-// degrades to fresh Prepares) until a probe succeeds after
-// -store-breaker-probe. Breaker state is visible on /stats, /metrics,
-// and /readyz, which reports 503 degraded while the breaker is open —
-// distinct from /healthz, which stays 200 as long as the process
-// serves. Zero values disable the respective mechanism.
-//
-// Endpoints: POST /solve, GET /methods, GET /healthz, GET /readyz
-// (200 ready / 503 degraded while the store breaker is open), GET /stats (JSON
+// Endpoints: POST /solve, GET /methods, GET /healthz, GET /stats (JSON
 // counters plus per-endpoint/per-method latency summaries), GET /metrics
 // (the same counters and raw latency histograms in Prometheus text
 // format, ready to scrape). cmd/asyload drives a daemon with sustained
@@ -77,7 +55,6 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/serve"
-	"github.com/asynclinalg/asyrgs/internal/store"
 )
 
 func main() {
@@ -92,45 +69,8 @@ func main() {
 		solveTimeout = flag.Duration("solve-timeout", 60*time.Second, "per-batch solve budget")
 		maxDim       = flag.Int("max-dim", 1<<20, "largest accepted matrix dimension")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight solves on shutdown")
-		prepStore    = flag.Bool("prep-store", false, "enable the durable prepared-system store (restores skip Prepare across restarts)")
-		prepStoreDir = flag.String("prep-store-dir", "", "durable prep-store directory (implies -prep-store; empty with -prep-store uses an in-memory backend)")
-		storeRetries = flag.Int("store-retries", 4, "max re-attempts after a transient prep-store failure (0 disables retries)")
-		storeBackoff = flag.Duration("store-backoff", time.Millisecond, "first retry backoff; grows with decorrelated jitter, capped at 100×")
-		breakerFails = flag.Int("store-breaker-fails", 5, "consecutive prep-store failures that trip the circuit breaker (0 disables it)")
-		breakerProbe = flag.Duration("store-breaker-probe", 5*time.Second, "how long an open breaker waits before admitting one probe operation")
 	)
 	flag.Parse()
-
-	// The durable prep store spills prepared solver state to a blob
-	// backend and restores it on prep-cache misses, so a restarted daemon
-	// skips the Prepare pass for systems it has served before. A directory
-	// backend survives restarts; the in-memory backend (no -prep-store-dir)
-	// only demotes LRU-evicted state within one process lifetime.
-	var ps *store.PrepStore
-	if *prepStore || *prepStoreDir != "" {
-		var backend store.Backend
-		if *prepStoreDir != "" {
-			dir, err := store.NewDir(*prepStoreDir)
-			if err != nil {
-				log.Fatalf("asyrgsd: opening prep store: %v", err)
-			}
-			backend = dir
-		} else {
-			backend = store.NewMemory()
-		}
-		opts := store.Options{
-			Retry: store.RetryConfig{Max: *storeRetries, Base: *storeBackoff, Cap: 100 * *storeBackoff},
-		}
-		if *breakerFails > 0 {
-			opts.Breaker = store.BreakerConfig{
-				Failures: *breakerFails,
-				Probe:    *breakerProbe,
-				Clock:    serve.MonotonicClock(),
-			}
-		}
-		ps = store.NewPrepStoreWith(backend, opts)
-		defer ps.Close()
-	}
 
 	srv := serve.New(serve.Config{
 		MaxConcurrent: *maxConc,
@@ -141,7 +81,6 @@ func main() {
 		QueueTimeout:  *queueTimeout,
 		SolveTimeout:  *solveTimeout,
 		MaxDim:        *maxDim,
-		PrepStore:     ps,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

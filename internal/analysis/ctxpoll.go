@@ -17,12 +17,8 @@ var loopPackages = []string{
 	"internal/lsq",
 	"internal/distmem",
 	"internal/method",
-	// The prep store's background writer drains a queue the request
-	// path feeds; its loops must stay provably terminable or Close
-	// would hang the daemon's shutdown.
-	"internal/store",
-	// The fault layer sits inside store and distmem hot paths; any loop
-	// it grows must stay provably bounded for the same reasons.
+	// The fault layer sits inside distmem's send path; any loop it grows
+	// must stay provably bounded for the same reasons.
 	"internal/fault",
 }
 

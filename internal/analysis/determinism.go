@@ -18,13 +18,9 @@ var detPackages = []string{
 	"internal/distmem",
 	"internal/alias",
 	"internal/rng",
-	// The durable prep store round-trips solver state: a wall-clock or
-	// map-order dependency in its codec would break the bit-identical
-	// restore guarantee the persistence tests assert.
-	"internal/store",
-	// The fault injector is the chaos harness's source of truth: every
-	// decision must be a pure function of (seed, site, op-index) or the
-	// exact-accounting assertions stop reproducing across runs.
+	// Every fault decision must be a pure function of (seed, site,
+	// op-index), or the distmem fault tests' exact drop and delay counts
+	// stop reproducing across runs.
 	"internal/fault",
 }
 

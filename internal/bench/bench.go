@@ -1,9 +1,10 @@
 // Package bench is the experiment harness: one runner per table and figure
 // of the paper's evaluation section (§9), plus validation experiments for
 // the analytical results (Theorems 2–5). Each runner prints the same rows
-// or series the paper reports, on the synthetic workload documented in
-// DESIGN.md, and returns the measurements so tests and benchmarks can
-// assert on the qualitative shape (who wins, how it scales).
+// or series the paper reports, on the synthetic workload, and returns
+// the measurements so tests and benchmarks can assert on the qualitative
+// shape (who wins, how it scales). The -exp flag of cmd/asybench lists
+// the runners.
 package bench
 
 import (

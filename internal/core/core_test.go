@@ -199,15 +199,26 @@ func TestAsyncWithSyncPeriodConverges(t *testing.T) {
 	}
 }
 
+// TestAsyncDenseConverges asserts convergence to tolerance, not within
+// a fixed sweep count. With more workers than CPUs, a worker descheduled
+// between its read and its write lands one arbitrarily stale update: an
+// unbounded τ, outside the theorem's regime. Later sweeps correct it, so
+// the test steps 20 sweeps at a time until the residual meets the bound,
+// capped at 800 sweeps.
 func TestAsyncDenseConverges(t *testing.T) {
 	a := testSPD(t, 150, 16)
 	const c = 4
 	b := workload.MultiRHS(150, c, 17)
 	s, _ := New(a, Options{Seed: 6, Workers: 4})
 	x := vec.NewDense(150, c)
-	s.AsyncSweepsDense(x, b, 80)
-	if res := s.ResidualDense(x, b); res > 1e-4 {
-		t.Fatalf("multi-RHS async residual %v", res)
+	const step, maxSweeps, tol = 20, 800, 1e-4
+	res := math.Inf(1)
+	for sweeps := 0; sweeps < maxSweeps && res > tol; sweeps += step {
+		s.AsyncSweepsDense(x, b, step)
+		res = s.ResidualDense(x, b)
+	}
+	if res > tol {
+		t.Fatalf("multi-RHS async residual %v after %d sweeps", res, maxSweeps)
 	}
 	// Each column should agree with an independent solve to similar
 	// accuracy (not exactly — interleaving differs).

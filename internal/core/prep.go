@@ -67,7 +67,7 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
 // State exposes the serializable per-matrix state — the validated
-// diagonal and its reciprocal — for the durable prep-store codec. The
+// diagonal and its reciprocal — for method's prepared-state codec. The
 // lazily memoized structures (CDF, alias table, float32 view) are
 // deliberately absent: each is an O(n) rebuild from this state, cheaper
 // to reconstruct than to ship and re-verify. Shared slices; do not
@@ -76,11 +76,10 @@ func (p *Prep) State() (diag, invD []float64) { return p.diag, p.invD }
 
 // PrepFromState rebuilds a Prep over a from state captured by State on
 // an identical matrix, skipping the O(nnz) diagonal extraction — the
-// point of restoring from the durable store. It re-checks the shape and
-// the non-zero-diagonal invariant (O(n)), so state that passed blob
-// integrity checks but disagrees structurally with the matrix is
-// rejected instead of poisoning solves. It does not count as a
-// preparation in PrepCount.
+// point of restoring encoded state. It re-checks the shape and the
+// non-zero-diagonal invariant (O(n)), so well-formed state that
+// disagrees structurally with the matrix is rejected instead of
+// poisoning solves. It does not count as a preparation in PrepCount.
 func PrepFromState(a *sparse.CSR, diag, invD []float64) (*Prep, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)

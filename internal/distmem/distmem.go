@@ -73,9 +73,7 @@ type Config struct {
 	// delivery to the end of the round — the maximum staleness the round
 	// structure allows, realized deterministically without sleeping. The
 	// decision for (iteration, peer) is a pure function of the seed, so
-	// dropped/delayed counts are replay-exact. Err/Corrupt rates are
-	// ignored here (the emulated network loses or reorders, it does not
-	// flip bits); set Latency to any positive duration to arm DelayRate.
+	// dropped/delayed counts are replay-exact.
 	Fault fault.Config
 }
 
@@ -318,7 +316,6 @@ func (s *Solver) worker(id int) {
 				ord++
 				switch {
 				case d.Drop:
-					inj.RecordDrop()
 					cmd.dropped.add(1)
 				case d.Delay:
 					cmd.delayed.add(1)

@@ -2,7 +2,6 @@ package distmem
 
 import (
 	"testing"
-	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/dense"
 	"github.com/asynclinalg/asyrgs/internal/fault"
@@ -49,28 +48,24 @@ func TestConvergesUnderMessageDelay(t *testing.T) {
 	x := make([]float64, 160)
 	cfg := Config{
 		Workers: 4, QueueCap: 8, Seed: 9,
-		// Latency arms the delay draw; distmem realizes Delay logically
-		// (defer to round end) and never sleeps, so the duration's value
-		// is irrelevant here.
-		Fault: fault.Config{Seed: 22, LatencyRate: 0.2, Latency: time.Nanosecond},
+		Fault: fault.Config{Seed: 22, DelayRate: 0.2},
 	}
 	res, rounds, err := SolveToTol(a, x, b, 1e-8, 10, 200, cfg)
 	if err != nil {
 		t.Fatalf("after %d rounds: %v (res %v)", rounds, err, res)
 	}
 	if res.MessagesDelayed == 0 {
-		t.Fatal("LatencyRate 0.2 delayed nothing")
+		t.Fatal("DelayRate 0.2 delayed nothing")
 	}
 	if res.MessagesDropped != 0 {
 		t.Fatalf("delay-only config dropped %d messages", res.MessagesDropped)
 	}
 }
 
-// TestFaultAccountingDeterministic pins the replay property the chaos
-// harness relies on: under a fixed (config, seed) every run loses and
-// defers exactly the same messages, because each decision is a pure
-// function of (rank, iteration, peer) — no wall clock, no scheduler
-// dependence.
+// TestFaultAccountingDeterministic pins the replay property: under a
+// fixed (config, seed) every run loses and defers exactly the same
+// messages, because each decision is a pure function of (rank,
+// iteration, peer) — no wall clock, no scheduler dependence.
 func TestFaultAccountingDeterministic(t *testing.T) {
 	a := workload.RandomSPD(120, 4, 1.5, 10)
 	b := workload.RandomRHS(120, 11)
@@ -78,7 +73,7 @@ func TestFaultAccountingDeterministic(t *testing.T) {
 		x := make([]float64, 120)
 		res, err := Solve(a, x, b, 10, Config{
 			Workers: 4, QueueCap: 4, Seed: 12,
-			Fault: fault.Config{Seed: 33, DropRate: 0.1, LatencyRate: 0.1, Latency: time.Nanosecond},
+			Fault: fault.Config{Seed: 33, DropRate: 0.1, DelayRate: 0.1},
 		})
 		if err != nil {
 			t.Fatal(err)

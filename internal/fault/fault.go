@@ -1,135 +1,69 @@
 // Package fault is the deterministic fault-injection layer behind the
-// repository's resilience machinery: a per-site Injector that decides
-// whether a given operation fails, loses its payload, corrupts it, or is
-// delayed — as a pure function of (stream, op-index), the same Philox
-// random-access discipline the solvers use for their direction draws.
-// Two runs with the same seed inject byte-identical fault schedules, so
-// chaos tests can assert exact accounting ("the store saw 37 injected
-// errors and retried 31 of them") instead of eyeballing logs.
+// sharded backend's message faults: a per-site Injector that decides
+// whether a given operation's payload is dropped or delayed, as a pure
+// function of (stream, op-index) — the same Philox random-access
+// discipline the solvers use for their direction draws. Two runs with
+// the same seed inject identical fault schedules, so tests can assert
+// exact drop and delay counts instead of eyeballing logs.
 //
-// The package deliberately owns no wall clock: injected latency is a
-// Duration handed to an injectable sleeper (defaulting to time.Sleep),
-// never a time.Now read, so the solver packages that consume injectors
-// (internal/distmem, internal/store) stay clean under the repository's
-// determinism analyzer. Callers that must not sleep (solver hot loops,
-// unit tests) either ignore Decision.Delay or install a no-op sleeper.
+// The package owns no clock: a Delay decision is realized by the site
+// (internal/distmem defers the message to the end of its round), never
+// by sleeping, so the solver packages that consume injectors stay clean
+// under the repository's determinism analyzer.
 //
-// Sites: each fault site (a store backend's Get path, a distmem rank's
-// outbox) constructs its own Injector from a shared Config plus a site
-// label; the label is folded into the stream key, so two sites never
-// share a fault schedule even under one seed.
+// Sites: each fault site (a distmem rank's outbox) constructs its own
+// Injector from a shared Config plus a site label; the label is folded
+// into the stream key, so two sites never share a fault schedule even
+// under one seed.
 package fault
 
-import (
-	"errors"
-	"sync/atomic"
-	"time"
-
-	"github.com/asynclinalg/asyrgs/internal/rng"
-)
-
-// ErrInjected is the error every fault site surfaces for an injected
-// failure, so consuming layers (and their tests) can tell manufactured
-// faults from real ones with errors.Is.
-var ErrInjected = errors.New("fault: injected error")
+import "github.com/asynclinalg/asyrgs/internal/rng"
 
 // Config declares the fault mix one site should inject. The zero value
 // injects nothing. Rates are probabilities in [0,1], evaluated
-// independently per operation — one op can simultaneously be delayed and
-// then fail, the way a slow disk times out.
+// independently per operation.
 type Config struct {
 	// Seed keys the fault schedule; the site label is folded in, so one
 	// seed drives distinct per-site schedules.
 	Seed uint64
-	// ErrRate is the probability an operation fails with ErrInjected.
-	ErrRate float64
 	// DropRate is the probability an operation's payload is silently
-	// lost (an un-delivered message, a write that never lands).
+	// lost (an undelivered message).
 	DropRate float64
-	// CorruptRate is the probability an operation's payload is
-	// bit-flipped in flight.
-	CorruptRate float64
-	// LatencyRate is the probability an operation is delayed by Latency.
-	LatencyRate float64
-	// Latency is the injected delay when the latency draw fires.
-	Latency time.Duration
-	// Sleep performs injected delays; nil means time.Sleep. Tests and
-	// solver-adjacent sites install a no-op or virtual sleeper so a
-	// fault schedule never costs wall time where it must not.
-	Sleep func(time.Duration)
+	// DelayRate is the probability an operation is delayed.
+	DelayRate float64
 }
 
 // Enabled reports whether the config can inject anything at all; sites
 // use it to skip injector plumbing entirely on the common no-fault path.
 func (c Config) Enabled() bool {
-	return c.ErrRate > 0 || c.DropRate > 0 || c.CorruptRate > 0 ||
-		(c.LatencyRate > 0 && c.Latency > 0)
+	return c.DropRate > 0 || c.DelayRate > 0
 }
 
-// Decision is the fault verdict for one operation. Fields are
-// independent draws; Aux is 64 bits of schedule-derived randomness for
-// the caller's own use (which bit to flip, which byte to truncate at).
+// Decision is the fault verdict for one operation; its fields are
+// independent draws.
 type Decision struct {
-	Err     bool
-	Drop    bool
-	Corrupt bool
-	Delay   bool
-	Aux     uint64
-}
-
-// Clean reports a no-fault decision, the fast path's one branch.
-func (d Decision) Clean() bool {
-	return !d.Err && !d.Drop && !d.Corrupt && !d.Delay
-}
-
-// Stats is a snapshot of one injector's applied-fault counters. Ops
-// counts sequenced operations (Next calls); the fault counters count
-// faults the *site reported applying* (RecordErr etc.), not decisions —
-// a corruption decided for a Get that failed anyway was never applied
-// and is never counted, which is what lets chaos harnesses reconcile
-// injector counts against the consuming layer's error counters exactly.
-type Stats struct {
-	Ops      uint64 `json:"ops"`
-	Errs     uint64 `json:"errs"`
-	Drops    uint64 `json:"drops"`
-	Corrupts uint64 `json:"corrupts"`
-	Delays   uint64 `json:"delays"`
+	Drop  bool
+	Delay bool
 }
 
 // Injector decides faults for one site. The decision for op-index i is a
 // pure function of (config, site, i): replayable, platform-independent,
-// and computable by any goroutine without coordination. The only mutable
-// state is the op counter used by Next and the applied-fault counters —
-// both atomic, so an Injector is safe for concurrent use.
+// and computable by any goroutine without coordination. An Injector is
+// immutable, so it is safe for concurrent use.
 type Injector struct {
 	cfg    Config
 	stream rng.Stream
-	aux    rng.Stream
-
-	ops      atomic.Uint64
-	errs     atomic.Uint64
-	drops    atomic.Uint64
-	corrupts atomic.Uint64
-	delays   atomic.Uint64
 }
 
 // New builds the injector for one fault site. A nil receiver is the
-// universal "no faults" injector: every method on a nil *Injector is
-// safe and decides/records nothing, so call sites need no nil guards.
-// New returns nil when cfg injects nothing.
+// universal "no faults" injector: DecideAt on a nil *Injector decides
+// nothing, so call sites need no nil guards. New returns nil when cfg
+// injects nothing.
 func New(cfg Config, site string) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
-	seed := cfg.Seed ^ fnv64a(site)
-	return &Injector{
-		cfg:    cfg,
-		stream: rng.NewStream(seed),
-		// A distinct stream for Aux keeps the caller's auxiliary
-		// randomness (bit positions, truncation offsets) uncorrelated
-		// with the fault decisions themselves.
-		aux: rng.NewStream(seed ^ 0xA5A5A5A5A5A5A5A5),
-	}
+	return &Injector{cfg: cfg, stream: rng.NewStream(cfg.Seed ^ fnv64a(site))}
 }
 
 // fnv64a is the FNV-1a hash of the site label — hash/maphash would be
@@ -143,96 +77,24 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// Enabled reports whether this injector can inject anything.
-func (in *Injector) Enabled() bool { return in != nil }
-
 // DecideAt returns the fault verdict for op-index i: a pure function,
 // so callers with a natural operation index (distmem's per-message
-// (iteration, peer) coordinates) get replay-exact schedules without
-// touching the shared counter.
+// (iteration, peer) coordinates) get replay-exact schedules. One Philox
+// block holds four independent 32-bit lanes; drop reads lane 1 and delay
+// lane 3. The lane assignment is part of every recorded schedule, so
+// moving a decision to another lane changes which operations fault.
 func (in *Injector) DecideAt(i uint64) Decision {
 	if in == nil {
 		return Decision{}
 	}
 	b := in.stream.BlockAt(i)
-	c := in.cfg
-	d := Decision{
-		Err:     uniform32(b[0]) < c.ErrRate,
-		Drop:    uniform32(b[1]) < c.DropRate,
-		Corrupt: uniform32(b[2]) < c.CorruptRate,
-		Delay:   c.Latency > 0 && uniform32(b[3]) < c.LatencyRate,
-	}
-	if !d.Clean() {
-		d.Aux = in.aux.Uint64At(i)
-	}
-	return d
-}
-
-// Next sequences one operation on the shared counter and returns its
-// verdict — the call shape for sites without a natural op index (a
-// store backend serving concurrent requests). Ordering between
-// concurrent callers is whatever the atomic increment serializes, so
-// Next schedules are deterministic only for serial callers; DecideAt is
-// the fully deterministic form.
-func (in *Injector) Next() Decision {
-	if in == nil {
-		return Decision{}
-	}
-	return in.DecideAt(in.ops.Add(1) - 1)
-}
-
-// SleepFor performs one injected delay through the configured sleeper
-// and counts it. No-op when the decision carries no delay.
-func (in *Injector) SleepFor(d Decision) {
-	if in == nil || !d.Delay {
-		return
-	}
-	in.delays.Add(1)
-	if in.cfg.Sleep != nil {
-		in.cfg.Sleep(in.cfg.Latency)
-		return
-	}
-	time.Sleep(in.cfg.Latency)
-}
-
-// RecordErr counts one injected error the site actually surfaced.
-func (in *Injector) RecordErr() {
-	if in != nil {
-		in.errs.Add(1)
+	return Decision{
+		Drop:  uniform32(b[1]) < in.cfg.DropRate,
+		Delay: uniform32(b[3]) < in.cfg.DelayRate,
 	}
 }
 
-// RecordDrop counts one payload the site actually lost.
-func (in *Injector) RecordDrop() {
-	if in != nil {
-		in.drops.Add(1)
-	}
-}
-
-// RecordCorrupt counts one payload the site actually corrupted.
-func (in *Injector) RecordCorrupt() {
-	if in != nil {
-		in.corrupts.Add(1)
-	}
-}
-
-// Stats snapshots the applied-fault counters.
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	return Stats{
-		Ops:      in.ops.Load(),
-		Errs:     in.errs.Load(),
-		Drops:    in.drops.Load(),
-		Corrupts: in.corrupts.Load(),
-		Delays:   in.delays.Load(),
-	}
-}
-
-// uniform32 maps one 32-bit lane to [0,1). Four independent lanes per
-// 128-bit block give the four fault classes independent coin flips from
-// one Philox evaluation.
+// uniform32 maps one 32-bit lane to [0,1).
 func uniform32(x uint32) float64 {
 	return float64(x) / (1 << 32)
 }

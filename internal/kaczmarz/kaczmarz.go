@@ -132,7 +132,7 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 }
 
 // State exposes the serializable per-matrix state — the squared row
-// norms — for the durable prep-store codec. The CDF and alias table are
+// norms — for method's prepared-state codec. The CDF and alias table are
 // absent: both are O(n) rebuilds from the norms, cheaper to reconstruct
 // than to ship. Shared slice; do not mutate.
 func (p *Prep) State() []float64 { return p.rowNorm2 }

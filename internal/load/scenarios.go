@@ -170,23 +170,6 @@ func init() {
 	})
 
 	register(Scenario{
-		Name: "store-churn",
-		Description: "cycles a small set of matrices through an undersized prepared-system LRU " +
-			"so nearly every request evicts (spilling to the durable prep store) and restores " +
-			"from it — the store-on-the-hot-path shape the chaos harness injects faults into",
-		Next: func(o Options, g *rng.Sequential, client, i int) Request {
-			return Request{Solve: serve.SolveRequest{
-				// Four matrices against a two-entry prep LRU: the working set
-				// never fits, so the durable store sees constant traffic.
-				Matrix: serve.MatrixSpec{Kind: "randomspd", N: o.N, NNZ: 5, Seed: uint64(i%4) + 300},
-				Method: "asyrgs",
-				Tol:    1e-6, MaxSweeps: 2000, Workers: 2,
-				RHSSeed: perRequestSeed(client, i),
-			}}
-		},
-	})
-
-	register(Scenario{
 		Name: "distmem",
 		Description: "sharded distributed-memory solves (asyrgs-distmem): the deployment-shape " +
 			"prep key, per-rank queues and message accounting under concurrent load",

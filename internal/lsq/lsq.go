@@ -163,7 +163,7 @@ func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
 // State exposes the serializable per-matrix state — the CSC column view
 // (the expensive transpose pass) and the squared column norms — for the
-// durable prep-store codec. The alias table and float32 views are
+// method's prepared-state codec. The alias table and float32 views are
 // absent: each rebuilds lazily from this state. Shared; do not mutate.
 func (p *Prep) State() (*sparse.CSC, []float64) { return p.csc, p.colNorm2 }
 

@@ -114,7 +114,7 @@ func corePrepare(name string, baseOpts core.Options, sequential bool) prepareFun
 
 // finishCorePrepared applies the post-PrepareMatrix option handling —
 // precision views and weighted-sampling validation — shared by fresh
-// preparation and store restores, so both paths build identical systems.
+// preparation and DecodePrepared, so both paths build identical systems.
 func finishCorePrepared(name string, baseOpts core.Options, sequential bool, a *sparse.CSR, prep *core.Prep, opts Opts) (PreparedSystem, error) {
 	f32, err := resolvePrecision(opts)
 	if err != nil {
@@ -496,7 +496,7 @@ func kaczmarzPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSyste
 }
 
 // finishKaczmarzPrepared applies the post-PrepareMatrix option handling
-// shared by fresh preparation and store restores.
+// shared by fresh preparation and DecodePrepared.
 func finishKaczmarzPrepared(a *sparse.CSR, prep *kaczmarz.Prep, opts Opts) (PreparedSystem, error) {
 	f32, err := resolvePrecision(opts)
 	if err != nil {
@@ -571,7 +571,7 @@ func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
 }
 
 // finishLSQPrepared applies the post-PrepareMatrix option handling
-// shared by fresh preparation and store restores.
+// shared by fresh preparation and DecodePrepared.
 func finishLSQPrepared(name string, sequential, weighted bool, a *sparse.CSR, prep *lsq.Prep, opts Opts) (PreparedSystem, error) {
 	f32, err := resolvePrecision(opts)
 	if err != nil {

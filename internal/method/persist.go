@@ -7,20 +7,18 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
 	"github.com/asynclinalg/asyrgs/internal/lsq"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
-	"github.com/asynclinalg/asyrgs/internal/store"
 )
 
 // PersistentPreparer is the optional interface of methods whose prepared
-// state can round-trip through the durable prep store. EncodePrepared
-// serializes only the derived state (norms, diagonals, column views) —
-// never the matrix, whose identity is already guaranteed by the
-// content-addressed store key — and DecodePrepared rebuilds a
-// PreparedSystem over the caller's matrix, applying the same prep-time
-// option handling (precision views, weighted-sampling validation) as a
-// fresh Prepare. A restored system must be behaviorally identical to a
-// freshly prepared one: deterministic solves produce bit-identical
-// trajectories (asserted in tests). Methods that do not implement the
-// interface simply never spill or restore.
+// state can round-trip through bytes. EncodePrepared serializes only the
+// derived state (norms, diagonals, column views) — never the matrix,
+// whose identity the caller must pair with the payload itself — and
+// DecodePrepared rebuilds a PreparedSystem over the caller's matrix,
+// applying the same prep-time option handling (precision views,
+// weighted-sampling validation) as a fresh Prepare. A restored system
+// must be behaviorally identical to a freshly prepared one:
+// deterministic solves produce bit-identical trajectories (asserted in
+// tests).
 type PersistentPreparer interface {
 	Method
 	// EncodePrepared serializes ps's derived per-matrix state. It must
@@ -47,9 +45,8 @@ func AsPersistent(m Method) (PersistentPreparer, bool) {
 }
 
 // Payload framing: every family payload opens with a format version and
-// a family tag. The tag is defense in depth — the store key already
-// separates methods — so a blob that somehow reaches the wrong family's
-// decoder fails loudly instead of misparsing.
+// a family tag, so a payload that reaches the wrong family's decoder
+// fails loudly instead of misparsing.
 const (
 	persistVersion = 1
 
@@ -59,20 +56,20 @@ const (
 )
 
 // persistHeader opens a family payload.
-func persistHeader(e *store.Enc, family byte) {
-	e.U8(persistVersion)
-	e.U8(family)
+func persistHeader(e *enc, family byte) {
+	e.u8(persistVersion)
+	e.u8(family)
 }
 
 // checkHeader validates a family payload's version and tag.
-func checkHeader(d *store.Dec, family byte) error {
-	if v := d.U8(); d.Err() == nil && v != persistVersion {
+func checkHeader(d *dec, family byte) error {
+	if v := d.u8(); d.err == nil && v != persistVersion {
 		return fmt.Errorf("method: prepared-state payload version %d, want %d", v, persistVersion)
 	}
-	if f := d.U8(); d.Err() == nil && f != family {
+	if f := d.u8(); d.err == nil && f != family {
 		return fmt.Errorf("method: prepared-state payload family %q, want %q", f, family)
 	}
-	return d.Err()
+	return d.err
 }
 
 // ---------------------------------------------------------------------------
@@ -85,11 +82,11 @@ func coreEncode(ps PreparedSystem) ([]byte, error) {
 		return nil, fmt.Errorf("method: cannot encode %T as core prepared state", ps)
 	}
 	diag, invD := p.prep.State()
-	var e store.Enc
+	var e enc
 	persistHeader(&e, familyCore)
-	e.F64s(diag)
-	e.F64s(invD)
-	return e.Bytes(), nil
+	e.f64s(diag)
+	e.f64s(invD)
+	return e.bytes(), nil
 }
 
 // coreDecode builds the decode hook for an AsyRGS/RGS variant; the
@@ -97,13 +94,13 @@ func coreEncode(ps PreparedSystem) ([]byte, error) {
 // restored system finishes through identical option handling.
 func coreDecode(name string, baseOpts core.Options, sequential bool) decodeFunc {
 	return func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
-		d := store.NewDec(payload)
+		d := &dec{buf: payload}
 		if err := checkHeader(d, familyCore); err != nil {
 			return nil, err
 		}
-		diag := d.F64s()
-		invD := d.F64s()
-		if err := d.Close(); err != nil {
+		diag := d.f64s()
+		invD := d.f64s()
+		if err := d.close(); err != nil {
 			return nil, err
 		}
 		prep, err := core.PrepFromState(a, diag, invD)
@@ -123,19 +120,19 @@ func kaczmarzEncode(ps PreparedSystem) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("method: cannot encode %T as kaczmarz prepared state", ps)
 	}
-	var e store.Enc
+	var e enc
 	persistHeader(&e, familyKaczmarz)
-	e.F64s(p.prep.State())
-	return e.Bytes(), nil
+	e.f64s(p.prep.State())
+	return e.bytes(), nil
 }
 
 func kaczmarzDecode(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
-	d := store.NewDec(payload)
+	d := &dec{buf: payload}
 	if err := checkHeader(d, familyKaczmarz); err != nil {
 		return nil, err
 	}
-	rowNorm2 := d.F64s()
-	if err := d.Close(); err != nil {
+	rowNorm2 := d.f64s()
+	if err := d.close(); err != nil {
 		return nil, err
 	}
 	prep, err := kaczmarz.PrepFromState(a, rowNorm2)
@@ -155,27 +152,27 @@ func lsqEncode(ps PreparedSystem) ([]byte, error) {
 		return nil, fmt.Errorf("method: cannot encode %T as lsq prepared state", ps)
 	}
 	csc, colNorm2 := p.prep.State()
-	var e store.Enc
+	var e enc
 	persistHeader(&e, familyLSQ)
-	e.Int(csc.Rows)
-	e.Int(csc.Cols)
-	e.Ints(csc.ColPtr)
-	e.Ints(csc.RowIdx)
-	e.F64s(csc.Vals)
-	e.F64s(colNorm2)
-	return e.Bytes(), nil
+	e.size(csc.Rows)
+	e.size(csc.Cols)
+	e.ints(csc.ColPtr)
+	e.ints(csc.RowIdx)
+	e.f64s(csc.Vals)
+	e.f64s(colNorm2)
+	return e.bytes(), nil
 }
 
 // lsqDecode builds the decode hook for an lsqcd variant.
 func lsqDecode(name string, sequential, weighted bool) decodeFunc {
 	return func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
-		d := store.NewDec(payload)
+		d := &dec{buf: payload}
 		if err := checkHeader(d, familyLSQ); err != nil {
 			return nil, err
 		}
-		csc := &sparse.CSC{Rows: d.Int(), Cols: d.Int(), ColPtr: d.Ints(), RowIdx: d.Ints(), Vals: d.F64s()}
-		colNorm2 := d.F64s()
-		if err := d.Close(); err != nil {
+		csc := &sparse.CSC{Rows: d.size(), Cols: d.size(), ColPtr: d.ints(), RowIdx: d.ints(), Vals: d.f64s()}
+		colNorm2 := d.f64s()
+		if err := d.close(); err != nil {
 			return nil, err
 		}
 		prep, err := lsq.PrepFromState(a, csc, colNorm2)

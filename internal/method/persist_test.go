@@ -1,4 +1,4 @@
-// Tests for the durable prepared-state codecs: a restored system must be
+// Tests for the prepared-state codecs: a restored system must be
 // behaviorally indistinguishable from a freshly prepared one (bit-identical
 // deterministic trajectories, zero instrumented re-preparation on decode),
 // and structurally damaged payloads must fail loudly instead of panicking.
@@ -15,7 +15,7 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
-// persistCases enumerates every method expected to support durable
+// persistCases enumerates every method expected to support persistent
 // prepared state, with a matrix of its kind.
 func persistCases() []struct {
 	methodName string
@@ -143,8 +143,8 @@ func TestPersistDecodeRejectsDamage(t *testing.T) {
 			}
 			// Byte flips must never panic; flips in the framing or length
 			// prefixes fail, flips in float payload bytes may legally
-			// decode to different values (the store's sha256 envelope is
-			// what guards value integrity).
+			// decode to different values (value integrity is the
+			// caller's to guard, e.g. with a checksum around the payload).
 			for i := 0; i < len(payload); i++ {
 				mut := append([]byte(nil), payload...)
 				mut[i] ^= 0xff

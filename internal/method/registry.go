@@ -80,8 +80,8 @@ func ByKind(k Kind) []Method {
 // prepareFunc captures one method family's per-matrix setup.
 type prepareFunc func(ctx context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error)
 
-// encodeFunc serializes a family's prepared state for the durable prep
-// store; decodeFunc rebuilds it over the caller's matrix (persist.go).
+// encodeFunc serializes a family's prepared state; decodeFunc rebuilds
+// it over the caller's matrix (persist.go).
 type (
 	encodeFunc func(ps PreparedSystem) ([]byte, error)
 	decodeFunc func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error)

@@ -27,11 +27,6 @@ type sessionCache[V any] struct {
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	// onEvict, when non-nil, observes each successfully built value as
-	// capacity eviction removes it (the prep cache's spill-to-store
-	// hook). It runs outside the cache lock on the inserting goroutine.
-	onEvict func(key string, v V)
-
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -78,23 +73,14 @@ func newSessionCache[V any](max int) *sessionCache[V] {
 	return &sessionCache[V]{max: max, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-// evictedPair carries an evicted entry to the onEvict hook outside the
-// lock.
-type evictedPair[V any] struct {
-	key string
-	v   V
-}
-
 // evictLocked trims the cache toward max, skipping entries whose build
 // is still in flight — evicting one would detach a running build and
 // make the next same-key arrival duplicate it. Skipped entries leave
 // the cache temporarily over capacity; every later insertion and build
 // resolution re-scans, so the cache converges back to max once builds
 // settle. keep (the caller's own just-resolved entry, nil on the insert
-// path) is never chosen as a victim. Returns the successfully built
-// victims for the onEvict hook.
-func (c *sessionCache[V]) evictLocked(keep *session[V]) []evictedPair[V] {
-	var out []evictedPair[V]
+// path) is never chosen as a victim.
+func (c *sessionCache[V]) evictLocked(keep *session[V]) {
 	over := c.ll.Len() - c.max
 	for el := c.ll.Back(); el != nil && over > 0; {
 		prev := el.Prev()
@@ -112,12 +98,8 @@ func (c *sessionCache[V]) evictLocked(keep *session[V]) []evictedPair[V] {
 		delete(c.items, s.key)
 		c.evictions++
 		over--
-		if s.err == nil && c.onEvict != nil {
-			out = append(out, evictedPair[V]{key: s.key, v: s.v})
-		}
 		el = prev
 	}
-	return out
 }
 
 // getOrBuild returns the cached value for key, building it with build on
@@ -153,11 +135,8 @@ func (c *sessionCache[V]) getOrBuild(key string, build func() (V, error)) (V, bo
 	s := &session[V]{key: key, build: build}
 	el := c.ll.PushFront(s)
 	c.items[key] = el
-	evicted := c.evictLocked(nil)
+	c.evictLocked(nil)
 	c.mu.Unlock()
-	for _, ev := range evicted {
-		c.onEvict(ev.key, ev.v)
-	}
 
 	s.await()
 	c.mu.Lock()
@@ -175,11 +154,8 @@ func (c *sessionCache[V]) getOrBuild(key string, build func() (V, error)) (V, bo
 	// was in flight skipped it and possibly others, so the resolution is
 	// what shrinks an over-full cache back to max. The fresh entry
 	// itself is exempt — it is the most recently used value.
-	evicted = c.evictLocked(s)
+	c.evictLocked(s)
 	c.mu.Unlock()
-	for _, ev := range evicted {
-		c.onEvict(ev.key, ev.v)
-	}
 	return s.v, false, s.err
 }
 

@@ -254,28 +254,6 @@ func TestCacheCounterInvariantUnderChurn(t *testing.T) {
 	_ = hits
 }
 
-// onEvict must observe every successfully built entry that capacity
-// eviction removes — the prep cache's spill-on-eviction hook — and must
-// not observe dropped failures.
-func TestCacheOnEvictHook(t *testing.T) {
-	c := newSessionCache[int](1)
-	var evicted []string
-	c.onEvict = func(key string, v int) {
-		if v != 1 {
-			t.Errorf("onEvict(%q, %d)", key, v)
-		}
-		evicted = append(evicted, key)
-	}
-	one := func() (int, error) { return 1, nil }
-	c.getOrBuild("a", one)
-	c.getOrBuild("bad", func() (int, error) { return 0, errors.New("boom") })
-	c.getOrBuild("b", one) // evicts a
-	c.getOrBuild("c", one) // evicts b
-	if len(evicted) != 2 || evicted[0] != "a" || evicted[1] != "b" {
-		t.Fatalf("evicted = %v, want [a b]", evicted)
-	}
-}
-
 func TestMatrixSpecKeyStability(t *testing.T) {
 	a := MatrixSpec{Kind: "randomspd", N: 100, NNZ: 6, Seed: 3}
 	b := MatrixSpec{Kind: "randomspd", N: 100, NNZ: 6, Seed: 3}

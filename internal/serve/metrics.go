@@ -47,7 +47,7 @@ func summarize(snap stats.Pow2Histogram, sumUS uint64) LatencySummary {
 // endpoints are the histogram-tracked routes, fixed at construction so
 // request handling needs no map writes (the histograms themselves are
 // lock-free).
-var endpoints = []string{"/solve", "/methods", "/healthz", "/readyz", "/stats", "/metrics"}
+var endpoints = []string{"/solve", "/methods", "/healthz", "/stats", "/metrics"}
 
 // timed wraps a handler, recording its wall time in microseconds into
 // the endpoint's latency histogram. It is also the outermost panic
@@ -103,27 +103,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "asyrgsd_cache_events_total{cache=%q,event=\"eviction\"} %d\n", c.name, c.cs.Evictions)
 		fmt.Fprintf(&b, "asyrgsd_cache_events_total{cache=%q,event=\"drop\"} %d\n", c.name, c.cs.Drops)
 		fmt.Fprintf(&b, "asyrgsd_cache_events_total{cache=%q,event=\"evict_skip\"} %d\n", c.name, c.cs.EvictSkips)
-	}
-
-	if ss := st.PrepStore; ss != nil {
-		counter("asyrgsd_prep_restores_total", "Prepared systems rebuilt from the durable prep store.", ss.Restores)
-		counter("asyrgsd_prep_spills_total", "Prepared systems written to the durable prep store.", ss.Spills)
-		counter("asyrgsd_store_errors_total", "Durable prep-store read, decode or write failures.", ss.Errors)
-		counter("asyrgsd_spill_drops_total", "Spills dropped because the store's write queue was full.", ss.Dropped)
-		counter("asyrgsd_store_retries_total", "Backend operations re-attempted after a transient failure.", ss.Retries)
-		counter("asyrgsd_store_failures_total", "Backend operations that exhausted their retry budget.", ss.Failures)
-		counter("asyrgsd_store_breaker_rejects_total", "Operations refused while the circuit breaker was open.", ss.BreakerRejects)
-		counter("asyrgsd_store_breaker_trips_total", "Circuit breaker closed-to-open transitions.", ss.BreakerTrips)
-		counter("asyrgsd_store_corrupt_blobs_total", "Blobs that failed envelope or hash verification on read.", ss.CorruptBlobs)
-		fmt.Fprintf(&b, "# HELP asyrgsd_prep_store_blobs Blobs currently held by the durable prep store.\n# TYPE asyrgsd_prep_store_blobs gauge\nasyrgsd_prep_store_blobs %d\n", ss.Blobs)
-		fmt.Fprintf(&b, "# HELP asyrgsd_store_breaker_state Circuit breaker state (one-hot by state label).\n# TYPE asyrgsd_store_breaker_state gauge\n")
-		for _, state := range []string{"closed", "open", "half-open", "disabled"} {
-			v := 0
-			if ss.BreakerState == state {
-				v = 1
-			}
-			fmt.Fprintf(&b, "asyrgsd_store_breaker_state{state=%q} %d\n", state, v)
-		}
 	}
 
 	fmt.Fprintf(&b, "# HELP asyrgsd_method_requests_total Solved requests by registry method.\n# TYPE asyrgsd_method_requests_total counter\n")

@@ -2,17 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
-	"github.com/asynclinalg/asyrgs/internal/fault"
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
-	"github.com/asynclinalg/asyrgs/internal/store"
 )
 
 // panicSolveMethod panics inside Solve — on the batch path, behind the
@@ -96,76 +91,5 @@ func TestPanicInPrepareContained(t *testing.T) {
 	out, resp := postSolve(t, ts, SolveRequest{Matrix: spec, Method: "cg", Tol: 1e-8})
 	if resp.StatusCode != http.StatusOK || !out.Converged {
 		t.Fatalf("healthy solve after prepare panics: status %d, %+v", resp.StatusCode, out)
-	}
-}
-
-// getReadyz fetches /readyz without the 200-only helper.
-func getReadyz(t *testing.T, ts *httptest.Server) (int, map[string]string) {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
-}
-
-// TestReadyzNoStore: without a prep store there is no degraded mode.
-func TestReadyzNoStore(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	code, body := getReadyz(t, ts)
-	if code != http.StatusOK || body["status"] != "ready" {
-		t.Fatalf("readyz = %d %v, want 200 ready", code, body)
-	}
-}
-
-// TestReadyzTracksBreaker drives the full degradation cycle: ready →
-// breaker trips on a dead backend → degraded (503, distinct from the
-// still-green /healthz) → backend recovers, probe closes the breaker →
-// ready again.
-func TestReadyzTracksBreaker(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Duration(0)
-	clock := func() time.Duration { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now += d; mu.Unlock() }
-
-	fb := store.NewFaultBackend(store.NewMemory(), fault.Config{})
-	ps := store.NewPrepStoreWith(fb, store.Options{
-		Breaker: store.BreakerConfig{Failures: 1, Probe: time.Second, Clock: clock},
-	})
-	defer ps.Close()
-	ts := newTestServer(t, Config{PrepStore: ps})
-
-	if code, _ := getReadyz(t, ts); code != http.StatusOK {
-		t.Fatalf("fresh server readyz = %d, want 200", code)
-	}
-
-	fb.SetDown(true)
-	ps.Fetch("k") // one failure trips the Failures=1 breaker
-	code, body := getReadyz(t, ts)
-	if code != http.StatusServiceUnavailable || body["status"] != "degraded" {
-		t.Fatalf("readyz with open breaker = %d %v, want 503 degraded", code, body)
-	}
-	// Liveness is unchanged: degraded is not dead.
-	var health map[string]string
-	getJSON(t, ts, "/healthz", &health)
-	if health["status"] != "ok" {
-		t.Fatalf("healthz during degradation: %v", health)
-	}
-	var st Stats
-	getJSON(t, ts, "/stats", &st)
-	if st.PrepStore == nil || st.PrepStore.BreakerState != "open" {
-		t.Fatalf("stats breaker state = %+v, want open", st.PrepStore)
-	}
-
-	fb.SetDown(false)
-	advance(2 * time.Second)
-	ps.Fetch("k") // the probe: a clean miss closes the breaker
-	if code, body := getReadyz(t, ts); code != http.StatusOK || body["status"] != "ready" {
-		t.Fatalf("readyz after recovery = %d %v, want 200 ready", code, body)
 	}
 }

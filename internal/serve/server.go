@@ -40,7 +40,6 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/stats"
-	"github.com/asynclinalg/asyrgs/internal/store"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
@@ -78,12 +77,6 @@ type Config struct {
 	// MaxBodyBytes caps the request body (inline MatrixMarket text can
 	// be large); zero means 64 MiB.
 	MaxBodyBytes int64
-	// PrepStore, when non-nil, is the durable prepared-system store
-	// behind the prep LRU: misses try a restore before running Prepare,
-	// successful fresh builds and evicted entries spill to it on a
-	// background writer. Nil disables persistence. The server does not
-	// own the store — the caller Closes it after the server stops.
-	PrepStore *store.PrepStore
 }
 
 func (c Config) withDefaults() Config {
@@ -373,15 +366,10 @@ type SolveResponse struct {
 	// cache hit (the request skipped the Prepare phase entirely).
 	CacheHit bool `json:"cache_hit"`
 	PrepHit  bool `json:"prep_hit"`
-	// PrepRestored reports that this request's prepared system was
-	// rebuilt from the durable prep store instead of a fresh Prepare.
-	// Only the request that ran the build sees it; concurrent requests
-	// that joined the same build report PrepHit.
-	PrepRestored bool `json:"prep_restored,omitempty"`
 	// PrepMS is the wall time of this request's prepare phase — cache
-	// lookup, restore or fresh preparation, and any admission-gate wait.
-	// Unquantized (the /stats stage histograms bucket by powers of two),
-	// so cold-restart benchmarks can compare restore against Prepare.
+	// lookup or fresh preparation, and any admission-gate wait.
+	// Unquantized, unlike the /stats stage histograms, which bucket by
+	// powers of two.
 	PrepMS float64 `json:"prep_ms"`
 	// BatchSize is the number of right-hand sides solved together in the
 	// batch this request was part of (explicit bs entries, or coalesced
@@ -421,9 +409,6 @@ type Stats struct {
 	// LRU (a PrepCache hit skips Gram/row-norm/diagonal preparation).
 	Cache     CacheStats `json:"cache"`
 	PrepCache CacheStats `json:"prep_cache"`
-	// PrepStore reports durable prep-store traffic; absent when the
-	// server runs without a store.
-	PrepStore *PrepStoreStats `json:"prep_store,omitempty"`
 	// Batches counts solve batches executed behind the admission gate;
 	// CoalescedRequests counts requests that shared a batch with at least
 	// one other concurrent request.
@@ -461,18 +446,6 @@ type CacheStats struct {
 	EvictSkips uint64 `json:"evict_skips"`
 	Size       int    `json:"size"`
 	Capacity   int    `json:"capacity"`
-}
-
-// PrepStoreStats reports the durable prep store's traffic: restore,
-// spill, error, retry and breaker counters plus the number of blobs
-// currently held and the circuit breaker's current state.
-type PrepStoreStats struct {
-	store.Counters
-	Blobs int `json:"blobs"`
-	// BreakerState is "closed", "open", "half-open", or "disabled" when
-	// the store runs without a breaker. /readyz reports degraded while
-	// it is "open".
-	BreakerState string `json:"breaker_state"`
 }
 
 // errAtCapacity marks work shed at the admission gate.
@@ -616,7 +589,6 @@ type Server struct {
 	cfg         Config
 	matrixCache *sessionCache[*sparse.CSR]
 	prepCache   *sessionCache[method.PreparedSystem]
-	prepStore   *store.PrepStore
 	gate        chan struct{}
 	mux         *http.ServeMux
 	start       time.Time
@@ -666,7 +638,6 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		matrixCache: newSessionCache[*sparse.CSR](cfg.CacheSize),
 		prepCache:   newSessionCache[method.PreparedSystem](cfg.PrepCacheSize),
-		prepStore:   cfg.PrepStore,
 		gate:        make(chan struct{}, cfg.MaxConcurrent),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
@@ -683,13 +654,6 @@ func New(cfg Config) *Server {
 	if s.retryAfter == "0" {
 		s.retryAfter = "1"
 	}
-	if s.prepStore != nil {
-		// Evicted prepared systems spill before leaving memory, so LRU
-		// pressure demotes state to the store instead of destroying it.
-		// The hook runs outside the cache lock; encoding runs on the
-		// store's writer goroutine.
-		s.prepCache.onEvict = s.spillPrepared
-	}
 	for _, ep := range endpoints {
 		s.endpointLat[ep] = &stats.AtomicPow2Histogram{}
 	}
@@ -705,7 +669,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /solve", s.timed("/solve", s.handleSolve))
 	s.mux.HandleFunc("GET /methods", s.timed("/methods", s.handleMethods))
 	s.mux.HandleFunc("GET /healthz", s.timed("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.timed("/readyz", s.handleReadyz))
 	s.mux.HandleFunc("GET /stats", s.timed("/stats", s.handleStats))
 	s.mux.HandleFunc("GET /metrics", s.timed("/metrics", s.handleMetrics))
 	return s
@@ -713,15 +676,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// MonotonicClock returns a store.Clock backed by the process monotonic
-// clock. It lives here rather than in the store because the solver-tier
-// packages (store included) may not read the wall clock themselves —
-// the serving layer is where real time is allowed to enter.
-func MonotonicClock() store.Clock {
-	start := time.Now()
-	return func() time.Duration { return time.Since(start) }
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -746,25 +700,6 @@ func (s *Server) reject(w http.ResponseWriter, format string, args ...any) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is the readiness probe, distinct from liveness: the
-// daemon is alive whenever /healthz answers, but reports degraded here
-// while the prep store's circuit breaker is open (the durable tier is
-// being shed and every prep-cache miss pays a fresh Prepare). Degraded
-// is 503 so orchestrators can steer traffic away without restarting a
-// healthy process.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.prepStore != nil {
-		if state := s.prepStore.BreakerState(); state == "open" {
-			w.Header().Set("Retry-After", s.retryAfter)
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-				"status": "degraded", "reason": "prep-store circuit breaker open",
-			})
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, _ *http.Request) {
@@ -795,14 +730,6 @@ func (s *Server) counterSnapshot() Stats {
 		perMethod[k] = v
 	}
 	s.methodMu.Unlock()
-	var storeStats *PrepStoreStats
-	if s.prepStore != nil {
-		storeStats = &PrepStoreStats{
-			Counters:     s.prepStore.Counters(),
-			Blobs:        s.prepStore.Len(),
-			BreakerState: s.prepStore.BreakerState(),
-		}
-	}
 	return Stats{
 		Requests:          s.requests.Load(),
 		Solved:            s.solved.Load(),
@@ -813,7 +740,6 @@ func (s *Server) counterSnapshot() Stats {
 		UptimeSec:         time.Since(s.start).Seconds(),
 		Cache:             s.matrixCache.stats(s.cfg.CacheSize),
 		PrepCache:         s.prepCache.stats(s.cfg.PrepCacheSize),
-		PrepStore:         storeStats,
 		Batches:           s.batches.Load(),
 		CoalescedRequests: s.coalesced.Load(),
 		PerMethod:         perMethod,
@@ -949,53 +875,6 @@ func (s *Server) runBatch(ps method.PreparedSystem, opts method.Opts, items []*s
 	}
 }
 
-// spillPrepared enqueues ps's prepared state for durable storage; it is
-// both the prep cache's eviction hook and the fresh-build spill path.
-// Non-persistent methods are skipped. The enqueue is non-blocking and
-// encoding runs on the store's writer goroutine, so neither eviction nor
-// the request path ever waits on serialization or backend I/O.
-func (s *Server) spillPrepared(prepKey string, ps method.PreparedSystem) {
-	if s.prepStore == nil {
-		return
-	}
-	m, err := method.Get(ps.Method())
-	if err != nil {
-		return
-	}
-	pp, ok := method.AsPersistent(m)
-	if !ok {
-		return
-	}
-	s.prepStore.Spill(prepKey, func() ([]byte, error) { return pp.EncodePrepared(ps) })
-}
-
-// restorePrepared tries to rebuild a prepared system from the durable
-// store. Any failure — no store, non-persistent method, missing or
-// corrupted blob, undecodable payload — reports false and the caller
-// falls back to a fresh Prepare; a blob whose envelope verified but
-// whose payload does not decode is counted as a store error and
-// discarded so the next miss rebuilds fresh instead of retrying it.
-func (s *Server) restorePrepared(prepKey string, m method.Method, a *sparse.CSR, opts method.Opts) (method.PreparedSystem, bool) {
-	if s.prepStore == nil {
-		return nil, false
-	}
-	pp, ok := method.AsPersistent(m)
-	if !ok {
-		return nil, false
-	}
-	payload, ok := s.prepStore.Fetch(prepKey)
-	if !ok {
-		return nil, false
-	}
-	ps, err := pp.DecodePrepared(a, payload, opts)
-	if err != nil {
-		s.prepStore.CountError(prepKey)
-		return nil, false
-	}
-	s.prepStore.CountRestore()
-	return ps, true
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
@@ -1094,10 +973,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		prepKey += "|" + pk.PrepKey(opts)
 	}
 	prepStart := time.Now()
-	// prepRestored is written at most once, inside the build closure, and
-	// read only after getOrBuild returns; the cache's once-latch orders
-	// the write before every return, whichever goroutine ran the build.
-	var prepRestored bool
 	ps, prepHit, err := s.prepCache.getOrBuild(prepKey, func() (ps method.PreparedSystem, err error) {
 		// Same once-latch poisoning hazard as the matrix build above: a
 		// panicking Prepare must resolve the entry with an error, not
@@ -1112,13 +987,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return nil, errAtCapacity
 		}
 		defer s.releaseGate()
-		// A prep-LRU miss tries the durable store first: restoring skips
-		// the Prepare pass entirely (decode validates structure; the
-		// store already verified integrity).
-		if ps, ok := s.restorePrepared(prepKey, m, a, opts); ok {
-			prepRestored = true
-			return ps, nil
-		}
 		// The prepared system is shared by every coalesced waiter and by
 		// all future cache hits, so the build must not ride the first
 		// arrival's request context: a leader disconnecting mid-Prepare
@@ -1126,13 +994,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// the server's lifetime, capped by the per-solve budget.
 		pctx, cancel := context.WithTimeout(context.Background(), s.cfg.SolveTimeout)
 		defer cancel()
-		ps, err = method.Prepare(pctx, m, a, opts)
-		if err == nil {
-			// Spill freshly built state immediately (not only on
-			// eviction), so a restart after a crash still finds it.
-			s.spillPrepared(prepKey, ps)
-		}
-		return ps, err
+		return method.Prepare(pctx, m, a, opts)
 	})
 	prepWall := time.Since(prepStart)
 	s.observeStage("prepare", prepWall)
@@ -1259,7 +1121,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	respondStart := time.Now()
 	resp := SolveResponse{
 		Method: it.res.Method, Kind: m.Kind().String(), MatrixKey: key,
-		CacheHit: hit, PrepHit: prepHit, PrepRestored: prepRestored,
+		CacheHit: hit, PrepHit: prepHit,
 		PrepMS:    float64(prepWall) / float64(time.Millisecond),
 		BatchSize: it.batchSize,
 		Rows:      a.Rows, Cols: a.Cols,
