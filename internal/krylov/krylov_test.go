@@ -285,15 +285,27 @@ func TestCGIndefiniteDetection(t *testing.T) {
 }
 
 func TestAsyncJacobiConverges(t *testing.T) {
+	// Regime: unbounded delay. The four workers run on however many CPUs
+	// the scheduler grants, so one block can spend its whole budget
+	// against another's stale values, and no per-sweep rate holds. What
+	// holds for any interleaving is convergence: the matrix is strictly
+	// diagonally dominant (diagonal = 1.4 × off-diagonal row sum), so by
+	// the totally asynchronous convergence theorem each call, which
+	// relaxes every coordinate at least once on current values, shrinks
+	// the max-norm error by at least 1/1.4. The test therefore runs to
+	// tolerance in steps of 40 sweeps, capped at 4000 (10× the fixed
+	// budget that failed about 1 run in 100 on 2 CPUs).
 	a := spd(t, 200, 33)
 	b := workload.RandomRHS(200, 34)
 	want, _ := dense.SolveCSR(a, b)
 	x := make([]float64, 200)
-	// Tolerances are loose because chaotic relaxation's measured rate
-	// depends on scheduler interleaving (load-sensitive by nature).
-	res := AsyncJacobi(a, x, b, 400, 4)
-	if res.Residual > 1e-3 {
-		t.Fatalf("async Jacobi residual %v", res.Residual)
+	const step, maxSweeps, tol = 40, 4000, 1e-3
+	res := math.Inf(1)
+	for sweeps := 0; sweeps < maxSweeps && res > tol; sweeps += step {
+		res = AsyncJacobi(a, x, b, step, 4).Residual
+	}
+	if res > tol {
+		t.Fatalf("async Jacobi residual %v after %d sweeps", res, maxSweeps)
 	}
 	if e := vec.RelErr(x, want); e > 1e-2 {
 		t.Fatalf("async Jacobi error %v", e)

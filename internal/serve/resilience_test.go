@@ -93,3 +93,34 @@ func TestPanicInPrepareContained(t *testing.T) {
 		t.Fatalf("healthy solve after prepare panics: status %d, %+v", resp.StatusCode, out)
 	}
 }
+
+// TestMalformedMatrixIs400 sends specs whose builders used to panic: an
+// uploaded entry outside the declared size, an index of 0, a negative or
+// over-limit size, a rectangular symmetric body, and generator parameters
+// the generators reject. Each is the client's error, so it must answer
+// 400 without counting a contained panic.
+func TestMalformedMatrixIs400(t *testing.T) {
+	ts := newTestServer(t, Config{MaxDim: 1000})
+	const hdr = "%%MatrixMarket matrix coordinate real general\n"
+	cases := map[string]MatrixSpec{
+		"index past size":      {Kind: "mm", MM: hdr + "2 2 1\n3 1 1\n"},
+		"index 0":              {Kind: "mm", MM: hdr + "2 2 1\n0 1 1\n"},
+		"negative dimension":   {Kind: "mm", MM: hdr + "-1 2 0\n"},
+		"negative count":       {Kind: "mm", MM: hdr + "2 2 -1\n"},
+		"size over MaxDim":     {Kind: "mm", MM: hdr + "2000000000 1 0\n"},
+		"rectangular symmetry": {Kind: "mm", MM: "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1\n"},
+		"dominance <= 1":       {Kind: "randomspd", N: 10, Dominance: 0.5},
+		"socialgram n=1":       {Kind: "socialgram", N: 1},
+	}
+	for name, spec := range cases {
+		_, resp := postSolve(t, ts, SolveRequest{Matrix: spec, Method: "cg", Tol: 1e-6})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	var st Stats
+	getJSON(t, ts, "/stats", &st)
+	if st.Panics != 0 {
+		t.Fatalf("stats.Panics = %d after malformed specs, want 0", st.Panics)
+	}
+}

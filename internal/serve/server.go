@@ -225,12 +225,11 @@ func (s MatrixSpec) build(maxDim int) (*sparse.CSR, error) {
 	}
 	switch s.Kind {
 	case "mm":
-		a, err := sparse.ReadMM(strings.NewReader(s.MM))
+		// The limit applies to the declared size, before assembly
+		// allocates for it.
+		a, err := sparse.ReadMMLimit(strings.NewReader(s.MM), maxDim)
 		if err != nil {
 			return nil, fmt.Errorf("parsing MatrixMarket body: %w", err)
-		}
-		if a.Rows > maxDim || a.Cols > maxDim {
-			return nil, fmt.Errorf("matrix dimension exceeds the daemon limit %d", maxDim)
 		}
 		return a, nil
 	case "laplacian2d":
@@ -247,10 +246,13 @@ func (s MatrixSpec) build(maxDim int) (*sparse.CSR, error) {
 		if s.N < 1 {
 			return nil, errors.New("randomspd needs n >= 1")
 		}
+		if s.Dominance <= 1 {
+			return nil, errors.New("randomspd needs dominance > 1")
+		}
 		return workload.RandomSPD(s.N, s.NNZ, s.Dominance, s.Seed), nil
 	case "socialgram":
-		if s.N < 1 {
-			return nil, errors.New("socialgram needs n >= 1")
+		if s.N < 2 {
+			return nil, errors.New("socialgram needs n >= 2")
 		}
 		gram, _ := workload.SocialGram(workload.DefaultSocialGram(s.N, s.Seed))
 		return gram, nil

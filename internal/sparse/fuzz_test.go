@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// fuzzMaxDim bounds the dimensions the fuzz targets accept. Assembly
+// allocates O(rows) for any declared size, so an unbounded target would
+// spend its time (and memory) on sizes such as "2000000000 1 0"; the limit
+// check itself is covered by the seeds that exceed it.
+const fuzzMaxDim = 1 << 12
+
 // FuzzReadMM checks that arbitrary input never panics the MatrixMarket
 // parser and that anything it accepts survives a write/read round trip.
 func FuzzReadMM(f *testing.F) {
@@ -15,8 +21,18 @@ func FuzzReadMM(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
 	f.Add("garbage")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n")
+	// Inputs that must be errors, not crashes: an index past the
+	// declared size, an index of 0, a negative dimension, a rectangular
+	// symmetric matrix whose mirror falls outside it, a negative count,
+	// and a size over the limit.
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n-1 2 0\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n99999999999 1 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		m, err := ReadMM(strings.NewReader(input))
+		m, err := ReadMMLimit(strings.NewReader(input), fuzzMaxDim)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -24,7 +40,7 @@ func FuzzReadMM(f *testing.F) {
 		if err := WriteMM(&buf, m); err != nil {
 			t.Fatalf("accepted matrix failed to serialize: %v", err)
 		}
-		back, err := ReadMM(&buf)
+		back, err := ReadMMLimit(&buf, fuzzMaxDim)
 		if err != nil {
 			t.Fatalf("round trip of accepted matrix failed: %v", err)
 		}
@@ -40,8 +56,10 @@ func FuzzReadMMVector(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 1 1\n2 1 -7\n")
 	f.Add("%%MatrixMarket matrix array real general\n1 2\n1\n2\n")
 	f.Add("")
+	f.Add("%%MatrixMarket matrix array real general\n-1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 1 1\n3 1 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		v, err := ReadMMVector(strings.NewReader(input))
+		v, err := readMMVector(strings.NewReader(input), fuzzMaxDim)
 		if err != nil {
 			return
 		}
@@ -49,7 +67,7 @@ func FuzzReadMMVector(f *testing.F) {
 		if err := WriteMMVector(&buf, v); err != nil {
 			t.Fatalf("accepted vector failed to serialize: %v", err)
 		}
-		back, err := ReadMMVector(&buf)
+		back, err := readMMVector(&buf, fuzzMaxDim)
 		if err != nil || len(back) != len(v) {
 			t.Fatalf("vector round trip failed: %v (len %d vs %d)", err, len(back), len(v))
 		}

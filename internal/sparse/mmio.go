@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,8 +19,20 @@ import (
 // entries so the returned CSR holds the full matrix, matching how the
 // solvers consume it.
 
-// ReadMM parses a MatrixMarket coordinate stream into CSR.
+// ReadMM parses a MatrixMarket coordinate stream into CSR. Malformed
+// input is an error, never a panic: a bad header or size line, a negative
+// count, a symmetric header on a rectangular size, or an entry whose
+// 1-based index lies outside the declared size. Dimensions above
+// math.MaxInt32 are rejected.
 func ReadMM(r io.Reader) (*CSR, error) {
+	return ReadMMLimit(r, math.MaxInt32)
+}
+
+// ReadMMLimit is ReadMM that rejects a size line declaring more than
+// maxDim rows or columns before it allocates anything. Assembly allocates
+// O(rows) however few entries follow, so a service parsing untrusted
+// bodies passes its own dimension limit here.
+func ReadMMLimit(r io.Reader, maxDim int) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	if !sc.Scan() {
@@ -56,6 +69,14 @@ func ReadMM(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
+	switch {
+	case rows < 0 || cols < 0 || nnz < 0:
+		return nil, fmt.Errorf("sparse: negative MatrixMarket size %d %d %d", rows, cols, nnz)
+	case rows > maxDim || cols > maxDim:
+		return nil, fmt.Errorf("sparse: MatrixMarket size %dx%d exceeds the dimension limit %d", rows, cols, maxDim)
+	case sym == "symmetric" && rows != cols:
+		return nil, fmt.Errorf("sparse: symmetric MatrixMarket matrix must be square, got %dx%d", rows, cols)
+	}
 	coo := NewCOO(rows, cols)
 	read := 0
 	for read < nnz {
@@ -88,6 +109,9 @@ func ReadMM(r io.Reader) (*CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sparse: bad value %q: %v", f[2], err)
 			}
+		}
+		if i < 1 || i > rows || j < 1 || j > cols {
+			return nil, fmt.Errorf("sparse: MatrixMarket entry %q outside the declared %dx%d size (indices are 1-based)", line, rows, cols)
 		}
 		// MatrixMarket is 1-based.
 		i--

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,14 @@ import (
 // ReadMMVector parses a MatrixMarket file holding an n×1 vector in either
 // array format ("%%MatrixMarket matrix array real general") or coordinate
 // format (as written by WriteMM on an n×1 matrix) and returns it densely.
+// Like ReadMM it rejects malformed input with an error, and lengths above
+// math.MaxInt32.
 func ReadMMVector(r io.Reader) ([]float64, error) {
+	return readMMVector(r, math.MaxInt32)
+}
+
+// readMMVector is ReadMMVector with a dimension limit; see ReadMMLimit.
+func readMMVector(r io.Reader, maxDim int) ([]float64, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
 	if err != nil {
@@ -23,10 +31,10 @@ func ReadMMVector(r io.Reader) ([]float64, error) {
 	}
 	switch fields[2] {
 	case "array":
-		return readArrayVector(br, fields)
+		return readArrayVector(br, fields, maxDim)
 	case "coordinate":
 		// Re-assemble the stream for the coordinate reader.
-		m, err := ReadMM(io.MultiReader(strings.NewReader(header), br))
+		m, err := ReadMMLimit(io.MultiReader(strings.NewReader(header), br), maxDim)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +54,7 @@ func ReadMMVector(r io.Reader) ([]float64, error) {
 	}
 }
 
-func readArrayVector(br *bufio.Reader, header []string) ([]float64, error) {
+func readArrayVector(br *bufio.Reader, header []string, maxDim int) ([]float64, error) {
 	if f := header[3]; f != "real" && f != "integer" {
 		return nil, fmt.Errorf("sparse: unsupported array field %q", f)
 	}
@@ -66,7 +74,12 @@ func readArrayVector(br *bufio.Reader, header []string) ([]float64, error) {
 	if cols != 1 {
 		return nil, fmt.Errorf("sparse: expected an n×1 array vector, got %dx%d", rows, cols)
 	}
-	v := make([]float64, 0, rows)
+	if rows < 0 || rows > maxDim {
+		return nil, fmt.Errorf("sparse: array vector length %d outside [0, %d]", rows, maxDim)
+	}
+	// The declared length only sizes the first allocation, and is capped:
+	// a short stream cannot reserve gigabytes by declaring them.
+	v := make([]float64, 0, min(rows, 1<<16))
 	for len(v) < rows && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {

@@ -10,9 +10,11 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -63,26 +65,72 @@ func (c *COO) NNZ() int { return len(c.entries) }
 // ToCSR compresses the builder into CSR form, summing duplicates and
 // sorting column indices within each row.
 func (c *COO) ToCSR() *CSR {
-	rowCount := make([]int, c.rows+1)
+	rowPtr := make([]int, c.rows+1)
 	for _, e := range c.entries {
-		rowCount[e.Row+1]++
+		rowPtr[e.Row+1]++
 	}
 	for i := 0; i < c.rows; i++ {
-		rowCount[i+1] += rowCount[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
 	colIdx := make([]int, len(c.entries))
 	vals := make([]float64, len(c.entries))
 	next := make([]int, c.rows)
-	copy(next, rowCount[:c.rows])
+	copy(next, rowPtr[:c.rows])
 	for _, e := range c.entries {
 		p := next[e.Row]
 		colIdx[p] = e.Col
 		vals[p] = e.Val
 		next[e.Row]++
 	}
-	m := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: rowCount, ColIdx: colIdx, Vals: vals}
-	m.sortRowsAndDedup()
-	return m
+	return FromRowBuckets(c.rows, c.cols, rowPtr, colIdx, vals)
+}
+
+// FromRowBuckets assembles a CSR matrix from entries already grouped by
+// row: row i's entries are colIdx[rowPtr[i]:rowPtr[i+1]] with values
+// vals[rowPtr[i]:rowPtr[i+1]], in any column order and with duplicates
+// allowed. Each row is sorted by column with pdqsort, and duplicates are
+// then summed left to right, so the result's bits depend on the order
+// the entries sit in their bucket. Columns must lie in [0, cols).
+//
+// The work is done in place: the returned matrix owns rowPtr, colIdx and
+// vals, and the caller must not use them afterwards.
+func FromRowBuckets(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
+	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || rowPtr[0] != 0 ||
+		rowPtr[rows] != len(colIdx) || len(vals) != len(colIdx) {
+		panic(fmt.Sprintf("sparse: FromRowBuckets bad buckets for %dx%d: len(rowPtr)=%d len(colIdx)=%d len(vals)=%d",
+			rows, cols, len(rowPtr), len(colIdx), len(vals)))
+	}
+	type entry struct {
+		col int
+		val float64
+	}
+	longest := 0
+	for i := 0; i < rows; i++ {
+		longest = max(longest, rowPtr[i+1]-rowPtr[i])
+	}
+	scratch := make([]entry, longest)
+	w, lo := 0, 0
+	for i := 0; i < rows; i++ {
+		hi := rowPtr[i+1]
+		row := scratch[:hi-lo]
+		for k := range row {
+			row[k] = entry{colIdx[lo+k], vals[lo+k]}
+		}
+		slices.SortFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
+		start := w
+		for _, e := range row {
+			if w > start && colIdx[w-1] == e.col {
+				vals[w-1] += e.val
+				continue
+			}
+			colIdx[w] = e.col
+			vals[w] = e.val
+			w++
+		}
+		rowPtr[i+1] = w
+		lo = hi
+	}
+	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w], Vals: vals[:w]}
 }
 
 // CSR is a compressed sparse row matrix. Row i occupies
@@ -112,39 +160,6 @@ func (m *CSR) At(i, j int) float64 {
 		return vals[k]
 	}
 	return 0
-}
-
-// sortRowsAndDedup sorts each row by column and merges duplicates in place.
-func (m *CSR) sortRowsAndDedup() {
-	newPtr := make([]int, m.Rows+1)
-	w := 0
-	type pair struct {
-		col int
-		val float64
-	}
-	var scratch []pair
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		scratch = scratch[:0]
-		for k := lo; k < hi; k++ {
-			scratch = append(scratch, pair{m.ColIdx[k], m.Vals[k]})
-		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a].col < scratch[b].col })
-		start := w
-		for _, p := range scratch {
-			if w > start && m.ColIdx[w-1] == p.col {
-				m.Vals[w-1] += p.val
-				continue
-			}
-			m.ColIdx[w] = p.col
-			m.Vals[w] = p.val
-			w++
-		}
-		newPtr[i+1] = w
-	}
-	m.RowPtr = newPtr
-	m.ColIdx = m.ColIdx[:w]
-	m.Vals = m.Vals[:w]
 }
 
 // Prune returns a copy with entries of magnitude <= tol removed.

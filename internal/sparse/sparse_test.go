@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +62,91 @@ func TestCOOBoundsPanic(t *testing.T) {
 		}
 	}()
 	NewCOO(2, 2).Add(2, 0, 1)
+}
+
+// sortSliceToCSR is the reference COO compression: a stable scatter into
+// row buckets, then per row a sort by column and a left-to-right sum of
+// duplicates. With sort.Slice as sortRow it fixes the bits ToCSR must
+// produce. pdqsort is unstable above 12 elements, so the order duplicates
+// are summed in, and hence the bits, follow the sort's exact swap
+// sequence; passing a stable sort shows the comparison can tell two
+// sorts apart.
+func sortSliceToCSR(rows, cols int, entries []Coord, sortRow func(row []Coord)) *CSR {
+	buckets := make([][]Coord, rows)
+	for _, e := range entries {
+		buckets[e.Row] = append(buckets[e.Row], e)
+	}
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for i, row := range buckets {
+		sortRow(row)
+		start := len(m.ColIdx)
+		for _, e := range row {
+			if w := len(m.ColIdx); w > start && m.ColIdx[w-1] == e.Col {
+				m.Vals[w-1] += e.Val
+				continue
+			}
+			m.ColIdx = append(m.ColIdx, e.Col)
+			m.Vals = append(m.Vals, e.Val)
+		}
+		m.RowPtr[i+1] = len(m.ColIdx)
+	}
+	return m
+}
+
+// bitsEqual reports whether a and b have the same structure and value bits.
+func bitsEqual(a, b *CSR) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols &&
+		slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx) &&
+		slices.EqualFunc(a.Vals, b.Vals, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func TestFromRowBucketsMatchesSortSlice(t *testing.T) {
+	bySlice := func(row []Coord) { sort.Slice(row, func(a, b int) bool { return row[a].Col < row[b].Col }) }
+	byStable := func(row []Coord) { sort.SliceStable(row, func(a, b int) bool { return row[a].Col < row[b].Col }) }
+	g := rng.NewSequential(11)
+	stableDiffers := false
+	for trial := 0; trial < 60; trial++ {
+		// Up to 200 entries per row over at most 24 columns: most entries
+		// are duplicates, and rows run well past the 12-element
+		// insertion-sort cutoff. Values span many binades, so a different
+		// summation order changes the bits.
+		rows, cols := 1+g.Intn(20), 1+g.Intn(24)
+		coo := NewCOO(rows, cols)
+		for k := g.Intn(200 * rows); k > 0; k-- {
+			coo.Add(g.Intn(rows), g.Intn(cols), (2*g.Float64()-1)*math.Ldexp(1, g.Intn(60)-30))
+		}
+		want := sortSliceToCSR(rows, cols, coo.entries, bySlice)
+		if got := coo.ToCSR(); !bitsEqual(got, want) {
+			t.Fatalf("trial %d (%dx%d, %d entries): ToCSR differs from the sort.Slice assembly", trial, rows, cols, coo.NNZ())
+		}
+		if !bitsEqual(sortSliceToCSR(rows, cols, coo.entries, byStable), want) {
+			stableDiffers = true
+		}
+	}
+	if !stableDiffers {
+		t.Fatal("a stable sort matched sort.Slice on every trial: the inputs do not exercise duplicate order")
+	}
+}
+
+func TestFromRowBucketsInPlace(t *testing.T) {
+	// Two rows, the first with a duplicate: the constructor compacts the
+	// caller's arrays in place and returns them.
+	rowPtr := []int{0, 3, 4}
+	colIdx := []int{2, 0, 2, 1}
+	vals := []float64{1, 2, 3, 4}
+	m := FromRowBuckets(2, 3, rowPtr, colIdx, vals)
+	if !slices.Equal(m.RowPtr, []int{0, 2, 3}) || !slices.Equal(m.ColIdx, []int{0, 2, 1}) || !slices.Equal(m.Vals, []float64{2, 4, 4}) {
+		t.Fatalf("got RowPtr %v ColIdx %v Vals %v", m.RowPtr, m.ColIdx, m.Vals)
+	}
+	if &m.ColIdx[0] != &colIdx[0] || &m.Vals[0] != &vals[0] || &m.RowPtr[0] != &rowPtr[0] {
+		t.Fatal("FromRowBuckets copied its input instead of working in place")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inconsistent buckets should panic")
+		}
+	}()
+	FromRowBuckets(2, 3, []int{0, 1, 3}, []int{0, 1}, []float64{1, 2})
 }
 
 func TestMulVecAgainstDense(t *testing.T) {

@@ -17,6 +17,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -262,41 +263,86 @@ func Laplacian3D(nx, ny, nz int) *sparse.CSR {
 // RandomSPD returns an n×n symmetric strictly diagonally dominant (hence
 // SPD) matrix with about nnzPerRow off-diagonal entries per row, values
 // uniform in [-1,1], and diagonal = dominance × (row absolute sum).
-// dominance must exceed 1.
+// dominance must exceed 1. Row i draws nnzPerRow/2+1 partners j (a draw
+// of j = i is skipped), each with one value stored at (i,j) and (j,i);
+// repeated draws of a position sum.
 func RandomSPD(n, nnzPerRow int, dominance float64, seed uint64) *sparse.CSR {
 	if dominance <= 1 {
 		panic("workload: RandomSPD needs dominance > 1")
 	}
 	g := rng.NewSequential(seed)
-	coo := sparse.NewCOO(n, n)
+	per := max(nnzPerRow/2+1, 0)
+	// Record the draws in RNG order: draw k of row i is partner[i*per+k]
+	// (-1 for a skipped j = i, which consumes no value) with value
+	// val[i*per+k]. ptr[r+1] counts row r's entries.
+	partner := make([]int, n*per)
+	val := make([]float64, n*per)
+	ptr := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		for k := 0; k < nnzPerRow/2+1; k++ {
+		for k := i * per; k < (i+1)*per; k++ {
 			j := g.Intn(n)
 			if j == i {
+				partner[k] = -1
 				continue
 			}
-			v := 2*g.Float64() - 1
-			coo.AddSym(i, j, v)
+			partner[k], val[k] = j, 2*g.Float64()-1
+			ptr[i+1]++
+			ptr[j+1]++
 		}
 	}
-	m := coo.ToCSR()
-	// Set the diagonal from the assembled off-diagonal row sums.
-	final := sparse.NewCOO(n, n)
 	for i := 0; i < n; i++ {
-		cols, vals := m.Row(i)
-		var sum float64
-		for k, j := range cols {
-			if j != i {
-				sum += math.Abs(vals[k])
-				final.Add(i, j, vals[k])
+		ptr[i+1] += ptr[i]
+	}
+	// Scatter each draw to rows i and j in generation order. The bits
+	// depend on this order: FromRowBuckets sums a row's duplicates in the
+	// order its sort leaves them, and that follows the bucket order.
+	cols := make([]int, ptr[n])
+	vals := make([]float64, ptr[n])
+	next := make([]int, n)
+	copy(next, ptr[:n])
+	for i := 0; i < n; i++ {
+		for k := i * per; k < (i+1)*per; k++ {
+			j := partner[k]
+			if j < 0 {
+				continue
 			}
+			p := next[i]
+			cols[p], vals[p] = j, val[k]
+			next[i]++
+			p = next[j]
+			cols[p], vals[p] = i, val[k]
+			next[j]++
+		}
+	}
+	off := sparse.FromRowBuckets(n, n, ptr, cols, vals)
+
+	// Insert each row's diagonal only now, from its merged off-diagonal
+	// sum: an extra entry in the sort would change its swaps, and with them
+	// the duplicate order. off's RowPtr becomes the final row starts.
+	colIdx := make([]int, off.NNZ()+n)
+	out := make([]float64, off.NNZ()+n)
+	w, lo := 0, 0
+	for i := 0; i < n; i++ {
+		hi := off.RowPtr[i+1]
+		var sum float64
+		for _, v := range off.Vals[lo:hi] {
+			sum += math.Abs(v)
 		}
 		if sum == 0 {
 			sum = 1
 		}
-		final.Add(i, i, dominance*sum)
+		at := lo + sort.SearchInts(off.ColIdx[lo:hi], i)
+		d := w + at - lo
+		copy(colIdx[w:d], off.ColIdx[lo:at])
+		copy(out[w:d], off.Vals[lo:at])
+		colIdx[d], out[d] = i, dominance*sum
+		copy(colIdx[d+1:], off.ColIdx[at:hi])
+		copy(out[d+1:], off.Vals[at:hi])
+		w = d + 1 + hi - at
+		off.RowPtr[i+1] = w
+		lo = hi
 	}
-	return final.ToCSR()
+	return &sparse.CSR{Rows: n, Cols: n, RowPtr: off.RowPtr, ColIdx: colIdx, Vals: out}
 }
 
 // RandomOverdetermined returns a rows×cols full-column-rank-ish sparse
