@@ -58,8 +58,12 @@ func main() {
 	fmt.Printf("CG      (%2d workers): %3d iterations, residual %.2e\n",
 		workers, cgRes.Iterations, cgRes.Residual)
 
-	// The bound-optimal asynchronous step size for this matrix (Theorem 3):
-	rho := asyrgs.Rho(a)
+	// The bound-optimal asynchronous step size for this matrix (Theorem 3).
+	// The theorems define ρ on the unit-diagonal scaling.
+	scaled, _, err := asyrgs.UnitDiagonalScale(a)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("theory: ρ·n = %.2f, optimal β̃ for τ=%d is %.3f\n",
-		rho*float64(n), workers, asyrgs.OptimalBeta(rho, workers))
+		asyrgs.Rho(scaled)*float64(n), workers, solver.OptimalBeta(workers))
 }

@@ -17,9 +17,6 @@ var loopPackages = []string{
 	"internal/lsq",
 	"internal/distmem",
 	"internal/method",
-	// The fault layer sits inside distmem's send path; any loop it grows
-	// must stay provably bounded for the same reasons.
-	"internal/fault",
 }
 
 // CtxPoll requires every `for { ... }` loop (nil condition) in the

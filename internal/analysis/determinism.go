@@ -18,10 +18,6 @@ var detPackages = []string{
 	"internal/distmem",
 	"internal/alias",
 	"internal/rng",
-	// Every fault decision must be a pure function of (seed, site,
-	// op-index), or the distmem fault tests' exact drop and delay counts
-	// stop reproducing across runs.
-	"internal/fault",
 }
 
 // Determinism rejects nondeterminism sources in the deterministic

@@ -165,10 +165,17 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 }
 
 // OptimalBeta returns the bound-optimal asynchronous step size
-// β̃ = 1/(1+2ρτ) for this matrix and a delay bound τ (Theorem 3). A
+// β̃ = 1/(1+2ρτ) for this matrix and a delay bound τ (Theorem 3), with ρ
+// taken on the unit-diagonal scaling as the theorems define it. A
 // reasonable τ when none is measured is the worker count P.
 func (s *Solver) OptimalBeta(tau int) float64 {
-	return theory.OptimalBeta(theory.Rho(s.a), tau)
+	scaled, err := s.unitScaled()
+	if err != nil {
+		// No scaling exists without a positive diagonal, and no theorem
+		// applies; ρ of the matrix itself is all there is.
+		scaled = s.a
+	}
+	return theory.OptimalBeta(theory.Rho(scaled), tau)
 }
 
 // N returns the problem size.

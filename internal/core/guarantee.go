@@ -55,13 +55,9 @@ func (s *Solver) SolveWithGuarantee(x, b []float64, eps, delta float64, tau int,
 		lambdaMin, lambdaMax = est.LambdaMin, est.LambdaMax
 	}
 	// The analysis lives in the unit-diagonal scaling; evaluate ρ there.
-	scaled := s.a
-	if !hasUnitDiag(s.diag) {
-		sc, _, err := sparse.UnitDiagonalScale(s.a)
-		if err != nil {
-			return Guarantee{}, fmt.Errorf("core: cannot certify a matrix without positive diagonal: %w", err)
-		}
-		scaled = sc
+	scaled, err := s.unitScaled()
+	if err != nil {
+		return Guarantee{}, fmt.Errorf("core: cannot certify a matrix without positive diagonal: %w", err)
 	}
 	p := theory.NewParams(scaled, lambdaMin, lambdaMax, tau, s.beta)
 	factor, ok := p.ConsistentEpochFactor()
@@ -93,6 +89,17 @@ func (s *Solver) SolveWithGuarantee(x, b []float64, eps, delta float64, tau int,
 		s.AsyncSweeps(x, b, sweepsPerEpoch)
 	}
 	return g, nil
+}
+
+// unitScaled returns the unit-diagonal scaling D·A·D, D = diag(A)^{-1/2},
+// in which the theorems define ρ and ρ₂; A itself when its diagonal is
+// already unit.
+func (s *Solver) unitScaled() (*sparse.CSR, error) {
+	if hasUnitDiag(s.diag) {
+		return s.a, nil
+	}
+	scaled, _, err := sparse.UnitDiagonalScale(s.a)
+	return scaled, err
 }
 
 func hasUnitDiag(diag []float64) bool {

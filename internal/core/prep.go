@@ -66,35 +66,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 // Matrix returns the prepared matrix (shared, do not mutate).
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
-// State exposes the serializable per-matrix state — the validated
-// diagonal and its reciprocal — for method's prepared-state codec. The
-// lazily memoized structures (CDF, alias table, float32 view) are
-// deliberately absent: each is an O(n) rebuild from this state, cheaper
-// to reconstruct than to ship and re-verify. Shared slices; do not
-// mutate.
-func (p *Prep) State() (diag, invD []float64) { return p.diag, p.invD }
-
-// PrepFromState rebuilds a Prep over a from state captured by State on
-// an identical matrix, skipping the O(nnz) diagonal extraction — the
-// point of restoring encoded state. It re-checks the shape and the
-// non-zero-diagonal invariant (O(n)), so well-formed state that
-// disagrees structurally with the matrix is rejected instead of
-// poisoning solves. It does not count as a preparation in PrepCount.
-func PrepFromState(a *sparse.CSR, diag, invD []float64) (*Prep, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
-	}
-	if len(diag) != a.Rows || len(invD) != a.Rows {
-		return nil, fmt.Errorf("core: restored state sized %d/%d for a %d-row matrix", len(diag), len(invD), a.Rows)
-	}
-	for i, d := range diag {
-		if d == 0 || invD[i] == 0 {
-			return nil, fmt.Errorf("%w: row %d in restored state", ErrZeroDiagonal, i)
-		}
-	}
-	return &Prep{a: a, diag: diag, invD: invD}, nil
-}
-
 // weightedCDF returns the cumulative A_rr/tr(A) distribution for the
 // WeightedCDF ablation, building and validating it on first use.
 func (p *Prep) weightedCDF() ([]float64, error) {

@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
-	"github.com/asynclinalg/asyrgs/internal/fault"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
@@ -67,14 +66,6 @@ type Config struct {
 	// so direction sequences remain deterministic and replay-free across
 	// rounds. Requires a positive diagonal.
 	DiagonalWeighted bool
-	// Fault injects message loss and delay at each rank's outbox: a Drop
-	// decision loses the update (the owner's block stays authoritative,
-	// peers just converge on staler views), a Delay decision defers
-	// delivery to the end of the round — the maximum staleness the round
-	// structure allows, realized deterministically without sleeping. The
-	// decision for (iteration, peer) is a pure function of the seed, so
-	// dropped/delayed counts are replay-exact.
-	Fault fault.Config
 }
 
 // update is one committed coordinate delta, the only message type on the
@@ -82,13 +73,6 @@ type Config struct {
 type update struct {
 	idx   int
 	delta float64
-}
-
-// deferredMsg is one update held back by an injected Delay decision,
-// delivered at the end of its round.
-type deferredMsg struct {
-	peer int
-	u    update
 }
 
 // Result reports a distributed run.
@@ -101,14 +85,6 @@ type Result struct {
 	// MaxQueueLen is the largest inbox backlog observed at a send; over a
 	// multi-round run it is the maximum across rounds.
 	MaxQueueLen int
-	// MessagesDropped counts updates lost to injected faults
-	// (Config.Fault); deterministic under a fixed seed. Accumulates
-	// across rounds.
-	MessagesDropped uint64
-	// MessagesDelayed counts updates deferred to the end of their round
-	// by injected faults; such updates still count in MessagesSent when
-	// they finally deliver. Accumulates across rounds.
-	MessagesDelayed uint64
 }
 
 // Prepared is the per-matrix state of the sharded backend, captured once
@@ -125,9 +101,6 @@ type Prepared struct {
 	// tabs holds one alias table per rank over its owned diagonal slice;
 	// nil when sampling is uniform (Config.DiagonalWeighted unset).
 	tabs []*alias.Table
-	// faults holds one injector per rank's outbox; nil when Config.Fault
-	// injects nothing (the common case costs one nil check per send).
-	faults []*fault.Injector
 }
 
 // Prepare validates the system and captures the sharded per-matrix state.
@@ -181,14 +154,7 @@ func Prepare(a *sparse.CSR, cfg Config) (*Prepared, error) {
 			tabs[id] = tab
 		}
 	}
-	var faults []*fault.Injector
-	if cfg.Fault.Enabled() {
-		faults = make([]*fault.Injector, w)
-		for id := range faults {
-			faults[id] = fault.New(cfg.Fault, fmt.Sprintf("distmem.rank%d", id))
-		}
-	}
-	return &Prepared{a: a, part: part, diag: diag, streams: streams, beta: beta, queueCap: queueCap, tabs: tabs, faults: faults}, nil
+	return &Prepared{a: a, part: part, diag: diag, streams: streams, beta: beta, queueCap: queueCap, tabs: tabs}, nil
 }
 
 // Workers returns the rank count of the prepared deployment.
@@ -205,8 +171,6 @@ type roundCmd struct {
 	base    uint64 // stream offset: iteration j samples index base+j
 	inboxes []chan update
 	sent    *atomic64
-	dropped *atomic64
-	delayed *atomic64
 	maxQ    *atomicMax
 	pick    func(worker, idx int) // test hook; nil outside tests
 }
@@ -263,10 +227,6 @@ func (s *Solver) worker(id int) {
 	if p.tabs != nil {
 		tab = p.tabs[id]
 	}
-	var inj *fault.Injector // nil decides nothing: the no-fault fast path
-	if p.faults != nil {
-		inj = p.faults[id]
-	}
 	for cmd := range s.cmds[id] {
 		copy(local, cmd.x)
 		inbox := cmd.inboxes[id]
@@ -301,31 +261,6 @@ func (s *Solver) worker(id int) {
 			}
 			cmd.sent.add(1)
 		}
-		// send fans one update out to every peer, consulting the fault
-		// schedule per (iteration, peer): a dropped update is never
-		// delivered, a delayed one is deferred to the end of the round —
-		// the worst staleness the round structure allows.
-		var deferred []deferredMsg
-		send := func(at uint64, u update) {
-			ord := uint64(0)
-			for peer := 0; peer < w; peer++ {
-				if peer == id {
-					continue
-				}
-				d := inj.DecideAt(at*uint64(w-1) + ord)
-				ord++
-				switch {
-				case d.Drop:
-					cmd.dropped.add(1)
-				case d.Delay:
-					cmd.delayed.add(1)
-					deferred = append(deferred, deferredMsg{peer: peer, u: u})
-				default:
-					deliver(peer, u)
-				}
-			}
-		}
-
 		iters := cmd.sweeps * (hi - lo)
 		for j := 0; j < iters; j++ {
 			// Poll cancellation cheaply; on cancel stop iterating but
@@ -347,13 +282,11 @@ func (s *Solver) worker(id int) {
 			gamma := (cmd.b[r] - p.a.RowDot(r, local)) / p.diag[r]
 			delta := p.beta * gamma
 			local[r] += delta
-			send(cmd.base+uint64(j), update{idx: r, delta: delta})
-		}
-		// Flush delayed traffic before the iterate barrier: every peer is
-		// still consuming (their final drain runs until the coordinator
-		// closes the inboxes after this barrier), so delivery terminates.
-		for _, m := range deferred {
-			deliver(m.peer, m.u)
+			for peer := 0; peer < w; peer++ {
+				if peer != id {
+					deliver(peer, update{idx: r, delta: delta})
+				}
+			}
 		}
 		s.iterate.Done()
 		// Final drain: consume peers' remaining traffic until the
@@ -372,14 +305,14 @@ func (s *Solver) worker(id int) {
 // holds each owner's authoritative block. The stream offsets advance by
 // the full round even when ctx cancels it early, so a resumed run never
 // replays coordinates.
-func (s *Solver) round(ctx context.Context, x, b []float64, sweeps int) (messages, dropped, delayed uint64, maxQueue int, err error) {
+func (s *Solver) round(ctx context.Context, x, b []float64, sweeps int) (messages uint64, maxQueue int, err error) {
 	p := s.p
 	w := p.part.Workers()
 	inboxes := make([]chan update, w)
 	for i := range inboxes {
 		inboxes[i] = make(chan update, p.queueCap*(w-1)+1)
 	}
-	var sent, drops, delays atomic64
+	var sent atomic64
 	var maxQ atomicMax
 	s.iterate.Add(w)
 	s.drain.Add(w)
@@ -387,8 +320,7 @@ func (s *Solver) round(ctx context.Context, x, b []float64, sweeps int) (message
 		lo, hi := p.part.Block(id)
 		cmd := roundCmd{
 			ctx: ctx, x: x, b: b, sweeps: sweeps, base: s.base[id],
-			inboxes: inboxes, sent: &sent, dropped: &drops, delayed: &delays,
-			maxQ: &maxQ, pick: s.onPick,
+			inboxes: inboxes, sent: &sent, maxQ: &maxQ, pick: s.onPick,
 		}
 		// Pool workers sit between rounds here, so the work order lands
 		// as soon as the worker is scheduled. The cancellation arm keeps
@@ -408,7 +340,7 @@ func (s *Solver) round(ctx context.Context, x, b []float64, sweeps int) (message
 		close(ch)
 	}
 	s.drain.Wait()
-	return sent.load(), drops.load(), delays.load(), maxQ.load(), ctx.Err()
+	return sent.load(), maxQ.load(), ctx.Err()
 }
 
 // Solve runs one round of sweeps·(block size) restricted-randomization
@@ -424,13 +356,11 @@ func (s *Solver) Solve(ctx context.Context, x, b []float64, sweeps int) (Result,
 	if len(x) != n || len(b) != n {
 		return Result{}, fmt.Errorf("distmem: shape mismatch n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
 	}
-	msgs, dropped, delayed, maxQ, err := s.round(ctx, x, b, sweeps)
+	msgs, maxQ, err := s.round(ctx, x, b, sweeps)
 	return Result{
-		Residual:        relResidual(s.p.a, x, b),
-		MessagesSent:    msgs,
-		MaxQueueLen:     maxQ,
-		MessagesDropped: dropped,
-		MessagesDelayed: delayed,
+		Residual:     relResidual(s.p.a, x, b),
+		MessagesSent: msgs,
+		MaxQueueLen:  maxQ,
 	}, err
 }
 
@@ -450,8 +380,6 @@ func (s *Solver) SolveToTol(ctx context.Context, x, b []float64, tol float64, sw
 		res, err := s.Solve(ctx, x, b, sweepsPerRound)
 		total.Residual = res.Residual
 		total.MessagesSent += res.MessagesSent
-		total.MessagesDropped += res.MessagesDropped
-		total.MessagesDelayed += res.MessagesDelayed
 		if res.MaxQueueLen > total.MaxQueueLen {
 			total.MaxQueueLen = res.MaxQueueLen
 		}

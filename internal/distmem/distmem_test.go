@@ -89,8 +89,14 @@ func TestQueueCapacityTradesMessagesForStaleness(t *testing.T) {
 	}
 	small := run(1)
 	large := run(64)
-	if small.MessagesSent != large.MessagesSent {
-		t.Fatalf("message counts differ: %d vs %d", small.MessagesSent, large.MessagesSent)
+	// The fan-out identity: every committed update reaches every peer
+	// exactly once, whatever the queue budget. sweeps·n iterations summed
+	// over the owners, times w−1 peers.
+	const want = 10 * 300 * 3
+	for _, res := range []Result{small, large} {
+		if res.MessagesSent != want {
+			t.Fatalf("MessagesSent = %d, want %d (sweeps·n·(w−1))", res.MessagesSent, want)
+		}
 	}
 	if large.MaxQueueLen < small.MaxQueueLen {
 		t.Fatalf("larger queues should admit at least as much backlog: %d vs %d", large.MaxQueueLen, small.MaxQueueLen)

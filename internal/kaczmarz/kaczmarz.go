@@ -131,47 +131,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 	return p, nil
 }
 
-// State exposes the serializable per-matrix state — the squared row
-// norms — for method's prepared-state codec. The CDF and alias table are
-// absent: both are O(n) rebuilds from the norms, cheaper to reconstruct
-// than to ship. Shared slice; do not mutate.
-func (p *Prep) State() []float64 { return p.rowNorm2 }
-
-// PrepFromState rebuilds a Prep over a from row norms captured by State
-// on an identical matrix, skipping the O(nnz) norm pass. The sampling
-// CDF and alias table are reconstructed (O(n)), which re-validates the
-// norms: non-finite or negative entries and an all-zero matrix are
-// rejected exactly as in PrepareMatrix. It does not count in PrepCount.
-func PrepFromState(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
-	if a.Rows == 0 {
-		return nil, errors.New("kaczmarz: empty matrix")
-	}
-	if len(rowNorm2) != a.Rows {
-		return nil, fmt.Errorf("kaczmarz: restored state has %d row norms for a %d-row matrix", len(rowNorm2), a.Rows)
-	}
-	p := &Prep{a: a, rowNorm2: rowNorm2, cdf: make([]float64, a.Rows)}
-	var total float64
-	for i, nz := range rowNorm2 {
-		if nz < 0 {
-			return nil, fmt.Errorf("kaczmarz: restored row norm %d is negative", i)
-		}
-		total += nz
-		p.cdf[i] = total
-	}
-	if total == 0 {
-		return nil, errors.New("kaczmarz: zero matrix")
-	}
-	for i := range p.cdf {
-		p.cdf[i] /= total
-	}
-	tab, err := alias.New(p.rowNorm2)
-	if err != nil {
-		return nil, fmt.Errorf("kaczmarz: rebuilding row-sampling table: %w", err)
-	}
-	p.tab = tab
-	return p, nil
-}
-
 // Matrix returns the prepared matrix (shared, do not mutate).
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 

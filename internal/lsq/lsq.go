@@ -161,52 +161,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 // Matrix returns the prepared matrix (shared, do not mutate).
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
-// State exposes the serializable per-matrix state — the CSC column view
-// (the expensive transpose pass) and the squared column norms — for the
-// method's prepared-state codec. The alias table and float32 views are
-// absent: each rebuilds lazily from this state. Shared; do not mutate.
-func (p *Prep) State() (*sparse.CSC, []float64) { return p.csc, p.colNorm2 }
-
-// PrepFromState rebuilds a Prep over a from state captured by State on
-// an identical matrix, skipping the transpose and norm passes. The CSC
-// structure is revalidated against a's shape — pointer monotonicity,
-// nnz agreement, row indices in range, positive norms — with one O(nnz)
-// comparison scan (far cheaper than the O(nnz log) transpose it
-// replaces), so structurally damaged state can never index out of
-// bounds in the hot loop. It does not count in PrepCount.
-func PrepFromState(a *sparse.CSR, csc *sparse.CSC, colNorm2 []float64) (*Prep, error) {
-	if a.Rows < a.Cols {
-		return nil, errors.New("lsq: system must have at least as many rows as columns")
-	}
-	if csc == nil || csc.Rows != a.Rows || csc.Cols != a.Cols {
-		return nil, errors.New("lsq: restored column view disagrees with the matrix shape")
-	}
-	nnz := a.NNZ()
-	if len(csc.ColPtr) != a.Cols+1 || len(csc.RowIdx) != nnz || len(csc.Vals) != nnz ||
-		csc.ColPtr[0] != 0 || csc.ColPtr[a.Cols] != nnz {
-		return nil, errors.New("lsq: restored column view has inconsistent structure")
-	}
-	for j := 0; j < a.Cols; j++ {
-		if csc.ColPtr[j] > csc.ColPtr[j+1] {
-			return nil, errors.New("lsq: restored column pointers are not monotone")
-		}
-	}
-	for _, i := range csc.RowIdx {
-		if i < 0 || i >= a.Rows {
-			return nil, errors.New("lsq: restored row index out of range")
-		}
-	}
-	if len(colNorm2) != a.Cols {
-		return nil, errors.New("lsq: restored norms disagree with the matrix shape")
-	}
-	for j, n := range colNorm2 {
-		if !(n > 0) {
-			return nil, fmt.Errorf("lsq: restored norm of column %d is not positive", j)
-		}
-	}
-	return &Prep{a: a, csc: csc, colNorm2: colNorm2}, nil
-}
-
 // NewFromPrep forks a Solver from prepared per-matrix state, validating
 // only the options — no transpose or norm computation (the norm-weighted
 // alias table is memoized inside the Prep).

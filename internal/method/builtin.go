@@ -22,10 +22,7 @@ import (
 // prepare hook captures the family's per-matrix state once.
 func init() {
 	registerCore := func(name string, baseOpts core.Options, sequential bool) {
-		Register(&funcMethod{name: name, kind: SPD,
-			prepare: corePrepare(name, baseOpts, sequential),
-			encode:  coreEncode,
-			decode:  coreDecode(name, baseOpts, sequential)})
+		Register(&funcMethod{name: name, kind: SPD, prepare: corePrepare(name, baseOpts, sequential)})
 	}
 	registerCore("asyrgs", core.Options{}, false)
 	registerCore("asyrgs-nonatomic", core.Options{NonAtomic: true}, false)
@@ -37,13 +34,9 @@ func init() {
 	Register(&funcMethod{name: "jacobi", kind: SPD, prepare: stationaryPrepare("jacobi")})
 	Register(&funcMethod{name: "gs", kind: SPD, prepare: stationaryPrepare("gs")})
 	Register(&funcMethod{name: "asyncjacobi", kind: SPD, prepare: stationaryPrepare("asyncjacobi")})
-	Register(&funcMethod{name: "kaczmarz", kind: SPD, prepare: kaczmarzPrepare,
-		encode: kaczmarzEncode, decode: kaczmarzDecode})
+	Register(&funcMethod{name: "kaczmarz", kind: SPD, prepare: kaczmarzPrepare})
 	registerLSQ := func(name string, sequential, weighted bool) {
-		Register(&funcMethod{name: name, kind: LeastSquares,
-			prepare: lsqPrepare(name, sequential, weighted),
-			encode:  lsqEncode,
-			decode:  lsqDecode(name, sequential, weighted)})
+		Register(&funcMethod{name: name, kind: LeastSquares, prepare: lsqPrepare(name, sequential, weighted)})
 	}
 	registerLSQ("lsqcd", true, false)
 	registerLSQ("lsqcd-async", false, false)
@@ -108,38 +101,31 @@ func corePrepare(name string, baseOpts core.Options, sequential bool) prepareFun
 		if err != nil {
 			return nil, err
 		}
-		return finishCorePrepared(name, baseOpts, sequential, a, prep, opts)
-	}
-}
-
-// finishCorePrepared applies the post-PrepareMatrix option handling —
-// precision views and weighted-sampling validation — shared by fresh
-// preparation and DecodePrepared, so both paths build identical systems.
-func finishCorePrepared(name string, baseOpts core.Options, sequential bool, a *sparse.CSR, prep *core.Prep, opts Opts) (PreparedSystem, error) {
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return nil, err
-	}
-	p := &corePrepared{
-		preparedBase: base(name, SPD, a),
-		prep:         prep, baseOpts: baseOpts, sequential: sequential,
-	}
-	if f32 {
-		// Build the rounded view eagerly so underflow surfaces at
-		// prepare time and the serving prep cache amortizes the copy.
-		if p.a32, err = prep.Float32View(); err != nil {
+		f32, err := resolvePrecision(opts)
+		if err != nil {
 			return nil, err
 		}
-		p.baseOpts.Float32 = true
-	}
-	if baseOpts.DiagonalWeighted {
-		// Surface the positive-diagonal requirement at prepare time;
-		// the CDF itself is memoized inside the Prep.
-		if _, err := core.NewFromPrep(prep, baseOpts); err != nil {
-			return nil, err
+		p := &corePrepared{
+			preparedBase: base(name, SPD, a),
+			prep:         prep, baseOpts: baseOpts, sequential: sequential,
 		}
+		if f32 {
+			// Build the rounded view eagerly so underflow surfaces at
+			// prepare time and the serving prep cache amortizes the copy.
+			if p.a32, err = prep.Float32View(); err != nil {
+				return nil, err
+			}
+			p.baseOpts.Float32 = true
+		}
+		if baseOpts.DiagonalWeighted {
+			// Surface the positive-diagonal requirement at prepare time;
+			// the CDF itself is memoized inside the Prep.
+			if _, err := core.NewFromPrep(prep, baseOpts); err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
 	}
-	return p, nil
 }
 
 // fork readies a per-solve core.Solver over the shared prepared state,
@@ -492,12 +478,6 @@ func kaczmarzPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSyste
 	if err != nil {
 		return nil, err
 	}
-	return finishKaczmarzPrepared(a, prep, opts)
-}
-
-// finishKaczmarzPrepared applies the post-PrepareMatrix option handling
-// shared by fresh preparation and DecodePrepared.
-func finishKaczmarzPrepared(a *sparse.CSR, prep *kaczmarz.Prep, opts Opts) (PreparedSystem, error) {
 	f32, err := resolvePrecision(opts)
 	if err != nil {
 		return nil, err
@@ -566,29 +546,23 @@ func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
 		if err != nil {
 			return nil, err
 		}
-		return finishLSQPrepared(name, sequential, weighted, a, prep, opts)
-	}
-}
-
-// finishLSQPrepared applies the post-PrepareMatrix option handling
-// shared by fresh preparation and DecodePrepared.
-func finishLSQPrepared(name string, sequential, weighted bool, a *sparse.CSR, prep *lsq.Prep, opts Opts) (PreparedSystem, error) {
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return nil, err
-	}
-	if weighted || f32 {
-		// Surface alias-table and rounded-view validation at prepare
-		// time; both are memoized inside the Prep, so the serving prep
-		// cache amortizes their construction.
-		if _, err := lsq.NewFromPrep(prep, lsq.Options{NormWeighted: weighted, Float32: f32}); err != nil {
+		f32, err := resolvePrecision(opts)
+		if err != nil {
 			return nil, err
 		}
+		if weighted || f32 {
+			// Surface alias-table and rounded-view validation at prepare
+			// time; both are memoized inside the Prep, so the serving prep
+			// cache amortizes their construction.
+			if _, err := lsq.NewFromPrep(prep, lsq.Options{NormWeighted: weighted, Float32: f32}); err != nil {
+				return nil, err
+			}
+		}
+		return &lsqPrepared{
+			preparedBase: base(name, LeastSquares, a),
+			prep:         prep, sequential: sequential, weighted: weighted, f32: f32,
+		}, nil
 	}
-	return &lsqPrepared{
-		preparedBase: base(name, LeastSquares, a),
-		prep:         prep, sequential: sequential, weighted: weighted, f32: f32,
-	}, nil
 }
 
 func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {

@@ -80,41 +80,14 @@ func ByKind(k Kind) []Method {
 // prepareFunc captures one method family's per-matrix setup.
 type prepareFunc func(ctx context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error)
 
-// encodeFunc serializes a family's prepared state; decodeFunc rebuilds
-// it over the caller's matrix (persist.go).
-type (
-	encodeFunc func(ps PreparedSystem) ([]byte, error)
-	decodeFunc func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error)
-)
-
 // funcMethod adapts a prepare hook to the Method interface; every
 // built-in is one of these. Solve is the one-shot convenience path —
 // prepare plus a single solve — while Prepare exposes the two-phase
 // pipeline for callers that amortize setup across many right-hand sides.
-// When both persistence hooks are wired the method additionally
-// satisfies PersistentPreparer (see AsPersistent).
 type funcMethod struct {
 	name    string
 	kind    Kind
 	prepare prepareFunc
-	encode  encodeFunc
-	decode  decodeFunc
-}
-
-// EncodePrepared serializes ps's derived state (PersistentPreparer).
-func (m *funcMethod) EncodePrepared(ps PreparedSystem) ([]byte, error) {
-	if m.encode == nil {
-		return nil, fmt.Errorf("method: %s has no persistent prepared-state codec", m.name)
-	}
-	return m.encode(ps)
-}
-
-// DecodePrepared rebuilds a prepared system over a (PersistentPreparer).
-func (m *funcMethod) DecodePrepared(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
-	if m.decode == nil {
-		return nil, fmt.Errorf("method: %s has no persistent prepared-state codec", m.name)
-	}
-	return m.decode(a, payload, opts)
 }
 
 func (m *funcMethod) Name() string { return m.name }

@@ -315,13 +315,14 @@ type SolveRequest struct {
 	IncludeSolution bool `json:"include_solution,omitempty"`
 }
 
-// prepKey keys the prepared-system LRU: matrix × method × the options
-// the method's preparation consumes. Every built-in Prepare depends only
-// on the matrix (solver knobs like workers/beta/seed configure the
-// iteration, not the prepared state), so the prep-opts component is
-// empty: traffic varying only solver knobs still shares one prepared
-// entry. A method whose Prepare consumed an option would need that
-// option appended here.
+// prepKey is the matrix × method part of the prepared-system LRU key.
+// handleSolve appends the method's method.PrepKeyer.PrepKey, which names
+// the options its Prepare consumes: the storage precision for every
+// built-in, and the deployment shape (workers, queue budget, β, seed)
+// for asyrgs-distmem. Knobs that only configure the iteration stay out
+// of the key, so traffic varying only those shares one prepared entry.
+// A new prepare-time option belongs in PrepKey, not here, or it is keyed
+// twice.
 func (r SolveRequest) prepKey(matrixKey string) string {
 	return matrixKey + "|" + r.Method
 }
