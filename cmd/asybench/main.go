@@ -4,18 +4,18 @@
 //
 // Usage:
 //
-//	asybench [-exp all|fig1|fig2|table1|fig3|theory|beta|sync|lsq|rho|prepare|...]
+//	asybench [-exp all|fig1|fig2|table1|fig3|theory|beta|sync|lsq|rho|...]
 //	         [-n terms] [-rhs cols] [-sweeps k] [-repeats r] [-seed s]
 //	         [-tol eps] [-threads list] [-json baseline.json]
 //
-// The prepare experiment measures the two-phase pipeline's amortization
-// (cold Prepare+Solve vs warm Solve over a cached PreparedSystem); the
-// distmem experiment sweeps the sharded distributed-memory backend
+// The distmem experiment sweeps the sharded distributed-memory backend
 // (asyrgs-distmem, dispatched through the registry) over worker counts
-// and queue capacities. With -json either of them also writes its rows
-// as a machine-readable baseline — the BENCH_prepare.json and
-// BENCH_distmem.json artifacts CI regenerates on every PR. Serving load
-// is measured by cmd/asyload.
+// and queue capacities; the hotpath experiment times the inner loop's
+// sampler, chunk, precision and kernel grid at fixed work. With -json
+// either of them also writes its rows as a machine-readable baseline —
+// the BENCH_distmem.json and BENCH_hotpath.json artifacts CI regenerates
+// on every PR. Serving performance, as an asyrgsd client sees it, is
+// measured by the benchmark/ module.
 package main
 
 import (
@@ -48,8 +48,8 @@ func writeBaseline(path string, write func(*os.File) error) {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all|fig1|fig2|table1|fig3|theory|beta|sync|lsq|rho|delays|sampling|faults|distmem|classic|methods|prepare|hotpath")
-		jsonOut = flag.String("json", "", "write the prepare/distmem experiment's rows as a JSON baseline to this file")
+		exp     = flag.String("exp", "all", "experiment: all|fig1|fig2|table1|fig3|theory|beta|sync|lsq|rho|delays|sampling|faults|distmem|classic|methods|hotpath")
+		jsonOut = flag.String("json", "", "write the distmem/hotpath experiment's rows as a JSON baseline to this file")
 		terms   = flag.Int("n", 1500, "Gram matrix dimension (paper: 120147)")
 		rhs     = flag.Int("rhs", 16, "right-hand sides solved together (paper: 51)")
 		sweeps  = flag.Int("sweeps", 10, "sweeps for the fixed-work experiments (paper: 10)")
@@ -82,7 +82,7 @@ func main() {
 	r := bench.NewRunner(cfg)
 	run := func(name string) {
 		// A baseline is written only for an explicitly selected
-		// experiment: under -exp all the prepare and distmem runs would
+		// experiment: under -exp all the distmem and hotpath runs would
 		// otherwise silently overwrite each other's rows at one path.
 		jsonPath := ""
 		if *exp == name {
@@ -122,9 +122,6 @@ func main() {
 			r.ClassicVsRandomized(8, *sweeps)
 		case "methods":
 			r.MethodTable(1e-6, 500, 0)
-		case "prepare":
-			rows := r.PreparedVsCold(*sweeps)
-			writeBaseline(jsonPath, func(f *os.File) error { return bench.WritePrepareJSON(f, rows) })
 		case "hotpath":
 			rows := r.Hotpath(*sweeps, nil, nil)
 			writeBaseline(jsonPath, func(f *os.File) error { return bench.WriteHotpathJSON(f, rows) })
@@ -134,7 +131,7 @@ func main() {
 		}
 	}
 	if *exp == "all" {
-		for _, name := range []string{"rho", "fig1", "fig2", "table1", "fig3", "theory", "beta", "sync", "lsq", "delays", "sampling", "faults", "distmem", "classic", "methods", "prepare", "hotpath"} {
+		for _, name := range []string{"rho", "fig1", "fig2", "table1", "fig3", "theory", "beta", "sync", "lsq", "delays", "sampling", "faults", "distmem", "classic", "methods", "hotpath"} {
 			run(name)
 		}
 		return

@@ -15,8 +15,8 @@
 // Endpoints: POST /solve, GET /methods, GET /healthz, GET /stats (JSON
 // counters plus per-endpoint/per-method latency summaries), GET /metrics
 // (the same counters and raw latency histograms in Prometheus text
-// format, ready to scrape). cmd/asyload drives a daemon with sustained
-// closed-loop traffic scenarios and reports the client-side view.
+// format, ready to scrape). The benchmark/ module drives a daemon with
+// closed-loop workloads and reports the client-side view.
 //
 // Example:
 //

@@ -107,6 +107,9 @@ func timeIt(f func()) time.Duration {
 	return time.Since(start)
 }
 
+// ms converts a duration to milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // median returns the median of ds (ds is sorted in place).
 func median(ds []time.Duration) time.Duration {
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })

@@ -65,6 +65,14 @@ func TestExplicitBatchRequest(t *testing.T) {
 			t.Fatalf("batch entry %d: %+v", j, e)
 		}
 	}
+	// One request, one batch, and every explicit column counts as a
+	// coalesced item: benchmark/'s serve.coalesced_share reads this unit.
+	var stats Stats
+	getJSON(t, ts, "/stats", &stats)
+	if stats.Requests != 1 || stats.Batches != 1 || stats.CoalescedRequests != 3 {
+		t.Fatalf("requests %d, batches %d, coalesced_requests %d; want 1, 1, 3",
+			stats.Requests, stats.Batches, stats.CoalescedRequests)
+	}
 	// b and bs together must be rejected.
 	_, resp = postSolve(t, ts, SolveRequest{
 		Matrix: MatrixSpec{Kind: "laplacian2d", N: 8},
@@ -169,10 +177,11 @@ func TestCoalescedBatchedServing(t *testing.T) {
 		t.Fatalf("no coalescing happened: %d batches for %d requests (batch sizes %v)",
 			stats.Batches, clients, sizes)
 	}
-	if stats.CoalescedRequests == 0 {
-		t.Fatal("coalesced_requests counter never moved")
+	if stats.Requests != clients || stats.InFlight != 0 {
+		t.Fatalf("requests %d, in_flight %d; want %d and 0", stats.Requests, stats.InFlight, clients)
 	}
-	// Every request reports the size of the batch that served it.
+	// Every request reports the size of the batch that served it, and
+	// the server counts exactly the requests that report a shared one.
 	coalesced := 0
 	for _, s := range sizes {
 		if s > 1 {
@@ -181,5 +190,9 @@ func TestCoalescedBatchedServing(t *testing.T) {
 	}
 	if coalesced == 0 {
 		t.Fatalf("no request reports a shared batch: %v", sizes)
+	}
+	if stats.CoalescedRequests != uint64(coalesced) {
+		t.Fatalf("coalesced_requests %d, but %d responses report a shared batch (sizes %v)",
+			stats.CoalescedRequests, coalesced, sizes)
 	}
 }

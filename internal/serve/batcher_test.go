@@ -353,7 +353,8 @@ func TestPrepareSurvivesLeaderCancel(t *testing.T) {
 }
 
 // TestStatsStagesBlock: every stage appears in /stats with sane counts,
-// and /metrics exposes the stage histograms.
+// the stage totals are consistent with the /solve endpoint total, and
+// /metrics exposes the stage histograms.
 func TestStatsStagesBlock(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
@@ -375,6 +376,23 @@ func TestStatsStagesBlock(t *testing.T) {
 		if sum.Count != 3 {
 			t.Fatalf("stage %q observed %d times, want 3", stage, sum.Count)
 		}
+	}
+	// The stages are disjoint slices of the /solve handler. Their total
+	// may not exceed the endpoint total, give or take 5% plus 5µs per
+	// request: each stage clock truncates to whole microseconds on its
+	// own. And it must be a real share of it (at least 25%), or the
+	// stage clocks are not wired to the work.
+	endpoint := st.Latency["/solve"]
+	endpointUS := endpoint.MeanUS * float64(endpoint.Count)
+	var stagesUS float64
+	for _, stage := range stageNames {
+		stagesUS += st.Stages[stage].MeanUS * float64(st.Stages[stage].Count)
+	}
+	if slackUS := 0.05*endpointUS + 5*float64(endpoint.Count); stagesUS > endpointUS+slackUS {
+		t.Fatalf("stage total %.0fµs exceeds the /solve total %.0fµs (+%.0fµs slack)", stagesUS, endpointUS, slackUS)
+	}
+	if stagesUS < 0.25*endpointUS {
+		t.Fatalf("stages account for only %.0fµs of the /solve total %.0fµs", stagesUS, endpointUS)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -88,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("asyrgsd_rejected_total", "Requests shed at the admission gate.", st.Rejected)
 	counter("asyrgsd_panics_total", "Worker panics contained by the serving layer.", st.Panics)
 	counter("asyrgsd_batches_total", "Solve batches executed behind the admission gate.", st.Batches)
-	counter("asyrgsd_coalesced_requests_total", "Requests that shared a batch with at least one other.", st.CoalescedRequests)
+	counter("asyrgsd_coalesced_requests_total", "Solve items run in multi-item batches: coalesced requests and explicit bs columns.", st.CoalescedRequests)
 
 	fmt.Fprintf(&b, "# HELP asyrgsd_in_flight Solve items currently executing.\n# TYPE asyrgsd_in_flight gauge\nasyrgsd_in_flight %d\n", st.InFlight)
 	fmt.Fprintf(&b, "# HELP asyrgsd_uptime_seconds Daemon uptime.\n# TYPE asyrgsd_uptime_seconds gauge\nasyrgsd_uptime_seconds %g\n", st.UptimeSec)

@@ -413,8 +413,9 @@ type Stats struct {
 	Cache     CacheStats `json:"cache"`
 	PrepCache CacheStats `json:"prep_cache"`
 	// Batches counts solve batches executed behind the admission gate;
-	// CoalescedRequests counts requests that shared a batch with at least
-	// one other concurrent request.
+	// CoalescedRequests counts the items of every batch with more than
+	// one: each coalesced request, and each column of an explicit bs
+	// request (one 3-column request adds 3).
 	Batches           uint64            `json:"batches"`
 	CoalescedRequests uint64            `json:"coalesced_requests"`
 	PerMethod         map[string]uint64 `json:"per_method"`

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -286,5 +287,84 @@ func TestSolveTimeoutReturns504(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestClientCancelShedsWithoutError: clients that abandon a running solve
+// are shed with 503 and counted as rejected, never as errors, while the
+// normal solves interleaved with them are all served. Requests go
+// straight into Handler().ServeHTTP: over a socket a cancel can fire
+// before the server sees the request, and the request count would no
+// longer be exact.
+func TestClientCancelShedsWithoutError(t *testing.T) {
+	h := New(Config{MaxConcurrent: 4, BatchWindow: 5 * time.Millisecond, SolveTimeout: 30 * time.Second}).Handler()
+	serveSolve := func(ctx context.Context, req SolveRequest) int {
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)).WithContext(ctx))
+		return rec.Code
+	}
+	spec := MatrixSpec{Kind: "laplacian2d", N: 16}
+	normal := SolveRequest{Matrix: spec, Method: "asyrgs", Tol: 1e-6, MaxSweeps: 5000, Workers: 2}
+	if code := serveSolve(context.Background(), normal); code != http.StatusOK {
+		t.Fatalf("warm-up solve: status %d", code)
+	}
+
+	const clients = 4
+	rounds := 6
+	if testing.Short() {
+		rounds = 3
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*clients*rounds)
+	for c := 0; c < clients; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id := uint64(c*rounds + i + 1)
+				req := normal
+				req.RHSSeed = id
+				if code := serveSolve(context.Background(), req); code != http.StatusOK {
+					errs <- fmt.Errorf("client %d round %d: normal solve status %d, want 200", c, i, code)
+				}
+				// Only the client's cancellation ends this solve. The
+				// distinct seed keeps it out of shared batches, which
+				// ignore one member's cancellation; a plain cancel, not a
+				// deadline, is what a dropped connection looks like.
+				req.Tol, req.MaxSweeps, req.Seed = 1e-300, 1<<30, id
+				ctx, cancel := context.WithCancel(context.Background())
+				abandon := time.AfterFunc(time.Duration(2+id%8)*time.Millisecond, cancel)
+				code := serveSolve(ctx, req)
+				abandon.Stop()
+				cancel()
+				if code != http.StatusServiceUnavailable {
+					errs <- fmt.Errorf("client %d round %d: abandoned solve status %d, want 503", c, i, code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st Stats
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	abandoned := uint64(clients * rounds)
+	if st.Errors != 0 || st.InFlight != 0 {
+		t.Fatalf("errors %d, in_flight %d; want 0 and 0", st.Errors, st.InFlight)
+	}
+	if st.Rejected != abandoned {
+		t.Fatalf("rejected %d, want the %d abandoned solves", st.Rejected, abandoned)
+	}
+	if issued := 1 + 2*abandoned; st.Requests != issued {
+		t.Fatalf("requests %d, want all %d issued", st.Requests, issued)
 	}
 }

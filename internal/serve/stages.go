@@ -15,7 +15,7 @@ package serve
 // The stages are disjoint sub-intervals of the handler, so per request
 // their sum is bounded by the /solve endpoint latency (what is left out
 // is the fixed request machinery: body decode, validation, RHS
-// generation). The soak harness asserts that consistency end to end.
+// generation). TestStatsStagesBlock asserts that consistency.
 // Summaries appear as the "stages" block of GET /stats; the raw
 // cumulative histograms as asyrgsd_stage_duration_seconds on /metrics.
 

@@ -292,8 +292,9 @@ func FuzzScatterKernels(f *testing.F) {
 }
 
 // BenchmarkRowDot measures the gather-dot kernel across the dispatch
-// grid: scalar baseline, unrolled, and the f32-storage variant. The
-// acceptance gate (unrolled beats scalar) is recorded via BENCH_hotpath.
+// grid: scalar baseline, unrolled, and the f32-storage variant. It
+// gates nothing; asybench -exp hotpath times the same kernels inside
+// full sweeps.
 func BenchmarkRowDot(b *testing.B) {
 	const n, m = 64, 1 << 16
 	r := rand.New(rand.NewSource(5))
