@@ -255,7 +255,7 @@ var (
 	// ErrUnknownMethod is returned by GetMethod for unregistered names.
 	ErrUnknownMethod = method.ErrUnknownMethod
 	// PrepareMethod captures a method's per-matrix state (Gram/CSC views,
-	// row norms, diagonal scaling, sampling CDFs) once; the returned
+	// row norms, diagonal scaling, sampling tables) once; the returned
 	// PreparedSystem then solves any number of right-hand sides paying
 	// only iteration cost.
 	PrepareMethod = method.Prepare

@@ -7,7 +7,7 @@
 //
 //	asysolve -A matrix.mtx [-b rhs.mtx] [-method name | -method list]
 //	         [-tol 1e-6] [-maxsweeps 1000] [-workers P] [-beta b] [-inner k]
-//	         [-queue-cap c] [-chunk k] [-precision f64|f32] [-timeout d]
+//	         [-queue-cap c] [-chunk k] [-timeout d]
 //	         [-o solution.mtx] [-repeat k]
 //
 // When -b is omitted a random right-hand side with known solution is
@@ -54,7 +54,6 @@ func main() {
 		checkEvery = flag.Int("check", 5, "sweeps between residual checks")
 		queueCap   = flag.Int("queue-cap", 0, "per-peer message-queue budget of the sharded asyrgs-distmem backend (0 = default 4)")
 		chunk      = flag.Int("chunk", 0, "iteration-claiming granularity of the asynchronous methods (0 = auto)")
-		precision  = flag.String("precision", "f64", "matrix value storage: f64, or f32 for float32 values with float64 accumulation (coordinate methods only)")
 		timeout    = flag.Duration("timeout", 0, "abort the solve after this duration (0 = none)")
 		outPath    = flag.String("o", "", "write the solution as an n×1 MatrixMarket file")
 		seed       = flag.Uint64("seed", 1, "seed for directions and generated RHS")
@@ -124,18 +123,10 @@ func main() {
 	if !measureDelay {
 		fmt.Printf("claiming chunk %d: delay measurement disabled\n", *chunk)
 	}
-	prec, err := method.CanonPrecision(*precision)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	opts := method.Opts{
 		Tol: *tol, MaxSweeps: *maxSweeps, Workers: *workers,
 		Beta: *beta, Seed: *seed, Inner: *inner, CheckEvery: *checkEvery,
 		QueueCap: *queueCap, Chunk: *chunk, XStar: xstar, MeasureDelay: measureDelay,
-		Precision: prec,
-	}
-	if prec == "f32" {
-		fmt.Println("float32 value storage: iterating on fl32(A)·x = b with float64 accumulation")
 	}
 
 	// Phase 1: capture the per-matrix state once.

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
 	"runtime"
 	"time"
 
@@ -193,13 +191,13 @@ func spin(iters int) {
 // DistRow is one row of the sharded distributed-memory experiment: one
 // (worker count, queue capacity) deployment shape at fixed work.
 type DistRow struct {
-	Workers  int     `json:"workers"`
-	QueueCap int     `json:"queue_cap"`
-	Sweeps   int     `json:"sweeps"`
-	Residual float64 `json:"residual"`
-	Messages uint64  `json:"messages"`
-	MaxQueue int     `json:"max_queue"`
-	TimeMS   float64 `json:"time_ms"`
+	Workers  int
+	QueueCap int
+	Sweeps   int
+	Residual float64
+	Messages uint64
+	MaxQueue int
+	TimeMS   float64
 }
 
 // DistMem sweeps the sharded backend (asyrgs-distmem, dispatched through
@@ -238,14 +236,6 @@ func (r *Runner) DistMem(workers []int, sweeps int, caps []int) []DistRow {
 		}
 	}
 	return rows
-}
-
-// WriteDistMemJSON writes the sharded-backend rows as an indented JSON
-// baseline (the CI artifact BENCH_distmem.json).
-func WriteDistMemJSON(w io.Writer, rows []DistRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // ClassicRow compares classical asynchronous Jacobi against AsyRGS.

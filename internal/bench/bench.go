@@ -38,10 +38,6 @@ type Config struct {
 	Repeats int
 	// Seed keys workload generation and solver streams.
 	Seed uint64
-	// Precision selects the matrix value storage for the registry-driven
-	// experiments ("f64" default, "f32" for float32 values with float64
-	// accumulation); methods without an f32 path are skipped with a note.
-	Precision string
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
 }

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"strings"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/race"
-	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
 // tinyConfig keeps the integration tests fast while still exercising every
@@ -307,17 +304,6 @@ func TestDistMemRows(t *testing.T) {
 			t.Fatalf("fixed-work row ran %d sweeps", row.Sweeps)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteDistMemJSON(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []DistRow
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("baseline not valid JSON: %v", err)
-	}
-	if len(decoded) != len(rows) || decoded[0].Workers != 2 {
-		t.Fatalf("baseline round-trip mismatch: %+v", decoded)
-	}
 }
 
 func TestClassicVsRandomizedRows(t *testing.T) {
@@ -367,48 +353,5 @@ func TestMethodTableRows(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("method table missing %q", want)
 		}
-	}
-}
-
-func TestHotpathGridShape(t *testing.T) {
-	r := NewRunner(tinyConfig())
-	rows := r.Hotpath(2, []int{1, 2}, []int{1, 0})
-	// 3 samplers × 2 worker counts × (2 chunk sizes at the default
-	// precision/kernel + 3 precision×kernel ablations at auto chunk).
-	if len(rows) != 30 {
-		t.Fatalf("hotpath grid has %d rows, want 30", len(rows))
-	}
-	samplers := map[string]bool{}
-	cells := map[[2]string]bool{}
-	for _, row := range rows {
-		samplers[row.Sampler] = true
-		cells[[2]string{row.Precision, row.Kernel}] = true
-		if row.WallMS <= 0 || row.NSPerIter <= 0 || row.Iterations == 0 {
-			t.Fatalf("bad hotpath row %+v", row)
-		}
-		if row.BytesPerIter <= 0 {
-			t.Fatalf("hotpath row missing bytes/iter estimate: %+v", row)
-		}
-	}
-	for _, want := range []string{"uniform", "weighted-alias", "weighted-cdf"} {
-		if !samplers[want] {
-			t.Fatalf("hotpath grid missing sampler %q", want)
-		}
-	}
-	kernel := sparse.KernelName()
-	for _, want := range [][2]string{
-		{"f64", kernel}, {"f64", "scalar"}, {"f32", kernel}, {"f32", "scalar"},
-	} {
-		if !cells[want] {
-			t.Fatalf("hotpath grid missing precision×kernel cell %v", want)
-		}
-	}
-	// f32 storage must report a strictly smaller per-iteration footprint.
-	var by = map[string]int{}
-	for _, row := range rows {
-		by[row.Precision] = row.BytesPerIter
-	}
-	if by["f32"] >= by["f64"] {
-		t.Fatalf("f32 bytes/iter %d not below f64 %d", by["f32"], by["f64"])
 	}
 }

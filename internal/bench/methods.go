@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -36,27 +35,15 @@ func (r *Runner) MethodTable(tol float64, maxSweeps, workers int) []MethodRow {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	prec, err := method.CanonPrecision(r.Cfg.Precision)
-	if err != nil {
-		panic(err)
-	}
 	ms := method.ByKind(method.SPD)
 	rows := make([]MethodRow, 0, len(ms))
-	r.printf("\n== Method table: every registered SPD method (tol=%.0e, budget %d sweeps, %d workers, %s storage) ==\n", tol, maxSweeps, workers, prec)
+	r.printf("\n== Method table: every registered SPD method (tol=%.0e, budget %d sweeps, %d workers) ==\n", tol, maxSweeps, workers)
 	r.printf("%-20s %-12s %-8s %-14s %-10s %-14s %-6s\n", "method", "time", "sweeps", "rel residual", "converged", "A-norm err", "tau")
 	for _, m := range ms {
 		opts := method.Opts{
 			Tol: tol, MaxSweeps: maxSweeps, CheckEvery: 5,
 			Workers: workers, Seed: r.Cfg.Seed, XStar: r.xStar,
-			MeasureDelay: true, Precision: prec,
-		}
-		if prec != "f64" {
-			// Krylov/stationary methods have no f32 storage path; skip them
-			// rather than abort the table.
-			if _, err := method.Prepare(context.Background(), m, r.Gram, opts); err != nil {
-				r.printf("%-20s skipped: %v\n", m.Name(), err)
-				continue
-			}
+			MeasureDelay: true,
 		}
 		res := runRegistry(m.Name(), r.Gram, r.bStar, opts)
 		row := MethodRow{

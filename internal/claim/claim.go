@@ -14,7 +14,10 @@ func Size(explicit int, total uint64, workers int) int {
 }
 
 // SizeFor resolves the claiming granularity. An explicit positive size
-// wins; otherwise the chunk is total/(workers·16) — large enough that the
+// wins, clamped to [1, max(total, 1)]: a chunk larger than the claimed
+// range already claims all of it, and the clamp keeps a worker's
+// direction buffer (one int32 per chunk index) bounded by the range.
+// Otherwise the chunk is total/(workers·16) — large enough that the
 // shared counter stops being the bottleneck, small enough that P workers
 // strand at most a few percent of the budget in partially-unfinished
 // chunks at the tail — clamped to [1, MaxChunk(rowBytes)] so the
@@ -25,7 +28,7 @@ func Size(explicit int, total uint64, workers int) int {
 // <= 0 falls back to the legacy 256-iteration cap.
 func SizeFor(explicit int, total uint64, workers int, rowBytes int) int {
 	if explicit > 0 {
-		return explicit
+		return int(min(uint64(explicit), max(total, 1)))
 	}
 	if workers < 1 {
 		workers = 1

@@ -6,8 +6,11 @@ func TestExplicitWins(t *testing.T) {
 	if got := SizeFor(7, 1_000_000, 8, 64); got != 7 {
 		t.Fatalf("explicit chunk: got %d, want 7", got)
 	}
-	if got := Size(300, 10, 1); got != 300 {
+	if got := Size(300, 1000, 1); got != 300 {
 		t.Fatalf("explicit chunk may exceed the cap: got %d, want 300", got)
+	}
+	if got := Size(300, 10, 1); got != 10 {
+		t.Fatalf("explicit chunk beyond the budget claims the whole range: got %d, want 10", got)
 	}
 }
 

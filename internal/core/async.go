@@ -108,7 +108,6 @@ func (s *Solver) runAsyncRange(x, b []float64, start, end uint64, workers int) {
 // is generated in one pass per block, like the shared-counter path.
 func (s *Solver) asyncWorkerOwned(x, b []float64, stream rng.Stream, smp sampler, lo, hi uint64, worker, chunk int, committed *atomic.Uint64) {
 	a := s.a
-	a32 := s.a32
 	beta := s.beta
 	nonAtomic := s.opts.NonAtomic
 	measure := s.opts.MeasureDelay
@@ -128,14 +127,9 @@ func (s *Solver) asyncWorkerOwned(x, b []float64, stream rng.Stream, smp sampler
 			}
 			r := int(picks[t])
 			var dot float64
-			switch {
-			case a32 != nil && nonAtomic:
-				dot = a32.RowDot(r, x)
-			case a32 != nil:
-				dot = a32.RowDotAtomic(r, x)
-			case nonAtomic:
+			if nonAtomic {
 				dot = a.RowDot(r, x)
-			default:
+			} else {
 				dot = a.RowDotAtomic(r, x)
 			}
 			gamma := (b[r] - dot) * s.invD[r]
@@ -166,7 +160,6 @@ func (s *Solver) asyncWorkerOwned(x, b []float64, stream rng.Stream, smp sampler
 // replays the identical direction multiset.
 func (s *Solver) asyncWorker(x, b []float64, stream rng.Stream, smp sampler, counter *atomic.Uint64, end uint64, worker, chunk int) {
 	a := s.a
-	a32 := s.a32
 	beta := s.beta
 	nonAtomic := s.opts.NonAtomic
 	measure := s.opts.MeasureDelay
@@ -196,14 +189,9 @@ func (s *Solver) asyncWorker(x, b []float64, stream rng.Stream, smp sampler, cou
 			// data races; the NonAtomic ablation uses genuinely plain
 			// accesses, reproducing the paper's §9 experiment exactly.
 			var dot float64
-			switch {
-			case a32 != nil && nonAtomic:
-				dot = a32.RowDot(r, x)
-			case a32 != nil:
-				dot = a32.RowDotAtomic(r, x)
-			case nonAtomic:
+			if nonAtomic {
 				dot = a.RowDot(r, x)
-			default:
+			} else {
 				dot = a.RowDotAtomic(r, x)
 			}
 			gamma := (b[r] - dot) * s.invD[r]
@@ -315,7 +303,6 @@ func (s *Solver) AsyncSweepsDense(x, b *vec.Dense, sweeps int) {
 func (s *Solver) asyncWorkerDense(x, b *vec.Dense, stream rng.Stream, smp sampler, counter *atomic.Uint64, end uint64, worker, chunk int) {
 	c := x.Cols
 	a := s.a
-	a32 := s.a32
 	beta := s.beta
 	nonAtomic := s.opts.NonAtomic
 	measure := s.opts.MeasureDelay
@@ -341,20 +328,11 @@ func (s *Solver) asyncWorkerDense(x, b *vec.Dense, stream rng.Stream, smp sample
 			}
 			r := int(picks[t])
 			copy(gamma, b.Row(r))
-			switch {
-			case a32 != nil && nonAtomic:
-				for k := a32.RowPtr[r]; k < a32.RowPtr[r+1]; k++ {
-					sparse.Axpy(gamma, x.Row(a32.ColIdx[k]), -float64(a32.Vals[k]))
-				}
-			case a32 != nil:
-				for k := a32.RowPtr[r]; k < a32.RowPtr[r+1]; k++ {
-					sparse.AxpyAtomicRead(gamma, x.Row(a32.ColIdx[k]), -float64(a32.Vals[k]))
-				}
-			case nonAtomic:
+			if nonAtomic {
 				for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
 					sparse.Axpy(gamma, x.Row(a.ColIdx[k]), -a.Vals[k])
 				}
-			default:
+			} else {
 				for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
 					sparse.AxpyAtomicRead(gamma, x.Row(a.ColIdx[k]), -a.Vals[k])
 				}

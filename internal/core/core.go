@@ -76,22 +76,8 @@ type Options struct {
 	// non-unit-diagonal matrices. For unit-diagonal matrices it reduces
 	// to uniform sampling. Requires a strictly positive diagonal. The
 	// draw goes through an O(1) Walker/Vose alias table built once per
-	// prepared matrix; set WeightedCDF for the legacy binary search.
+	// prepared matrix.
 	DiagonalWeighted bool
-
-	// WeightedCDF routes the DiagonalWeighted draw through the O(log n)
-	// binary search over the diagonal CDF instead of the alias table —
-	// the ablation baseline of the hotpath benchmark grid. Ignored
-	// without DiagonalWeighted.
-	WeightedCDF bool
-
-	// Float32 stores the matrix values in float32 while accumulating all
-	// arithmetic in float64, halving value-array memory bandwidth on
-	// systems too large for cache. The iteration then solves the exact
-	// float64 system fl32(A)·x = b; relative to the original matrix the
-	// achievable residual is floored around √nnz·2⁻²⁴. Sampling weights
-	// stay on the float64 diagonal so direction sequences are unchanged.
-	Float32 bool
 
 	// Chunk is the number of global iteration indices a worker claims
 	// from the shared counter at a time. One CAS per chunk instead of one
@@ -124,10 +110,8 @@ type Options struct {
 // solve from a shared Prep (NewFromPrep), or recycle one with Reinit.
 type Solver struct {
 	a         *sparse.CSR
-	a32       *sparse.CSR32 // non-nil under Options.Float32; hot loops read it instead of a
 	diag      []float64
-	invD      []float64    // 1/diag (1/fl32(diag) under Float32), hoisted out of the inner loop
-	diagCDF   []float64    // cumulative A_rr/tr(A), for the WeightedCDF ablation
+	invD      []float64    // 1/diag, hoisted out of the inner loop
 	diagAlias *alias.Table // O(1) alias table for DiagonalWeighted
 	beta      float64
 	opts      Options
@@ -241,11 +225,7 @@ func (s *Solver) Residual(x, b []float64) float64 {
 		s.resScratch = make([]float64, n)
 	}
 	r := s.resScratch[:n]
-	if s.a32 != nil {
-		s.a32.MulVec(r, x)
-	} else {
-		s.a.MulVec(r, x)
-	}
+	s.a.MulVec(r, x)
 	var num, den float64
 	for i := range r {
 		d := b[i] - r[i]

@@ -11,7 +11,7 @@ import (
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
 // use the delta to prove that cached prepared state never recomputes the
-// diagonal extraction or sampling CDF.
+// diagonal extraction or the sampling table.
 var prepCount atomic.Uint64
 
 // PrepCount returns the number of per-matrix preparations performed so
@@ -20,9 +20,8 @@ func PrepCount() uint64 { return prepCount.Load() }
 
 // Prep is the reusable per-matrix state of the core solver family: the
 // validated diagonal, its reciprocal (hoisted out of the inner loop), and
-// the lazily built diagonal-weighted sampling structures — the O(1)
-// Walker/Vose alias table plus the legacy CDF kept for the ablation
-// path. A Prep is immutable after construction and safe for concurrent
+// the lazily built O(1) Walker/Vose alias table of the diagonal-weighted
+// draw. A Prep is immutable after construction and safe for concurrent
 // use; any number of Solvers can be forked from it with NewFromPrep
 // without re-running setup.
 type Prep struct {
@@ -30,18 +29,9 @@ type Prep struct {
 	diag []float64
 	invD []float64
 
-	cdfOnce sync.Once
-	diagCDF []float64
-	cdfErr  error
-
 	aliasOnce sync.Once
 	diagAlias *alias.Table
 	aliasErr  error
-
-	f32Once sync.Once
-	a32     *sparse.CSR32
-	invD32  []float64
-	f32Err  error
 }
 
 // PrepareMatrix validates the matrix (square, non-zero diagonal) and
@@ -66,15 +56,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 // Matrix returns the prepared matrix (shared, do not mutate).
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
-// weightedCDF returns the cumulative A_rr/tr(A) distribution for the
-// WeightedCDF ablation, building and validating it on first use.
-func (p *Prep) weightedCDF() ([]float64, error) {
-	p.cdfOnce.Do(func() {
-		p.diagCDF, p.cdfErr = newWeightedCDF(p.diag)
-	})
-	return p.diagCDF, p.cdfErr
-}
-
 // weightedAlias returns the O(1) alias table over A_rr/tr(A), building
 // and validating it on first use. Construction is O(n), paid once per
 // prepared matrix — which is what lets a serving deployment's prep cache
@@ -88,37 +69,6 @@ func (p *Prep) weightedAlias() (*alias.Table, error) {
 		p.diagAlias, p.aliasErr = alias.New(p.diag)
 	})
 	return p.diagAlias, p.aliasErr
-}
-
-// float32View returns the float32-value storage view of the matrix plus
-// the reciprocal of the rounded diagonal, building both on first use. The
-// hot loops divide by fl32(A_rr) — not A_rr — so the fixed point is the
-// exact solution of the rounded system. Rounding that underflows a
-// diagonal entry to zero is rejected.
-func (p *Prep) float32View() (*sparse.CSR32, []float64, error) {
-	p.f32Once.Do(func() {
-		a32 := sparse.NewCSR32(p.a)
-		invD32 := make([]float64, len(p.diag))
-		for i, d := range p.diag {
-			d32 := float64(float32(d))
-			if d32 == 0 {
-				p.f32Err = fmt.Errorf("%w: row %d underflows float32", ErrZeroDiagonal, i)
-				return
-			}
-			invD32[i] = 1 / d32
-		}
-		p.a32, p.invD32 = a32, invD32
-	})
-	return p.a32, p.invD32, p.f32Err
-}
-
-// Float32View returns the memoized float32-storage view of the prepared
-// matrix (see Options.Float32), building and validating it on first use.
-// Callers that evaluate residuals outside a Solver — the registry's
-// batched SpMM residual pass — read the same view the iteration uses.
-func (p *Prep) Float32View() (*sparse.CSR32, error) {
-	a32, _, err := p.float32View()
-	return a32, err
 }
 
 // NewFromPrep forks a Solver from prepared per-matrix state. It performs
@@ -154,25 +104,15 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 		return fmt.Errorf("core: negative claiming chunk %d", opts.Chunk)
 	}
 	s.a, s.diag, s.invD = p.a, p.diag, p.invD
-	s.a32 = nil
-	valBytes := 8
-	if opts.Float32 {
-		a32, invD32, err := p.float32View()
-		if err != nil {
-			return err
-		}
-		s.a32, s.invD = a32, invD32
-		valBytes = 4
-	}
 	// Per-iteration cache footprint for the chunk auto-sizer: mean row
 	// values + int column indices, plus the x, b and invD entries touched.
 	meanNNZ := 0
 	if p.a.Rows > 0 {
 		meanNNZ = p.a.NNZ() / p.a.Rows
 	}
-	s.rowBytes = meanNNZ*(valBytes+8) + 24
+	s.rowBytes = meanNNZ*16 + 24
 	s.beta, s.opts = beta, opts
-	s.diagCDF, s.diagAlias = nil, nil
+	s.diagAlias = nil
 	s.Reset()
 	if opts.DiagonalWeighted {
 		tab, err := p.weightedAlias()
@@ -180,13 +120,6 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 			return err
 		}
 		s.diagAlias = tab
-		if opts.WeightedCDF {
-			cdf, err := p.weightedCDF()
-			if err != nil {
-				return err
-			}
-			s.diagCDF = cdf
-		}
 	}
 	return nil
 }

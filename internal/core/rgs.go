@@ -38,7 +38,6 @@ func (s *Solver) Sweeps(x, b []float64, sweeps int) {
 	stream := rng.NewStream(s.opts.Seed)
 	smp := s.newSampler(false)
 	picks := s.seqPicks()
-	a32 := s.a32
 	end := s.next + uint64(sweeps)*uint64(n)
 	for base := s.next; base < end; {
 		m := len(picks)
@@ -48,13 +47,7 @@ func (s *Solver) Sweeps(x, b []float64, sweeps int) {
 		smp.fill(stream, base, picks[:m], 0)
 		for t := 0; t < m; t++ {
 			r := int(picks[t])
-			var dot float64
-			if a32 != nil {
-				dot = a32.RowDot(r, x)
-			} else {
-				dot = s.a.RowDot(r, x)
-			}
-			gamma := (b[r] - dot) * s.invD[r]
+			gamma := (b[r] - s.a.RowDot(r, x)) * s.invD[r]
 			x[r] += s.beta * gamma
 		}
 		base += uint64(m)
@@ -87,14 +80,8 @@ func (s *Solver) SweepsDense(x, b *vec.Dense, sweeps int) {
 		for t := 0; t < m; t++ {
 			r := int(picks[t])
 			copy(gamma, b.Row(r))
-			if a32 := s.a32; a32 != nil {
-				for k := a32.RowPtr[r]; k < a32.RowPtr[r+1]; k++ {
-					sparse.Axpy(gamma, x.Row(a32.ColIdx[k]), -float64(a32.Vals[k]))
-				}
-			} else {
-				for k := s.a.RowPtr[r]; k < s.a.RowPtr[r+1]; k++ {
-					sparse.Axpy(gamma, x.Row(s.a.ColIdx[k]), -s.a.Vals[k])
-				}
+			for k := s.a.RowPtr[r]; k < s.a.RowPtr[r+1]; k++ {
+				sparse.Axpy(gamma, x.Row(s.a.ColIdx[k]), -s.a.Vals[k])
 			}
 			sparse.Axpy(x.Row(r), gamma, s.beta*s.invD[r])
 		}
@@ -130,11 +117,7 @@ func (s *Solver) Solve(x, b []float64, tol float64, maxSweeps, checkEvery int) (
 // ResidualDense returns ‖B−AX‖_F / ‖B‖_F.
 func (s *Solver) ResidualDense(x, b *vec.Dense) float64 {
 	ax := vec.NewDense(x.Rows, x.Cols)
-	if s.a32 != nil {
-		s.a32.MulDensePar(ax.Data, x.Data, x.Cols, s.opts.Workers, sparse.PartitionContiguous)
-	} else {
-		s.a.MulDense(ax.Data, x.Data, x.Cols, s.opts.Workers)
-	}
+	s.a.MulDense(ax.Data, x.Data, x.Cols, s.opts.Workers)
 	var num, den float64
 	for i, v := range ax.Data {
 		d := b.Data[i] - v

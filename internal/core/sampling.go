@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/claim"
@@ -21,10 +20,6 @@ const (
 	// A_rr/tr(A) (the general Leventhal–Lewis distribution) through a
 	// Walker/Vose alias table: O(1) per pick.
 	samplerWeightedAlias
-	// samplerWeightedCDF is the same distribution through the legacy
-	// O(log n) binary search over the diagonal CDF, kept as the ablation
-	// baseline for the hotpath benchmark grid.
-	samplerWeightedCDF
 	// samplerPartitioned gives worker w exclusive ownership of the
 	// contiguous block [w·n/P, (w+1)·n/P) and draws uniformly within it —
 	// the restricted randomization of the paper's distributed-memory
@@ -45,7 +40,6 @@ type sampler struct {
 	n       int
 	workers int
 	tab     *alias.Table // samplerWeightedAlias
-	cdf     []float64    // samplerWeightedCDF
 }
 
 // pick returns the coordinate for global iteration j when executed by
@@ -54,13 +48,6 @@ func (s sampler) pick(stream rng.Stream, j uint64, worker int) int {
 	switch s.kind {
 	case samplerWeightedAlias:
 		return s.tab.Pick(stream, j)
-	case samplerWeightedCDF:
-		u := stream.Float64At(j)
-		r := sort.SearchFloat64s(s.cdf, u)
-		if r >= len(s.cdf) {
-			r = len(s.cdf) - 1
-		}
-		return r
 	case samplerPartitioned:
 		lo, hi := s.block(worker)
 		return lo + stream.IntnAt(j, hi-lo)
@@ -82,16 +69,6 @@ func (s sampler) fill(stream rng.Stream, base uint64, dst []int32, worker int) {
 		for t := range dst {
 			u1, u2 := stream.Uint64PairAt(base + uint64(t))
 			dst[t] = int32(tab.PickUints(u1, u2))
-		}
-	case samplerWeightedCDF:
-		cdf := s.cdf
-		for t := range dst {
-			u := stream.Float64At(base + uint64(t))
-			r := sort.SearchFloat64s(cdf, u)
-			if r >= len(cdf) {
-				r = len(cdf) - 1
-			}
-			dst[t] = int32(r)
 		}
 	case samplerPartitioned:
 		lo, hi := s.block(worker)
@@ -121,29 +98,10 @@ func (s sampler) block(worker int) (lo, hi int) {
 	return lo, hi
 }
 
-// newWeightedCDF builds the cumulative A_rr/tr(A) distribution for the
-// CDF ablation path, validating the diagonal the same way the alias
-// builder does: entries must be finite and positive (a zero or negative
-// diagonal entry, or a non-positive trace, cannot define the
-// Leventhal–Lewis distribution and used to produce a silently broken
-// CDF).
-func newWeightedCDF(diag []float64) ([]float64, error) {
-	if err := validateWeights(diag); err != nil {
-		return nil, err
-	}
-	cdf := make([]float64, len(diag))
-	var total float64
-	for i, d := range diag {
-		total += d
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return cdf, nil
-}
-
-// validateWeights enforces the diagonal-weighted sampling contract.
+// validateWeights enforces the diagonal-weighted sampling contract:
+// entries must be finite and positive. A zero or negative diagonal entry,
+// or a non-positive trace, cannot define the Leventhal–Lewis
+// distribution.
 func validateWeights(diag []float64) error {
 	if len(diag) == 0 {
 		return fmt.Errorf("core: diagonal-weighted sampling needs a non-empty diagonal")
@@ -162,14 +120,11 @@ func validateWeights(diag []float64) error {
 // newSampler selects the sampler implied by the options. Partitioned
 // takes precedence for the asynchronous path; the synchronous path (one
 // worker) treats partitioned as uniform, which is the P = 1 special
-// case. The weighted distribution picks through the alias table unless
-// the WeightedCDF ablation asks for the legacy binary search.
+// case. The weighted distribution picks through the alias table.
 func (s *Solver) newSampler(async bool) sampler {
 	switch {
 	case s.opts.Partitioned && async && s.opts.Workers > 1:
 		return sampler{kind: samplerPartitioned, n: s.a.Rows, workers: s.opts.Workers}
-	case s.opts.DiagonalWeighted && s.opts.WeightedCDF:
-		return sampler{kind: samplerWeightedCDF, cdf: s.diagCDF}
 	case s.opts.DiagonalWeighted:
 		return sampler{kind: samplerWeightedAlias, tab: s.diagAlias}
 	default:

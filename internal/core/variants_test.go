@@ -18,42 +18,34 @@ import (
 
 // --- diagonal-weighted sampling ---
 
-// weightedSamplers builds both implementations of the diagonal-weighted
-// draw — the O(1) alias table and the O(log n) CDF ablation — for a
+// aliasSampler builds the diagonal-weighted alias sampler for a
 // diagonal, failing the test on invalid input.
-func weightedSamplers(t *testing.T, diag []float64) (aliasSmp, cdfSmp sampler) {
+func aliasSampler(t *testing.T, diag []float64) sampler {
 	t.Helper()
 	tab, err := alias.New(diag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdf, err := newWeightedCDF(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sampler{kind: samplerWeightedAlias, tab: tab}, sampler{kind: samplerWeightedCDF, cdf: cdf}
+	return sampler{kind: samplerWeightedAlias, tab: tab}
 }
 
 func TestWeightedSamplerDistribution(t *testing.T) {
-	// Diagonal (1, 3): coordinate 1 must be drawn ≈ 3× as often, by both
-	// the alias and the CDF implementation.
-	aliasSmp, cdfSmp := weightedSamplers(t, []float64{1, 3})
+	// Diagonal (1, 3): coordinate 1 must be drawn ≈ 3× as often.
+	smp := aliasSampler(t, []float64{1, 3})
 	stream := rng.NewStream(1)
-	for name, smp := range map[string]sampler{"alias": aliasSmp, "cdf": cdfSmp} {
-		counts := [2]int{}
-		const draws = 100_000
-		for j := uint64(0); j < draws; j++ {
-			counts[smp.pick(stream, j, 0)]++
-		}
-		frac := float64(counts[1]) / draws
-		if math.Abs(frac-0.75) > 0.01 {
-			t.Fatalf("%s: coordinate 1 drawn %.3f of the time, want ≈ 0.75", name, frac)
-		}
+	counts := [2]int{}
+	const draws = 100_000
+	for j := uint64(0); j < draws; j++ {
+		counts[smp.pick(stream, j, 0)]++
+	}
+	frac := float64(counts[1]) / draws
+	if math.Abs(frac-0.75) > 0.01 {
+		t.Fatalf("coordinate 1 drawn %.3f of the time, want ≈ 0.75", frac)
 	}
 }
 
 func TestWeightedSamplerUnitDiagonalIsUniform(t *testing.T) {
-	smp, _ := weightedSamplers(t, []float64{1, 1, 1, 1})
+	smp := aliasSampler(t, []float64{1, 1, 1, 1})
 	stream := rng.NewStream(2)
 	counts := [4]int{}
 	const draws = 80_000
@@ -67,41 +59,41 @@ func TestWeightedSamplerUnitDiagonalIsUniform(t *testing.T) {
 	}
 }
 
-// TestAliasVsCDFMarginalEquivalence draws a large budget through both
-// weighted implementations over a skewed diagonal and checks the
-// empirical marginals agree within sampling noise: swapping the binary
-// search for the alias table must not change the distribution.
-func TestAliasVsCDFMarginalEquivalence(t *testing.T) {
+// TestAliasMatchesExactMarginals draws a large budget through the
+// weighted alias sampler over a skewed diagonal and checks each
+// empirical marginal against the exact A_rr/tr(A) within sampling noise.
+func TestAliasMatchesExactMarginals(t *testing.T) {
 	diag := []float64{4, 1, 0.5, 9, 2, 2, 6, 0.25}
-	aliasSmp, cdfSmp := weightedSamplers(t, diag)
+	smp := aliasSampler(t, diag)
+	var trace float64
+	for _, d := range diag {
+		trace += d
+	}
 	stream := rng.NewStream(77)
 	const draws = 200_000
-	var aliasCounts, cdfCounts [8]float64
+	var counts [8]float64
 	for j := uint64(0); j < draws; j++ {
-		aliasCounts[aliasSmp.pick(stream, j, 0)]++
-		cdfCounts[cdfSmp.pick(stream, j, 0)]++
+		counts[smp.pick(stream, j, 0)]++
 	}
-	for i := range diag {
-		fa := aliasCounts[i] / draws
-		fc := cdfCounts[i] / draws
-		if math.Abs(fa-fc) > 6e-3 {
-			t.Fatalf("coordinate %d: alias marginal %.4f vs CDF marginal %.4f", i, fa, fc)
+	for i, d := range diag {
+		if got, want := counts[i]/draws, d/trace; math.Abs(got-want) > 6e-3 {
+			t.Fatalf("coordinate %d: alias marginal %.4f vs exact %.4f", i, got, want)
 		}
 	}
 }
 
-func TestWeightedCDFValidation(t *testing.T) {
+func TestWeightValidation(t *testing.T) {
 	for name, diag := range map[string][]float64{
 		"empty":    {},
 		"zero":     {1, 0, 2},
 		"negative": {1, -3},
 		"nan":      {1, math.NaN()},
 	} {
-		if _, err := newWeightedCDF(diag); err == nil {
+		if err := validateWeights(diag); err == nil {
 			t.Fatalf("%s diagonal must be rejected", name)
 		}
 	}
-	if _, err := newWeightedCDF([]float64{1, 2, 3}); err != nil {
+	if err := validateWeights([]float64{1, 2, 3}); err != nil {
 		t.Fatalf("valid diagonal rejected: %v", err)
 	}
 }

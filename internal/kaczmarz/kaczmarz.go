@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -36,35 +35,22 @@ type Options struct {
 	// Uniform selects rows uniformly instead of the Strohmer–Vershynin
 	// ‖A_i‖² distribution.
 	Uniform bool
-	// WeightedCDF routes the norm-weighted draw through the legacy
-	// O(log n) binary search over the row-norm CDF instead of the O(1)
-	// alias table — the ablation baseline of the hotpath benchmark grid.
-	WeightedCDF bool
 	// Chunk is the number of iteration indices an asynchronous worker
 	// claims from the shared counter at a time; zero auto-sizes from the
 	// budget and worker count. Row selection stays a pure function of
 	// (seed, j), so the chunk size never changes the projection multiset.
 	Chunk int
-	// Float32 stores the matrix values (and the row norms the projection
-	// divides by) in float32-rounded form while accumulating in float64;
-	// the iteration then projects onto the rows of fl32(A). Sampling
-	// stays on the float64 norms, keeping draw sequences identical
-	// across precisions.
-	Float32 bool
 }
 
 // Solver holds the matrix and the row-sampling distribution.
 type Solver struct {
-	a         *sparse.CSR
-	a32       *sparse.CSR32 // non-nil under Options.Float32
-	rowNorm2  []float64     // ‖A_i‖² (of fl32(A) under Float32) — the projection divisor
-	sampNorm2 []float64     // float64 ‖A_i‖², the sampling weights (rejection path)
-	cdf       []float64     // cumulative ‖A_i‖²/‖A‖_F², for the CDF ablation
-	tab       *alias.Table  // O(1) norm-weighted row draw
-	opts      Options
-	beta      float64
-	next      uint64
-	rowBytes  int // per-iteration cache footprint estimate for chunk sizing
+	a        *sparse.CSR
+	rowNorm2 []float64    // ‖A_i‖²: the projection divisor and the uniform path's zero-row test
+	tab      *alias.Table // O(1) norm-weighted row draw
+	opts     Options
+	beta     float64
+	next     uint64
+	rowBytes int // per-iteration cache footprint estimate for chunk sizing
 }
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
@@ -72,24 +58,17 @@ type Solver struct {
 var prepCount atomic.Uint64
 
 // PrepCount returns the number of per-matrix preparations (row-norm and
-// sampling-CDF passes) performed so far in this process.
+// sampling-table passes) performed so far in this process.
 func PrepCount() uint64 { return prepCount.Load() }
 
 // Prep is the reusable per-matrix state of the Kaczmarz solvers: the row
-// norms ‖A_i‖², the Strohmer–Vershynin sampling CDF (ablation path) and
-// the O(1) alias table the hot loop draws through. Immutable after
-// construction and safe for concurrent use; fork Solvers from it with
-// NewFromPrep.
+// norms ‖A_i‖² and the O(1) alias table over them that draws rows from
+// the Strohmer–Vershynin distribution. Immutable after construction and
+// safe for concurrent use; fork Solvers from it with NewFromPrep.
 type Prep struct {
 	a        *sparse.CSR
 	rowNorm2 []float64
-	cdf      []float64
 	tab      *alias.Table
-
-	f32Once    sync.Once
-	a32        *sparse.CSR32
-	rowNorm232 []float64
-	f32Err     error
 }
 
 // PrepareMatrix computes the row norms and the norm-weighted sampling
@@ -99,10 +78,7 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 		return nil, errors.New("kaczmarz: empty matrix")
 	}
 	prepCount.Add(1)
-	p := &Prep{a: a,
-		rowNorm2: make([]float64, a.Rows),
-		cdf:      make([]float64, a.Rows),
-	}
+	p := &Prep{a: a, rowNorm2: make([]float64, a.Rows)}
 	var total float64
 	for i := 0; i < a.Rows; i++ {
 		var nz float64
@@ -111,13 +87,9 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 		}
 		p.rowNorm2[i] = nz
 		total += nz
-		p.cdf[i] = total
 	}
 	if total == 0 {
 		return nil, errors.New("kaczmarz: zero matrix")
-	}
-	for i := range p.cdf {
-		p.cdf[i] /= total
 	}
 	// The alias table makes the norm-weighted draw O(1); squared norms
 	// are non-negative and total > 0 was just checked, but the builder
@@ -134,31 +106,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 // Matrix returns the prepared matrix (shared, do not mutate).
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
-// float32View returns the float32-value view of the matrix and the row
-// norms of the rounded values, building both on first use. A nonzero row
-// whose norm underflows float32 storage is rejected: it would be sampled
-// (weights stay on the float64 norms) but have no finite projection.
-func (p *Prep) float32View() (*sparse.CSR32, []float64, error) {
-	p.f32Once.Do(func() {
-		a32 := sparse.NewCSR32(p.a)
-		n2 := make([]float64, a32.Rows)
-		for i := 0; i < a32.Rows; i++ {
-			var nz float64
-			for k := a32.RowPtr[i]; k < a32.RowPtr[i+1]; k++ {
-				v := float64(a32.Vals[k])
-				nz += v * v
-			}
-			if nz == 0 && p.rowNorm2[i] > 0 {
-				p.f32Err = fmt.Errorf("kaczmarz: row %d norm underflows float32", i)
-				return
-			}
-			n2[i] = nz
-		}
-		p.a32, p.rowNorm232 = a32, n2
-	})
-	return p.a32, p.rowNorm232, p.f32Err
-}
-
 // NewFromPrep forks a Solver from prepared per-matrix state, validating
 // only the options — no matrix traversal.
 func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
@@ -172,24 +119,14 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if opts.Chunk < 0 {
 		return nil, errors.New("kaczmarz: negative claiming chunk")
 	}
-	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, sampNorm2: p.rowNorm2,
-		cdf: p.cdf, tab: p.tab, opts: opts, beta: beta}
-	valBytes := 8
-	if opts.Float32 {
-		a32, n232, err := p.float32View()
-		if err != nil {
-			return nil, err
-		}
-		s.a32, s.rowNorm2 = a32, n232
-		valBytes = 4
-	}
+	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, tab: p.tab, opts: opts, beta: beta}
 	meanNNZ := 0
 	if p.a.Rows > 0 {
 		meanNNZ = p.a.NNZ() / p.a.Rows
 	}
 	// One projection reads and scatters a full row: values + indices for
 	// both passes, plus the touched x entries and the b/norm scalars.
-	s.rowBytes = meanNNZ*(valBytes+8+8) + 24
+	s.rowBytes = meanNNZ*24 + 24
 	return s, nil
 }
 
@@ -208,21 +145,16 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 // distribution; it skips zero rows under uniform sampling by rejection
 // against consecutive sub-indices. The norm-weighted draw goes through
 // the O(1) alias table (a zero-norm row has zero weight and is never
-// drawn); WeightedCDF keeps the legacy binary search for ablations.
-// Either way the row is a pure function of (seed, j).
+// drawn). Either way the row is a pure function of (seed, j).
 func (s *Solver) pickRow(stream rng.Stream, j uint64) int {
 	if s.opts.Uniform {
 		//asyrgs:boundedloop rejection terminates because PrepareMatrix guarantees at least one row with positive norm
 		for sub := uint64(0); ; sub++ {
 			i := stream.IntnAt(j*31+sub, s.a.Rows)
-			if s.sampNorm2[i] > 0 {
+			if s.rowNorm2[i] > 0 {
 				return i
 			}
 		}
-	}
-	if s.opts.WeightedCDF {
-		u := stream.Float64At(j)
-		return sort.SearchFloat64s(s.cdf, u)
 	}
 	return s.tab.Pick(stream, j)
 }
@@ -232,28 +164,13 @@ func (s *Solver) pickRow(stream rng.Stream, j uint64) int {
 // row's support, both through the unrolled sparse kernels. concurrent
 // selects atomic reads and CAS adds for the multi-worker path.
 func (s *Solver) step(x, b []float64, i int, concurrent bool) {
-	var dot float64
-	switch {
-	case s.a32 != nil && concurrent:
-		dot = s.a32.RowDotAtomic(i, x)
-	case s.a32 != nil:
-		dot = s.a32.RowDot(i, x)
-	case concurrent:
-		dot = s.a.RowDotAtomic(i, x)
-	default:
-		dot = s.a.RowDot(i, x)
-	}
-	gamma := s.beta * (b[i] - dot) / s.rowNorm2[i]
-	switch {
-	case s.a32 != nil && concurrent:
-		s.a32.RowAxpyAtomic(i, x, gamma)
-	case s.a32 != nil:
-		s.a32.RowAxpy(i, x, gamma)
-	case concurrent:
+	if concurrent {
+		gamma := s.beta * (b[i] - s.a.RowDotAtomic(i, x)) / s.rowNorm2[i]
 		s.a.RowAxpyAtomic(i, x, gamma)
-	default:
-		s.a.RowAxpy(i, x, gamma)
+		return
 	}
+	gamma := s.beta * (b[i] - s.a.RowDot(i, x)) / s.rowNorm2[i]
+	s.a.RowAxpy(i, x, gamma)
 }
 
 // Iterations runs m iterations (synchronously for Workers <= 1, otherwise
@@ -337,11 +254,7 @@ func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (in
 // Residual returns ‖b−Ax‖₂/‖b‖₂.
 func (s *Solver) Residual(x, b []float64) float64 {
 	r := make([]float64, s.a.Rows)
-	if s.a32 != nil {
-		s.a32.MulVec(r, x)
-	} else {
-		s.a.MulVec(r, x)
-	}
+	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	nb := vec.Nrm2(b)
 	if nb == 0 {

@@ -167,31 +167,32 @@ func TestDirectSolveAgreement(t *testing.T) {
 	}
 }
 
-// TestAliasVsCDFRowMarginals checks that the O(1) alias draw and the
-// legacy binary-search CDF draw select rows with the same marginal
-// distribution over a large budget.
-func TestAliasVsCDFRowMarginals(t *testing.T) {
+// TestAliasRowMarginals checks that the O(1) alias draw selects rows
+// with the exact Strohmer–Vershynin marginals ‖A_i‖²/‖A‖_F² over a large
+// budget.
+func TestAliasRowMarginals(t *testing.T) {
 	a := workload.RandomSPD(12, 4, 1.5, 60)
-	sAlias, err := New(a, Options{Seed: 61})
+	s, err := New(a, Options{Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sCDF, err := New(a, Options{Seed: 61, WeightedCDF: true})
-	if err != nil {
-		t.Fatal(err)
+	var frob2 float64
+	for _, v := range a.Vals {
+		frob2 += v * v
 	}
 	stream := rng.NewStream(61)
 	const draws = 200_000
-	aliasCounts := make([]float64, a.Rows)
-	cdfCounts := make([]float64, a.Rows)
+	counts := make([]float64, a.Rows)
 	for j := uint64(0); j < draws; j++ {
-		aliasCounts[sAlias.pickRow(stream, j)]++
-		cdfCounts[sCDF.pickRow(stream, j)]++
+		counts[s.pickRow(stream, j)]++
 	}
 	for i := 0; i < a.Rows; i++ {
-		if math.Abs(aliasCounts[i]-cdfCounts[i])/draws > 6e-3 {
-			t.Fatalf("row %d: alias marginal %.4f vs CDF marginal %.4f",
-				i, aliasCounts[i]/draws, cdfCounts[i]/draws)
+		var norm2 float64
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			norm2 += a.Vals[k] * a.Vals[k]
+		}
+		if got, want := counts[i]/draws, norm2/frob2; math.Abs(got-want) > 6e-3 {
+			t.Fatalf("row %d: alias marginal %.4f vs exact %.4f", i, got, want)
 		}
 	}
 }

@@ -54,22 +54,14 @@ type Options struct {
 	// budget and worker count. Column selection stays a pure function of
 	// (seed, j), so the chunk size never changes the update multiset.
 	Chunk int
-	// Float32 stores both matrix views' values (and the column norms the
-	// step divides by) in float32-rounded form while accumulating in
-	// float64; the iteration then descends on the normal equations of
-	// fl32(A). Sampling stays on the float64 norms, keeping draw
-	// sequences identical across precisions.
-	Float32 bool
 }
 
 // Solver holds CSR and CSC views of A plus column norms.
 type Solver struct {
 	a        *sparse.CSR
 	csc      *sparse.CSC
-	a32      *sparse.CSR32 // non-nil under Options.Float32
-	csc32    *sparse.CSC32 // non-nil under Options.Float32
-	colNorm2 []float64     // ‖A e_j‖² (of fl32(A) under Float32) — the step divisor
-	tab      *alias.Table  // nil unless NormWeighted
+	colNorm2 []float64    // ‖A e_j‖², the step divisor
+	tab      *alias.Table // nil unless NormWeighted
 	beta     float64
 	opts     Options
 	next     uint64
@@ -98,33 +90,6 @@ type Prep struct {
 	aliasOnce sync.Once
 	tab       *alias.Table
 	aliasErr  error
-
-	f32Once    sync.Once
-	a32        *sparse.CSR32
-	csc32      *sparse.CSC32
-	colNorm232 []float64
-	f32Err     error
-}
-
-// float32View returns the float32-value views of both matrix layouts and
-// the column norms of the rounded values, building them on first use. A
-// column whose norm underflows float32 storage is rejected (it would
-// still be sampled but have no finite step).
-func (p *Prep) float32View() (*sparse.CSR32, *sparse.CSC32, []float64, error) {
-	p.f32Once.Do(func() {
-		a32 := sparse.NewCSR32(p.a)
-		csc32 := sparse.NewCSC32(p.csc)
-		norms := make([]float64, p.a.Cols)
-		for j := 0; j < p.a.Cols; j++ {
-			norms[j] = csc32.ColNorm2Sq(j)
-			if norms[j] == 0 {
-				p.f32Err = fmt.Errorf("lsq: column %d norm underflows float32", j)
-				return
-			}
-		}
-		p.a32, p.csc32, p.colNorm232 = a32, csc32, norms
-	})
-	return p.a32, p.csc32, p.colNorm232, p.f32Err
 }
 
 // colAlias returns the ‖A e_j‖²-weighted alias table, building it on
@@ -180,15 +145,6 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 		return nil, errors.New("lsq: negative claiming chunk")
 	}
 	s := &Solver{a: p.a, csc: p.csc, colNorm2: p.colNorm2, beta: beta, opts: opts}
-	valBytes := 8
-	if opts.Float32 {
-		a32, csc32, norms, err := p.float32View()
-		if err != nil {
-			return nil, err
-		}
-		s.a32, s.csc32, s.colNorm2 = a32, csc32, norms
-		valBytes = 4
-	}
 	if opts.NormWeighted {
 		tab, err := p.colAlias()
 		if err != nil {
@@ -205,7 +161,7 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if p.a.Rows > 0 {
 		meanRowNNZ = p.a.NNZ() / p.a.Rows
 	}
-	s.rowBytes = meanColNNZ*(1+meanRowNNZ)*(valBytes+8) + 24
+	s.rowBytes = meanColNNZ*(1+meanRowNNZ)*16 + 24
 	return s, nil
 }
 
@@ -251,24 +207,8 @@ func (s *Solver) pickCol(stream rng.Stream, it uint64) int {
 // incrementally, giving the cheap O(nnz(col)) step.
 func (s *Solver) runSequential(x, b []float64, stream rng.Stream, start, end uint64) {
 	r := make([]float64, s.a.Rows)
-	s.mulVec(r, x)
+	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
-	if s.csc32 != nil {
-		for it := start; it < end; it++ {
-			j := s.pickCol(stream, it)
-			rows, vals := s.csc32.Col(j)
-			var g float64
-			for k, i := range rows {
-				g += float64(vals[k]) * r[i]
-			}
-			gamma := s.beta * g / s.colNorm2[j]
-			x[j] += gamma
-			for k, i := range rows {
-				r[i] -= gamma * float64(vals[k])
-			}
-		}
-		return
-	}
 	for it := start; it < end; it++ {
 		j := s.pickCol(stream, it)
 		rows, vals := s.csc.Col(j)
@@ -308,18 +248,6 @@ func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) 
 				if top > end {
 					top = end
 				}
-				if s.csc32 != nil {
-					for it := base; it < top; it++ {
-						j := s.pickCol(stream, it)
-						rows, vals := s.csc32.Col(j)
-						var g float64
-						for k, i := range rows {
-							g += float64(vals[k]) * (b[i] - s.a32.RowDotAtomic(i, x))
-						}
-						atomicfloat.Add(&x[j], s.beta*g/s.colNorm2[j])
-					}
-					continue
-				}
 				for it := base; it < top; it++ {
 					j := s.pickCol(stream, it)
 					rows, vals := s.csc.Col(j)
@@ -340,29 +268,14 @@ func (s *Solver) chunkSize(total uint64) int {
 	return claim.SizeFor(s.opts.Chunk, total, s.opts.Workers, s.rowBytes)
 }
 
-// mulVec computes r ← A·x through the active-precision view.
-func (s *Solver) mulVec(r, x []float64) {
-	if s.a32 != nil {
-		s.a32.MulVec(r, x)
-	} else {
-		s.a.MulVec(r, x)
-	}
-}
-
 // LSQResidual returns ‖Aᵀ(b − A·x)‖₂, the least-squares optimality
-// residual: zero exactly at the minimizer x* = (AᵀA)⁻¹Aᵀb. Under Float32
-// both products go through the rounded views, so it vanishes at the
-// minimizer of the rounded system.
+// residual: zero exactly at the minimizer x* = (AᵀA)⁻¹Aᵀb.
 func (s *Solver) LSQResidual(x, b []float64) float64 {
 	r := make([]float64, s.a.Rows)
-	s.mulVec(r, x)
+	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	atr := make([]float64, s.a.Cols)
-	if s.csc32 != nil {
-		s.csc32.MulTransVec(atr, r)
-	} else {
-		s.csc.MulTransVec(atr, r)
-	}
+	s.csc.MulTransVec(atr, r)
 	return vec.Nrm2(atr)
 }
 
@@ -370,7 +283,7 @@ func (s *Solver) LSQResidual(x, b []float64) float64 {
 // systems; compare against the optimal value).
 func (s *Solver) ResidualNorm(x, b []float64) float64 {
 	r := make([]float64, s.a.Rows)
-	s.mulVec(r, x)
+	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	return vec.Nrm2(r)
 }

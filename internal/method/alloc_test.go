@@ -29,8 +29,7 @@ func TestWarmPreparedSolveZeroAllocCoreFamily(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Workers: 1 pins the sequential path: the asynchronous one
-			// spawns goroutines, which allocate by nature (their stacks),
-			// and is exercised by the hotpath benchmarks instead.
+			// spawns goroutines, which allocate by nature (their stacks).
 			opts := method.Opts{Tol: 0, MaxSweeps: 2, CheckEvery: 2, Workers: 1, Seed: 9}
 			ps, err := method.Prepare(context.Background(), m, a, opts)
 			if err != nil {

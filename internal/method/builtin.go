@@ -3,7 +3,6 @@ package method
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,50 +42,19 @@ func init() {
 	registerLSQ("lsqcd-weighted", true, true)
 }
 
-// resolvePrecision canonicalizes opts.Precision, reporting whether the
-// float32 storage view was requested.
-func resolvePrecision(opts Opts) (bool, error) {
-	p, err := CanonPrecision(opts.Precision)
-	if err != nil {
-		return false, err
-	}
-	return p == "f32", nil
-}
-
-// rejectF32 is the prepare-time guard of the methods without a float32
-// path: the Krylov recurrences and stationary baselines are not robust
-// to a perturbed operator at their registered tolerances, and the
-// sharded backend keeps one storage format across ranks.
-func rejectF32(name string, opts Opts) error {
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return err
-	}
-	if f32 {
-		return fmt.Errorf("method: %s does not support precision \"f32\"", name)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // AsyRGS / RGS family
 
 // corePrepared holds the reusable per-matrix state of the core family
-// (validated diagonal, reciprocal, alias table / sampling CDF) plus the
-// variant flags. Each Solve runs a recycled core.Solver over the shared
-// core.Prep — the pool keeps warm solves allocation-free while the
-// direction stream and delay statistics stay per-solve and preparation
-// is paid exactly once.
+// (validated diagonal, reciprocal, alias table) plus the variant flags.
+// Each Solve runs a recycled core.Solver over the shared core.Prep — the
+// pool keeps warm solves allocation-free while the direction stream and
+// delay statistics stay per-solve and preparation is paid exactly once.
 type corePrepared struct {
 	preparedBase
 	prep       *core.Prep
 	baseOpts   core.Options
 	sequential bool
-	// a32 is non-nil when the system was prepared with Precision "f32":
-	// forked solvers iterate on the float32-storage view and the batched
-	// residual pass reads the same view, so convergence is judged against
-	// the system actually being solved.
-	a32 *sparse.CSR32
 	// pool recycles solvers (with their direction and residual scratch)
 	// across solves; concurrent solves each draw their own.
 	pool sync.Pool
@@ -96,35 +64,22 @@ type corePrepared struct {
 // carries the variant flags; sequential forces one worker (the
 // synchronous Randomized Gauss–Seidel iteration).
 func corePrepare(name string, baseOpts core.Options, sequential bool) prepareFunc {
-	return func(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+	return func(a *sparse.CSR) (PreparedSystem, error) {
 		prep, err := core.PrepareMatrix(a)
 		if err != nil {
 			return nil, err
 		}
-		f32, err := resolvePrecision(opts)
-		if err != nil {
-			return nil, err
-		}
-		p := &corePrepared{
-			preparedBase: base(name, SPD, a),
-			prep:         prep, baseOpts: baseOpts, sequential: sequential,
-		}
-		if f32 {
-			// Build the rounded view eagerly so underflow surfaces at
-			// prepare time and the serving prep cache amortizes the copy.
-			if p.a32, err = prep.Float32View(); err != nil {
-				return nil, err
-			}
-			p.baseOpts.Float32 = true
-		}
 		if baseOpts.DiagonalWeighted {
 			// Surface the positive-diagonal requirement at prepare time;
-			// the CDF itself is memoized inside the Prep.
+			// the alias table itself is memoized inside the Prep.
 			if _, err := core.NewFromPrep(prep, baseOpts); err != nil {
 				return nil, err
 			}
 		}
-		return p, nil
+		return &corePrepared{
+			preparedBase: base(name, SPD, a),
+			prep:         prep, baseOpts: baseOpts, sequential: sequential,
+		}, nil
 	}
 }
 
@@ -238,11 +193,7 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 		step := min(opts.CheckEvery, opts.MaxSweeps-done)
 		s.AsyncSweepsDense(xblk, bblk, step)
 		done += step
-		if p.a32 != nil {
-			residuals = p.a32.BatchRelResiduals(bblk.Data, xblk.Data, c, opts.Workers)
-		} else {
-			residuals = p.a.BatchRelResiduals(bblk.Data, xblk.Data, c, opts.Workers)
-		}
+		residuals = p.a.BatchRelResiduals(bblk.Data, xblk.Data, c, opts.Workers)
 		all := true
 		for _, r := range residuals {
 			if !opts.converged(r) {
@@ -280,10 +231,7 @@ type cgPrepared struct {
 	preparedBase
 }
 
-func cgPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-	if err := rejectF32("cg", opts); err != nil {
-		return nil, err
-	}
+func cgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	return &cgPrepared{preparedBase: base("cg", SPD, a)}, nil
 }
 
@@ -319,10 +267,7 @@ type fcgPrepared struct {
 	prep *core.Prep
 }
 
-func fcgPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-	if err := rejectF32("fcg", opts); err != nil {
-		return nil, err
-	}
+func fcgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	prep, err := core.PrepareMatrix(a)
 	if err != nil {
 		return nil, err
@@ -390,10 +335,7 @@ type stationaryPrepared struct {
 }
 
 func stationaryPrepare(name string) prepareFunc {
-	return func(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-		if err := rejectF32(name, opts); err != nil {
-			return nil, err
-		}
+	return func(a *sparse.CSR) (PreparedSystem, error) {
 		if a.Rows != a.Cols {
 			return nil, errors.New("method: " + name + " needs a square matrix")
 		}
@@ -465,38 +407,25 @@ func chunkedStationary(ctx context.Context, name string, a *sparse.CSR, b, x []f
 // ---------------------------------------------------------------------------
 // Randomized Kaczmarz
 
-// kaczmarzPrepared holds the Kaczmarz row norms and sampling CDF; one
-// sweep is n row projections.
+// kaczmarzPrepared holds the Kaczmarz row norms and row-sampling alias
+// table; one sweep is n row projections.
 type kaczmarzPrepared struct {
 	preparedBase
 	prep *kaczmarz.Prep
-	f32  bool
 }
 
-func kaczmarzPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+func kaczmarzPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	prep, err := kaczmarz.PrepareMatrix(a)
 	if err != nil {
 		return nil, err
 	}
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return nil, err
-	}
-	if f32 {
-		// Build and validate the rounded view eagerly (norm underflow is
-		// a prepare-time error); the Prep memoizes it for every fork.
-		if _, err := kaczmarz.NewFromPrep(prep, kaczmarz.Options{Float32: true}); err != nil {
-			return nil, err
-		}
-	}
-	return &kaczmarzPrepared{preparedBase: base("kaczmarz", SPD, a), prep: prep, f32: f32}, nil
+	return &kaczmarzPrepared{preparedBase: base("kaczmarz", SPD, a), prep: prep}, nil
 }
 
 func (p *kaczmarzPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
 	opts = opts.withDefaults()
 	s, err := kaczmarz.NewFromPrep(p.prep, kaczmarz.Options{
 		Workers: opts.Workers, Seed: opts.Seed, Beta: opts.Beta, Chunk: opts.Chunk,
-		Float32: p.f32,
 	})
 	if err != nil {
 		return Result{}, err
@@ -537,30 +466,25 @@ type lsqPrepared struct {
 	prep       *lsq.Prep
 	sequential bool
 	weighted   bool
-	f32        bool
 }
 
 func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
-	return func(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+	return func(a *sparse.CSR) (PreparedSystem, error) {
 		prep, err := lsq.PrepareMatrix(a)
 		if err != nil {
 			return nil, err
 		}
-		f32, err := resolvePrecision(opts)
-		if err != nil {
-			return nil, err
-		}
-		if weighted || f32 {
-			// Surface alias-table and rounded-view validation at prepare
-			// time; both are memoized inside the Prep, so the serving prep
-			// cache amortizes their construction.
-			if _, err := lsq.NewFromPrep(prep, lsq.Options{NormWeighted: weighted, Float32: f32}); err != nil {
+		if weighted {
+			// Surface alias-table validation at prepare time; the table is
+			// memoized inside the Prep, so the serving prep cache amortizes
+			// its construction.
+			if _, err := lsq.NewFromPrep(prep, lsq.Options{NormWeighted: true}); err != nil {
 				return nil, err
 			}
 		}
 		return &lsqPrepared{
 			preparedBase: base(name, LeastSquares, a),
-			prep:         prep, sequential: sequential, weighted: weighted, f32: f32,
+			prep:         prep, sequential: sequential, weighted: weighted,
 		}, nil
 	}
 }
@@ -573,7 +497,7 @@ func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 	}
 	s, err := lsq.NewFromPrep(p.prep, lsq.Options{
 		Workers: workers, Seed: opts.Seed, Beta: opts.Beta,
-		NormWeighted: p.weighted, Chunk: opts.Chunk, Float32: p.f32,
+		NormWeighted: p.weighted, Chunk: opts.Chunk,
 	})
 	if err != nil {
 		return Result{}, err

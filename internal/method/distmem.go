@@ -65,9 +65,6 @@ func (distmemMethod) PrepKey(opts Opts) string {
 // Prepare captures the sharded per-matrix state: ownership partition,
 // validated diagonal, and one direction-stream key per rank.
 func (m distmemMethod) Prepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-	if err := rejectF32(m.Name(), opts); err != nil {
-		return nil, err
-	}
 	prep, err := distmem.Prepare(a, distmemConfig(opts))
 	if err != nil {
 		return nil, err

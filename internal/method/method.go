@@ -15,7 +15,6 @@ package method
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"time"
@@ -106,15 +105,9 @@ type Opts struct {
 	// more sweeps at the cost of coarser stopping.
 	CheckEvery int
 
-	// Precision selects the matrix value-storage precision and is consumed
-	// at Prepare time (it is part of the prepared state, so it appears in
-	// PrepKey). "" or "f64" is the native float64 path; "f32" stores the
-	// matrix values as float32 while accumulating every dot product in
-	// float64, halving value-array bandwidth at the cost of iterating on
-	// the exactly-representable rounded system fl32(A)·x = b — the
-	// achievable residual against the original A floors around √nnz·2⁻²⁴.
-	// Supported by the coordinate families (asyrgs*, rgs, kaczmarz,
-	// lsqcd*); the Krylov, stationary and distmem methods reject it.
+	// Precision is read by nothing: every method stores and iterates in
+	// float64. The field remains only so existing callers that set it
+	// keep compiling; it will be deleted.
 	Precision string
 
 	// XStar, when non-nil, is the known solution; methods then fill
@@ -189,20 +182,6 @@ func (o Opts) withDefaults() Opts {
 		o.CheckEvery = 1
 	}
 	return o
-}
-
-// CanonPrecision resolves an Opts.Precision spelling to its canonical
-// form ("f64" or "f32"), erroring on anything else. Drivers and the
-// serving layer validate through it so an unknown precision fails the
-// request up front instead of surfacing as a prepare-time error.
-func CanonPrecision(p string) (string, error) {
-	switch p {
-	case "", "f64", "float64":
-		return "f64", nil
-	case "f32", "float32":
-		return "f32", nil
-	}
-	return "", fmt.Errorf("method: unknown precision %q (want \"f64\" or \"f32\")", p)
 }
 
 // converged reports whether a residual meets the tolerance; a

@@ -1,6 +1,6 @@
 // The two-phase Prepare/Solve pipeline. Prepare captures every piece of
 // per-matrix solver state — Gram/CSC views, row and column norms,
-// diagonal extraction and scaling, sampling CDFs — once, so that the
+// diagonal extraction and scaling, sampling tables — once, so that the
 // returned PreparedSystem can run any number of solves (and batched
 // multi-RHS solves) paying only iteration cost. This is the serving shape
 // of the paper's amortization argument: setup is O(nnz) or worse, a warm
@@ -58,8 +58,9 @@ type Preparer interface {
 // canonical string of exactly those fields; caches (the asyrgsd
 // prepared-system LRU) append it to their matrix×method key so requests
 // with different preparation-relevant options never share an entry.
-// Every funcMethod built-in keys on the storage precision; the sharded
-// distmem backend additionally keys on its deployment shape.
+// Among the built-ins only the sharded distmem backend implements it,
+// keying on its deployment shape; every other built-in's prepared state
+// depends on the matrix alone.
 type PrepKeyer interface {
 	PrepKey(opts Opts) string
 }

@@ -77,8 +77,9 @@ func ByKind(k Kind) []Method {
 	return ms
 }
 
-// prepareFunc captures one method family's per-matrix setup.
-type prepareFunc func(ctx context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error)
+// prepareFunc captures one method family's per-matrix setup. No built-in
+// Prepare consumes Opts, so the hook sees only the matrix.
+type prepareFunc func(a *sparse.CSR) (PreparedSystem, error)
 
 // funcMethod adapts a prepare hook to the Method interface; every
 // built-in is one of these. Solve is the one-shot convenience path —
@@ -94,20 +95,8 @@ func (m *funcMethod) Name() string { return m.name }
 func (m *funcMethod) Kind() Kind   { return m.kind }
 
 // Prepare captures the method's per-matrix state for repeated solves.
-func (m *funcMethod) Prepare(ctx context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-	return m.prepare(ctx, a, opts)
-}
-
-// PrepKey canonicalizes the Opts fields every funcMethod's Prepare
-// consumes — today exactly the storage precision — so prepared-system
-// caches never share an entry between f64 and f32 preparations of the
-// same matrix. Unknown spellings key verbatim; Prepare rejects them.
-func (m *funcMethod) PrepKey(opts Opts) string {
-	p, err := CanonPrecision(opts.Precision)
-	if err != nil {
-		p = opts.Precision
-	}
-	return "p=" + p
+func (m *funcMethod) Prepare(_ context.Context, a *sparse.CSR, _ Opts) (PreparedSystem, error) {
+	return m.prepare(a)
 }
 
 func (m *funcMethod) Solve(ctx context.Context, a *sparse.CSR, b, x []float64, opts Opts) (Result, error) {

@@ -1,7 +1,6 @@
 package method
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -46,7 +45,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register(&funcMethod{name: "cg", kind: SPD,
-		prepare: func(ctx context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+		prepare: func(a *sparse.CSR) (PreparedSystem, error) {
 			return nil, nil
 		}})
 }

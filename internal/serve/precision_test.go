@@ -1,9 +1,7 @@
 package serve
 
-// End-to-end tests for the serving-layer precision knob: the request
-// field is canonicalized and validated up front, flows into the
-// prepared-system cache key (f32 and f64 never share an entry), and an
-// f32 solve converges at a tolerance above the float32 storage floor.
+// Tests for the serving boundary: the precision field accepts only the
+// float64 spellings, and /stats size bands route by matrix dimension.
 
 import (
 	"bytes"
@@ -14,81 +12,58 @@ import (
 	"testing"
 )
 
+// TestPrecisionKnobEndToEnd pins what the precision field still does on a
+// solve: every method stores and iterates in float64, so the float64
+// spellings converge and share one prepared system.
 func TestPrecisionKnobEndToEnd(t *testing.T) {
-	ts := newTestServer(t, Config{})
+	ts := newTestServer(t, Config{BatchWindow: -1})
 	spec := MatrixSpec{Kind: "randomspd", N: 300, NNZ: 5, Seed: 4}
-
-	// f32 solve converges at a tolerance well above √nnz·2⁻²⁴.
-	out, resp := postSolve(t, ts, SolveRequest{
-		Matrix: spec, Method: "asyrgs", Tol: 1e-4, MaxSweeps: 2000, Workers: 2,
-		Precision: "f32",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("f32 solve status %d", resp.StatusCode)
+	var st0 Stats
+	getJSON(t, ts, "/stats", &st0)
+	for i, prec := range []string{"", "f64", "", "f64"} {
+		out, resp := postSolve(t, ts, SolveRequest{
+			Matrix: spec, Method: "asyrgs", Tol: 1e-6, MaxSweeps: 2000, Workers: 2,
+			Precision: prec,
+		})
+		if resp.StatusCode != http.StatusOK || !out.Converged {
+			t.Fatalf("precision %q: status %d, %+v", prec, resp.StatusCode, out)
+		}
+		if out.PrepHit != (i > 0) {
+			t.Fatalf("request %d (precision %q): prep_hit %v", i, prec, out.PrepHit)
+		}
 	}
-	if !out.Converged || out.Residual > 1e-4 {
-		t.Fatalf("f32 solve did not converge: %+v", out)
-	}
-
-	// The same matrix at f64 must prepare separately: matrix cache hit,
-	// prep cache miss (the PrepKey differs).
-	out64, _ := postSolve(t, ts, SolveRequest{
-		Matrix: spec, Method: "asyrgs", Tol: 1e-6, MaxSweeps: 2000, Workers: 2,
-	})
-	if !out64.CacheHit {
-		t.Fatal("f64 request over the same spec must hit the matrix cache")
-	}
-	if out64.PrepHit {
-		t.Fatal("f64 request must not reuse the f32 prepared system")
-	}
-
-	// Spelling variants canonicalize to one prep entry: "float32" after
-	// "f32" is a prep hit.
-	outAlias, _ := postSolve(t, ts, SolveRequest{
-		Matrix: spec, Method: "asyrgs", Tol: 1e-4, MaxSweeps: 2000, Workers: 2,
-		Precision: "float32",
-	})
-	if !outAlias.PrepHit {
-		t.Fatal("\"float32\" must share the prepared system keyed \"f32\"")
-	}
-
-	var st Stats
-	getJSON(t, ts, "/stats", &st)
-	if st.PrepCache.Misses != 2 {
-		t.Fatalf("want exactly 2 prepared systems (f32, f64), got %d misses", st.PrepCache.Misses)
+	var st1 Stats
+	getJSON(t, ts, "/stats", &st1)
+	if st1.PrepCache.Misses != st0.PrepCache.Misses+1 {
+		t.Fatalf("\"\" and \"f64\" must share one prepared system: %d prep misses", st1.PrepCache.Misses-st0.PrepCache.Misses)
 	}
 }
 
+// TestPrecisionKnobRejections pins the request-level precision check: any
+// value other than the float64 spellings is a 400 that names f64,
+// answered before the matrix is built.
 func TestPrecisionKnobRejections(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	post := func(req SolveRequest) (int, string) {
-		body, _ := json.Marshal(req)
+	ts := newTestServer(t, Config{BatchWindow: -1})
+	spec := MatrixSpec{Kind: "randomspd", N: 300, NNZ: 5, Seed: 4}
+	var st0 Stats
+	getJSON(t, ts, "/stats", &st0)
+	for _, prec := range []string{"f32", "float32", "double"} {
+		body, _ := json.Marshal(SolveRequest{Matrix: spec, Method: "asyrgs", Precision: prec})
 		resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
-		return resp.StatusCode, buf.String()
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "f64") {
+			t.Fatalf("precision %q: status %d, body %q; want 400 naming f64", prec, resp.StatusCode, buf.String())
+		}
 	}
-
-	// Unknown spelling is rejected before any matrix work.
-	code, msg := post(SolveRequest{
-		Matrix: MatrixSpec{Kind: "randomspd", N: 32, NNZ: 4}, Method: "asyrgs",
-		Precision: "double",
-	})
-	if code != http.StatusBadRequest || !strings.Contains(msg, "precision") {
-		t.Fatalf("unknown precision: status %d, body %q", code, msg)
-	}
-
-	// A method without an f32 path fails preparation as a client error.
-	code, msg = post(SolveRequest{
-		Matrix: MatrixSpec{Kind: "randomspd", N: 32, NNZ: 4}, Method: "cg",
-		Tol: 1e-6, Precision: "f32",
-	})
-	if code != http.StatusBadRequest || !strings.Contains(msg, "f32") {
-		t.Fatalf("cg+f32: status %d, body %q", code, msg)
+	var st1 Stats
+	getJSON(t, ts, "/stats", &st1)
+	if st1.Cache.Misses != st0.Cache.Misses {
+		t.Fatalf("rejected requests built matrices: cache misses %d -> %d", st0.Cache.Misses, st1.Cache.Misses)
 	}
 }
 

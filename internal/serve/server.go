@@ -297,11 +297,9 @@ type SolveRequest struct {
 	// CAS); zero auto-sizes. The direction sequence is chunk-invariant,
 	// so this is purely a performance knob.
 	Chunk int `json:"chunk,omitempty"`
-	// Precision selects the matrix value-storage precision: "" or "f64"
-	// is native float64; "f32" stores values as float32 with float64
-	// accumulation (halved value bandwidth, residual floor ~√nnz·2⁻²⁴;
-	// coordinate methods only). Consumed at Prepare time, so it is part
-	// of the prepared-system cache key.
+	// Precision must be "", "f64" or "float64": every method stores and
+	// iterates in float64, and any other value is rejected with 400
+	// before matrix work. No solver reads it.
 	Precision string `json:"precision,omitempty"`
 	// FixedWork runs the bench-style fixed-sweep mode: the solver spends
 	// the whole MaxSweeps budget with no convergence target (tol is
@@ -316,13 +314,13 @@ type SolveRequest struct {
 }
 
 // prepKey is the matrix × method part of the prepared-system LRU key.
-// handleSolve appends the method's method.PrepKeyer.PrepKey, which names
-// the options its Prepare consumes: the storage precision for every
-// built-in, and the deployment shape (workers, queue budget, β, seed)
-// for asyrgs-distmem. Knobs that only configure the iteration stay out
-// of the key, so traffic varying only those shares one prepared entry.
-// A new prepare-time option belongs in PrepKey, not here, or it is keyed
-// twice.
+// For a method implementing method.PrepKeyer, handleSolve appends its
+// PrepKey, which names the options its Prepare consumes: among the
+// built-ins only asyrgs-distmem does, with its deployment shape (workers,
+// queue budget, β, seed). Knobs that only configure the iteration stay
+// out of the key, so traffic varying only those shares one prepared
+// entry. A new prepare-time option belongs in PrepKey, not here, or it
+// is keyed twice.
 func (r SolveRequest) prepKey(matrixKey string) string {
 	return matrixKey + "|" + r.Method
 }
@@ -332,9 +330,9 @@ func (r SolveRequest) prepKey(matrixKey string) string {
 // batched solve. The right-hand side is deliberately absent — it is the
 // per-item payload.
 func (r SolveRequest) batchKey(matrixKey string) string {
-	return fmt.Sprintf("%s|t%g|m%d|w%d|b%g|s%d|i%d|c%d|q%d|k%d|f%v|d%v|p%s",
+	return fmt.Sprintf("%s|t%g|m%d|w%d|b%g|s%d|i%d|c%d|q%d|k%d|f%v|d%v",
 		r.prepKey(matrixKey), r.Tol, r.MaxSweeps, r.Workers, r.Beta, r.Seed, r.Inner,
-		r.CheckEvery, r.QueueCap, r.Chunk, r.FixedWork, r.MeasureDelay, r.Precision)
+		r.CheckEvery, r.QueueCap, r.Chunk, r.FixedWork, r.MeasureDelay)
 }
 
 // opts maps the request knobs onto method.Opts. FixedWork zeroes the
@@ -348,7 +346,7 @@ func (r SolveRequest) opts() method.Opts {
 		Tol: tol, MaxSweeps: r.MaxSweeps, Workers: r.Workers,
 		Beta: r.Beta, Seed: r.Seed, Inner: r.Inner,
 		CheckEvery: r.CheckEvery, QueueCap: r.QueueCap, Chunk: r.Chunk,
-		MeasureDelay: r.MeasureDelay, Precision: r.Precision,
+		MeasureDelay: r.MeasureDelay,
 	}
 }
 
@@ -902,15 +900,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "b and bs are mutually exclusive")
 		return
 	}
-	// Canonicalize the precision up front: an unknown spelling is a client
-	// error, and the canonical form keeps batch and prep-cache keys from
-	// splitting on equivalent spellings ("" vs "f64").
-	prec, err := method.CanonPrecision(req.Precision)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	// Every method stores and iterates in float64; any other precision is
+	// a client error, answered before any matrix work.
+	switch req.Precision {
+	case "", "f64", "float64":
+	default:
+		s.fail(w, http.StatusBadRequest, "unsupported precision %q (only \"f64\")", req.Precision)
 		return
 	}
-	req.Precision = prec
 	m, err := method.Get(req.Method)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)

@@ -174,6 +174,28 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestHugeChunkIsClamped sends a claiming chunk far beyond the solve's
+// budget. The claim clamps it to the claimed range, so the async workers
+// size their direction buffers from the range, not from the request, and
+// the solve converges instead of panicking in a worker goroutine.
+func TestHugeChunkIsClamped(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, m := range []string{"asyrgs", "asyrgs-partitioned"} {
+		out, resp := postSolve(t, ts, SolveRequest{
+			Matrix: MatrixSpec{Kind: "randomspd", N: 200, NNZ: 5, Seed: 1},
+			Method: m, Workers: 2, Chunk: 1 << 62,
+		})
+		if resp.StatusCode != http.StatusOK || !out.Converged {
+			t.Fatalf("%s: status %d, %+v", m, resp.StatusCode, out)
+		}
+	}
+	var health map[string]string
+	getJSON(t, ts, "/healthz", &health)
+	if health["status"] != "ok" {
+		t.Fatalf("healthz after huge-chunk solves: %v", health)
+	}
+}
+
 // TestConcurrentSolves hammers the daemon with overlapping requests for a
 // small set of matrices — run under -race this exercises the admission
 // gate, the cache's shared-build path, and the stats counters.

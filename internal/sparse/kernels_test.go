@@ -2,19 +2,38 @@ package sparse
 
 // Equivalence tests for the unrolled hot-loop kernels. Unrolling keeps 4
 // (or 8 under GOAMD64=v3) independent accumulators, which reorders the
-// summation: results match the scalar reference to a relative rounding
-// bound, not bitwise. The bound used here is c·ε·Σ|v·x| with a generous
-// constant — any indexing or dispatch bug exceeds it by many orders of
-// magnitude. With SetScalarKernels(true) the dispatch must return the
-// reference result bit-exactly. The float32 kernels are pinned against
-// the float64 reference within the documented 2⁻²⁴ storage-rounding
-// model.
+// summation: results match the scalar reference loops below to a relative
+// rounding bound, not bitwise. The bound used here is c·ε·Σ|v·x| with a
+// generous constant — any indexing bug exceeds it by many orders of
+// magnitude.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Scalar reference loops: one accumulator, entries in order.
+
+func dotRef64(vals []float64, idx []int, x []float64) float64 {
+	var s float64
+	for k, v := range vals {
+		s += v * x[idx[k]]
+	}
+	return s
+}
+
+func scatterRef64(x []float64, vals []float64, idx []int, g float64) {
+	for k, v := range vals {
+		x[idx[k]] += g * v
+	}
+}
+
+func axpyRef(dst, src []float64, a float64) {
+	for i, v := range src {
+		dst[i] += a * v
+	}
+}
 
 // kernelCase builds a random gather-dot instance: n values, indices into
 // an m-vector (with repeats, like a sparse row), and the dense vector.
@@ -48,68 +67,21 @@ func dotBound(n int, scale float64) float64 {
 }
 
 func TestDotKernelsMatchScalarReference(t *testing.T) {
-	defer SetScalarKernels(false)
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257} {
 		vals, idx, x := kernelCase(r, n, 4*n+8)
 		want := dotRef64(vals, idx, x)
 		scale := absDot(vals, idx, x)
-
-		SetScalarKernels(false)
 		if got := dot64(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("n=%d: dot64=%g ref=%g gap=%g", n, got, want, got-want)
 		}
 		if got := dot64Atomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("n=%d: dot64Atomic=%g ref=%g", n, got, want)
 		}
-		// The scalar toggle must reproduce the reference bit-exactly —
-		// that is what makes it a valid ablation baseline.
-		SetScalarKernels(true)
-		if got := dot64(vals, idx, x); got != want {
-			t.Fatalf("n=%d: scalar-dispatch dot64 %g != ref %g", n, got, want)
-		}
-		if got := dot64Atomic(vals, idx, x); got != dotRef64Atomic(vals, idx, x) {
-			t.Fatalf("n=%d: scalar-dispatch dot64Atomic mismatch", n)
-		}
 	}
-}
-
-func TestFloat32DotWithinStorageRoundingModel(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 4, 9, 64, 257} {
-		vals, idx, x := kernelCase(r, n, 4*n+8)
-		vals32 := make([]float32, n)
-		for k, v := range vals {
-			vals32[k] = float32(v)
-		}
-		want := dotRef64(vals, idx, x)
-		scale := absDot(vals, idx, x)
-		// Each value is perturbed by ≤ 2⁻²⁴ relative; the dot moves by at
-		// most Σ|v·x|·2⁻²⁴ plus accumulation noise.
-		bound := scale*3*0x1p-24 + dotBound(n, scale)
-		for _, scalar := range []bool{false, true} {
-			SetScalarKernels(scalar)
-			if got := dot32(vals32, idx, x); math.Abs(got-want) > bound {
-				t.Fatalf("n=%d scalar=%v: dot32=%g ref64=%g gap=%g > %g", n, scalar, got, want, got-want, bound)
-			}
-			if got := dot32Atomic(vals32, idx, x); math.Abs(got-want) > bound {
-				t.Fatalf("n=%d scalar=%v: dot32Atomic gap too large", n, scalar)
-			}
-		}
-		SetScalarKernels(false)
-		// f64 accumulation over exactly-representable f32 values: the
-		// unrolled and scalar f32 kernels see identical summands, so they
-		// agree to the reorder bound among themselves.
-		a, b := dot32(vals32, idx, x), dotRef32(vals32, idx, x)
-		if math.Abs(a-b) > dotBound(n, scale) {
-			t.Fatalf("n=%d: dot32 %g vs its own ref %g", n, a, b)
-		}
-	}
-	SetScalarKernels(false)
 }
 
 func TestScatterKernelsMatchScalarReference(t *testing.T) {
-	defer SetScalarKernels(false)
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 17, 64, 129} {
 		vals := make([]float64, n)
@@ -128,7 +100,6 @@ func TestScatterKernelsMatchScalarReference(t *testing.T) {
 			want[i], got[i] = v, v
 		}
 		scatterRef64(want, vals, idx, g)
-		SetScalarKernels(false)
 		scatter64(got, vals, idx, g)
 		for i := range want {
 			// Identical per-slot arithmetic, just issued out of order —
@@ -137,28 +108,10 @@ func TestScatterKernelsMatchScalarReference(t *testing.T) {
 				t.Fatalf("n=%d: scatter64 slot %d %g != %g", n, i, got[i], want[i])
 			}
 		}
-		// float32 scatter: same update order per slot, f32-rounded values.
-		vals32 := make([]float32, n)
-		for k, v := range vals {
-			vals32[k] = float32(v)
-		}
-		got32 := make([]float64, len(want))
-		ref32 := make([]float64, len(want))
-		copy(got32, want)
-		copy(ref32, want)
-		scatter32(got32, vals32, idx, g)
-		SetScalarKernels(true)
-		scatter32(ref32, vals32, idx, g)
-		for i := range got32 {
-			if got32[i] != ref32[i] {
-				t.Fatalf("n=%d: scatter32 slot %d mismatch", n, i)
-			}
-		}
 	}
 }
 
 func TestAxpyMatchesReference(t *testing.T) {
-	defer SetScalarKernels(false)
 	r := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 3, 4, 7, 8, 51, 128} {
 		src := make([]float64, n)
@@ -171,7 +124,6 @@ func TestAxpyMatchesReference(t *testing.T) {
 		}
 		a := r.NormFloat64()
 		axpyRef(want, src, a)
-		SetScalarKernels(false)
 		Axpy(got, src, a)
 		for i := range want {
 			if got[i] != want[i] { // per-slot arithmetic is identical
@@ -195,39 +147,7 @@ func TestAxpyMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCSR32SharesStructure pins the f32 view contract: index arrays are
-// aliased (no copy), values are the rounded originals.
-func TestCSR32SharesStructure(t *testing.T) {
-	a := randomCSR(40, 40, 0.15, 77)
-	a32 := NewCSR32(a)
-	if &a32.RowPtr[0] != &a.RowPtr[0] || &a32.ColIdx[0] != &a.ColIdx[0] {
-		t.Fatal("CSR32 must alias the parent's index arrays")
-	}
-	for k, v := range a.Vals {
-		if a32.Vals[k] != float32(v) {
-			t.Fatalf("value %d: %g not rounded to %g", k, a32.Vals[k], float32(v))
-		}
-	}
-	if got, want := a32.ValueBytes(), 4*a.NNZ(); got != want {
-		t.Fatalf("ValueBytes=%d want %d", got, want)
-	}
-	// RowDot through the view matches the f64 row dot within the storage
-	// rounding model.
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		want := a.RowDot(i, x)
-		scale := absDot(a.Vals[lo:hi], a.ColIdx[lo:hi], x)
-		if got := a32.RowDot(i, x); math.Abs(got-want) > scale*3*0x1p-24+1e-12 {
-			t.Fatalf("row %d: f32 dot %g vs f64 %g", i, got, want)
-		}
-	}
-}
-
-// FuzzDotKernels cross-checks the unrolled, atomic and f32 dot kernels
+// FuzzDotKernels cross-checks the unrolled and atomic dot kernels
 // against the scalar reference on fuzz-generated rows.
 func FuzzDotKernels(f *testing.F) {
 	f.Add(uint64(1), 8)
@@ -247,14 +167,6 @@ func FuzzDotKernels(f *testing.F) {
 		}
 		if got := dot64Atomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("dot64Atomic diverged: %g vs %g (n=%d)", got, want, n)
-		}
-		vals32 := make([]float32, n)
-		for k, v := range vals {
-			vals32[k] = float32(v)
-		}
-		bound := scale*3*0x1p-24 + dotBound(n, scale)
-		if got := dot32(vals32, idx, x); math.Abs(got-want) > bound {
-			t.Fatalf("dot32 outside storage-rounding model: %g vs %g (n=%d)", got, want, n)
 		}
 	})
 }
@@ -291,24 +203,16 @@ func FuzzScatterKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkRowDot measures the gather-dot kernel across the dispatch
-// grid: scalar baseline, unrolled, and the f32-storage variant. It
-// gates nothing; asybench -exp hotpath times the same kernels inside
-// full sweeps.
+// BenchmarkRowDot measures the gather-dot kernel against the scalar
+// reference loop, plain and with atomic loads. It gates nothing.
 func BenchmarkRowDot(b *testing.B) {
 	const n, m = 64, 1 << 16
 	r := rand.New(rand.NewSource(5))
 	vals, idx, x := kernelCase(r, n, m)
-	vals32 := make([]float32, n)
-	for k, v := range vals {
-		vals32[k] = float32(v)
-	}
 	var sink float64
 	b.Run("scalar", func(b *testing.B) {
-		SetScalarKernels(true)
-		defer SetScalarKernels(false)
 		for i := 0; i < b.N; i++ {
-			sink += dot64(vals, idx, x)
+			sink += dotRef64(vals, idx, x)
 		}
 	})
 	b.Run("unrolled", func(b *testing.B) {
@@ -319,11 +223,6 @@ func BenchmarkRowDot(b *testing.B) {
 	b.Run("unrolled-atomic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink += dot64Atomic(vals, idx, x)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += dot32(vals32, idx, x)
 		}
 	})
 	if sink == math.Inf(1) {
@@ -340,10 +239,8 @@ func BenchmarkAxpy(b *testing.B) {
 		src[i] = float64(i)
 	}
 	b.Run("scalar", func(b *testing.B) {
-		SetScalarKernels(true)
-		defer SetScalarKernels(false)
 		for i := 0; i < b.N; i++ {
-			Axpy(dst, src, 1e-9)
+			axpyRef(dst, src, 1e-9)
 		}
 	})
 	b.Run("unrolled", func(b *testing.B) {

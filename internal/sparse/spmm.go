@@ -12,10 +12,33 @@ import (
 // residual evaluation over many right-hand sides O(nnz + n·c) instead of
 // O(c·nnz) row-pointer traffic.
 
-// runRowLoop fans rowLoop(start, stride, limit) over workers under the
-// given partition; shared by the f64 and f32 dense kernels. workers <= 1
-// (or a small row count) runs serially.
-func runRowLoop(rows, workers int, part Partition, rowLoop func(start, stride, limit int)) {
+// MulDensePar computes Y ← A·X for row-major dense blocks (Y is Rows×c,
+// X is Cols×c) with the given number of workers and row partitioning
+// strategy. It is MulVecPar generalized to c right-hand sides: each
+// sparse entry update streams a contiguous c-vector of X and Y.
+// workers <= 1 (or a small row count) runs serially.
+func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int, part Partition) {
+	if c < 0 || len(xdata) != m.Cols*c || len(ydata) != m.Rows*c {
+		panic("sparse: MulDensePar shape mismatch")
+	}
+	if c == 0 {
+		return
+	}
+	// rowLoop is the one kernel body, shared by every partition: rows
+	// start, start+stride, … below limit.
+	rowLoop := func(start, stride, limit int) {
+		for i := start; i < limit; i += stride {
+			yrow := ydata[i*c : (i+1)*c]
+			for j := range yrow {
+				yrow[j] = 0
+			}
+			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+				xrow := xdata[m.ColIdx[k]*c : (m.ColIdx[k]+1)*c]
+				Axpy(yrow, xrow, m.Vals[k])
+			}
+		}
+	}
+	rows := m.Rows
 	if workers <= 1 || rows < 128 {
 		rowLoop(0, 1, rows)
 		return
@@ -50,41 +73,21 @@ func runRowLoop(rows, workers int, part Partition, rowLoop func(start, stride, l
 	wg.Wait()
 }
 
-// MulDensePar computes Y ← A·X for row-major dense blocks (Y is Rows×c,
-// X is Cols×c) with the given number of workers and row partitioning
-// strategy. It is MulVecPar generalized to c right-hand sides: each
-// sparse entry update streams a contiguous c-vector of X and Y.
-// workers <= 1 runs serially.
-func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int, part Partition) {
-	if c < 0 || len(xdata) != m.Cols*c || len(ydata) != m.Rows*c {
-		panic("sparse: MulDensePar shape mismatch")
+// BatchRelResiduals returns the per-column relative residuals
+// ‖b_j − A·x_j‖₂/‖b_j‖₂ (absolute when ‖b_j‖₂ = 0) for the row-major
+// blocks B (Rows×c) and X (Cols×c), evaluating all columns with a single
+// SpMM pass over the matrix. It is the convergence check of the batched
+// Solve path: one call per CheckEvery sweeps covers every right-hand side
+// in the batch.
+func (m *CSR) BatchRelResiduals(bdata, xdata []float64, c, workers int) []float64 {
+	if c < 0 || len(bdata) != m.Rows*c || len(xdata) != m.Cols*c {
+		panic("sparse: BatchRelResiduals shape mismatch")
 	}
-	if c == 0 {
-		return
-	}
-	// rowLoop is the one kernel body, shared by every partition: rows
-	// start, start+stride, … below limit.
-	rowLoop := func(start, stride, limit int) {
-		for i := start; i < limit; i += stride {
-			yrow := ydata[i*c : (i+1)*c]
-			for j := range yrow {
-				yrow[j] = 0
-			}
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				xrow := xdata[m.ColIdx[k]*c : (m.ColIdx[k]+1)*c]
-				Axpy(yrow, xrow, m.Vals[k])
-			}
-		}
-	}
-	runRowLoop(m.Rows, workers, part, rowLoop)
-}
-
-// batchRelFromAx folds B and the precomputed A·X block into per-column
-// relative residuals; shared by the f64 and f32 batch paths.
-func batchRelFromAx(bdata, ax []float64, rows, c int) []float64 {
+	ax := make([]float64, m.Rows*c)
+	m.MulDensePar(ax, xdata, c, workers, PartitionContiguous)
 	num := make([]float64, c)
 	den := make([]float64, c)
-	for i := 0; i < rows; i++ {
+	for i := 0; i < m.Rows; i++ {
 		brow := bdata[i*c : (i+1)*c]
 		axrow := ax[i*c : (i+1)*c]
 		for j, bv := range brow {
@@ -102,19 +105,4 @@ func batchRelFromAx(bdata, ax []float64, rows, c int) []float64 {
 		}
 	}
 	return out
-}
-
-// BatchRelResiduals returns the per-column relative residuals
-// ‖b_j − A·x_j‖₂/‖b_j‖₂ (absolute when ‖b_j‖₂ = 0) for the row-major
-// blocks B (Rows×c) and X (Cols×c), evaluating all columns with a single
-// SpMM pass over the matrix. It is the convergence check of the batched
-// Solve path: one call per CheckEvery sweeps covers every right-hand side
-// in the batch.
-func (m *CSR) BatchRelResiduals(bdata, xdata []float64, c, workers int) []float64 {
-	if c < 0 || len(bdata) != m.Rows*c || len(xdata) != m.Cols*c {
-		panic("sparse: BatchRelResiduals shape mismatch")
-	}
-	ax := make([]float64, m.Rows*c)
-	m.MulDensePar(ax, xdata, c, workers, PartitionContiguous)
-	return batchRelFromAx(bdata, ax, m.Rows, c)
 }
