@@ -3,14 +3,14 @@
 // pipeline. It accepts MatrixMarket-or-generator-spec solve requests,
 // keeps LRUs of built matrices and of prepared solver systems (keyed by
 // matrix×method×prep-opts) so warm requests pay only iteration cost,
-// coalesces concurrent same-system requests into one batched multi-RHS
-// solve, and bounds concurrency with a worker-pool admission gate.
+// and bounds concurrency with a worker-pool admission gate. Every request
+// runs its own solve; an explicit "bs" batch runs as one multi-RHS solve.
 //
 // Usage:
 //
 //	asyrgsd [-addr :8080] [-max-concurrent P] [-cache 16] [-prep-cache 64]
-//	        [-batch-window 2ms] [-batch-target 0] [-queue-timeout 5s]
-//	        [-solve-timeout 60s] [-max-dim 1048576] [-drain-timeout 10s]
+//	        [-queue-timeout 5s] [-solve-timeout 60s] [-max-dim 1048576]
+//	        [-drain-timeout 10s]
 //
 // Endpoints: POST /solve, GET /methods, GET /healthz, GET /stats (JSON
 // counters plus per-endpoint/per-method latency summaries), GET /metrics
@@ -60,13 +60,11 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		maxConc      = flag.Int("max-concurrent", 0, "max in-flight solve batches (0 = GOMAXPROCS)")
+		maxConc      = flag.Int("max-concurrent", 0, "max in-flight solves (0 = GOMAXPROCS)")
 		cacheSize    = flag.Int("cache", 16, "built-matrix LRU capacity")
 		prepCache    = flag.Int("prep-cache", 0, "prepared-system LRU capacity (0 = 4x -cache)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "max coalescing wait for concurrent same-system requests; the adaptive deadline shortens it (negative disables)")
-		batchTarget  = flag.Int("batch-target", 0, "flush a coalesced batch at this width (0 = adapt to observed widths)")
 		queueTimeout = flag.Duration("queue-timeout", 5*time.Second, "max wait for an admission slot")
-		solveTimeout = flag.Duration("solve-timeout", 60*time.Second, "per-batch solve budget")
+		solveTimeout = flag.Duration("solve-timeout", 60*time.Second, "per-solve budget")
 		maxDim       = flag.Int("max-dim", 1<<20, "largest accepted matrix dimension")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight solves on shutdown")
 	)
@@ -76,8 +74,6 @@ func main() {
 		MaxConcurrent: *maxConc,
 		CacheSize:     *cacheSize,
 		PrepCacheSize: *prepCache,
-		BatchWindow:   *batchWindow,
-		BatchTarget:   *batchTarget,
 		QueueTimeout:  *queueTimeout,
 		SolveTimeout:  *solveTimeout,
 		MaxDim:        *maxDim,

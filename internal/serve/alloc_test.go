@@ -66,7 +66,7 @@ func solveBody(t testing.TB, n int) []byte {
 // warm request at dimension n.
 func measureWarm(t *testing.T, n, runs int) (allocs, bytesPer float64) {
 	t.Helper()
-	srv := New(Config{BatchWindow: -1}) // no coalescing window on this path
+	srv := New(Config{})
 	h := srv.Handler()
 	body := solveBody(t, n)
 	warmRequest(t, h, body) // populate matrix + prep caches, warm the pools
@@ -95,10 +95,10 @@ func TestWarmRequestGarbageIndependentOfDimension(t *testing.T) {
 		allocsSmall, bytesSmall, allocsBig, bytesBig)
 
 	// Fixed per-request overhead (decode, encode, handler bookkeeping):
-	// ~47 allocations today, after the pooled deadline context shed the
-	// per-batch context.WithTimeout machinery. The budget leaves ~30%
-	// headroom without letting even a few stray per-request allocations
-	// regress silently.
+	// ~43 allocations today, with the pooled deadline context in place of
+	// a per-solve context.WithTimeout. The budget leaves headroom without
+	// letting more than a few stray per-request allocations regress
+	// silently.
 	if allocsBig > 62 {
 		t.Fatalf("warm request made %.1f allocations, want the pooled fixed overhead (≤ 62)", allocsBig)
 	}
@@ -119,7 +119,7 @@ func TestPooledItemsAreReused(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool deliberately drops items under -race")
 	}
-	srv := New(Config{BatchWindow: -1})
+	srv := New(Config{})
 	it := srv.getItem()
 	it.xBuf = sized(it.xBuf, 128)
 	buf := &it.xBuf[0]
@@ -128,15 +128,6 @@ func TestPooledItemsAreReused(t *testing.T) {
 	if len(it2.xBuf) == 0 || &it2.xBuf[0] != buf {
 		t.Fatal("recycled item did not retain its iterate buffer")
 	}
-	// A stale completion token must not leak into the next batch.
-	it2.done <- struct{}{}
-	srv.putItem(it2)
-	it3 := srv.getItem()
-	select {
-	case <-it3.done:
-		t.Fatal("recycled item carried a stale completion token")
-	default:
-	}
 }
 
 // TestChunkKnobReachesSolver checks the serve-level plumbing of the
@@ -144,7 +135,7 @@ func TestPooledItemsAreReused(t *testing.T) {
 // request still runs the exact budget (the direction sequence is
 // chunk-invariant, so only accounting can tell the difference).
 func TestChunkKnobReachesSolver(t *testing.T) {
-	srv := New(Config{BatchWindow: -1})
+	srv := New(Config{})
 	for _, chunk := range []int{0, 1, 64} {
 		body, _ := json.Marshal(SolveRequest{
 			Matrix:    MatrixSpec{Kind: "randomspd", N: 96, NNZ: 4, Seed: 5},

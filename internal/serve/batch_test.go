@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
@@ -120,79 +117,71 @@ func TestPrepCacheReuse(t *testing.T) {
 	}
 }
 
-// TestCoalescedBatchedServing: concurrent requests for one prepared
-// system and identical solver knobs coalesce into fewer batched solves
-// behind the admission gate. Run under -race this also exercises the
-// batcher's synchronization.
-func TestCoalescedBatchedServing(t *testing.T) {
-	ts := newTestServer(t, Config{MaxConcurrent: 2, BatchWindow: 150 * time.Millisecond})
-	const clients = 8
-	var wg sync.WaitGroup
-	sizes := make([]int, clients)
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, _ := json.Marshal(SolveRequest{
-				Matrix: MatrixSpec{Kind: "randomspd", N: 150, NNZ: 5, Seed: 1},
-				Method: "asyrgs", Tol: 1e-6, MaxSweeps: 2000, Workers: 2,
-				RHSSeed: uint64(i),
-			})
-			resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("client %d: status %d", i, resp.StatusCode)
-				return
-			}
-			var out SolveResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				errs <- err
-				return
-			}
-			if !out.Converged {
-				errs <- fmt.Errorf("client %d did not converge: %+v", i, out)
-				return
-			}
-			sizes[i] = out.BatchSize
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	var stats Stats
-	getJSON(t, ts, "/stats", &stats)
-	if stats.Solved != clients {
-		t.Fatalf("solved %d, want %d", stats.Solved, clients)
-	}
-	if stats.Batches >= clients {
-		t.Fatalf("no coalescing happened: %d batches for %d requests (batch sizes %v)",
-			stats.Batches, clients, sizes)
-	}
-	if stats.Requests != clients || stats.InFlight != 0 {
-		t.Fatalf("requests %d, in_flight %d; want %d and 0", stats.Requests, stats.InFlight, clients)
-	}
-	// Every request reports the size of the batch that served it, and
-	// the server counts exactly the requests that report a shared one.
-	coalesced := 0
-	for _, s := range sizes {
-		if s > 1 {
-			coalesced++
+// TestConcurrentRequestsSolvedIndependently: concurrent requests for one
+// system with identical solver knobs each run their own solve behind the
+// admission gate. Every response reports batch size 1 and the residual,
+// sweeps and iterations of the same request served alone, bit for bit,
+// and /stats counts one batch per request with nothing coalesced. Run
+// under -race this also exercises the gate and the item pool.
+func TestConcurrentRequestsSolvedIndependently(t *testing.T) {
+	const clients = 6
+	request := func(i int) SolveRequest {
+		return SolveRequest{
+			Matrix: MatrixSpec{Kind: "randomspd", N: 150, NNZ: 5, Seed: 1},
+			Method: "asyrgs", Tol: 1e-6, MaxSweeps: 2000, Workers: 1, Seed: 3,
+			RHSSeed: uint64(i + 1),
 		}
 	}
-	if coalesced == 0 {
-		t.Fatalf("no request reports a shared batch: %v", sizes)
+	// One worker makes each solve a pure function of its request, so a
+	// lone run on a fresh server is the reference.
+	alone := newTestServer(t, Config{})
+	want := make([]SolveResponse, clients)
+	for i := range want {
+		out, resp := postSolve(t, alone, request(i))
+		if resp.StatusCode != http.StatusOK || !out.Converged {
+			t.Fatalf("request %d alone: status %d, %+v", i, resp.StatusCode, out)
+		}
+		want[i] = out
 	}
-	if stats.CoalescedRequests != uint64(coalesced) {
-		t.Fatalf("coalesced_requests %d, but %d responses report a shared batch (sizes %v)",
-			stats.CoalescedRequests, coalesced, sizes)
+
+	ts := newTestServer(t, Config{MaxConcurrent: 2})
+	got := make([]SolveResponse, clients)
+	codes := make([]int, clients)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-release
+			out, resp := postSolveErr(ts, request(i))
+			if resp != nil {
+				got[i], codes[i] = out, resp.StatusCode
+			}
+		}(i)
+	}
+	close(release)
+	wg.Wait()
+
+	for i, g := range got {
+		w := want[i]
+		if codes[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, codes[i])
+		}
+		if g.BatchSize != 1 {
+			t.Fatalf("request %d: batch_size %d, want 1", i, g.BatchSize)
+		}
+		if math.Float64bits(g.Residual) != math.Float64bits(w.Residual) || g.Sweeps != w.Sweeps || g.Iterations != w.Iterations {
+			t.Fatalf("request %d: residual %v, %d sweeps, %d iterations; alone %v, %d, %d",
+				i, g.Residual, g.Sweeps, g.Iterations, w.Residual, w.Sweeps, w.Iterations)
+		}
+	}
+	var st Stats
+	getJSON(t, ts, "/stats", &st)
+	if st.Requests != clients || st.Solved != clients || st.Batches != clients {
+		t.Fatalf("requests %d, solved %d, batches %d; want %d each", st.Requests, st.Solved, st.Batches, clients)
+	}
+	if st.CoalescedRequests != 0 || st.InFlight != 0 {
+		t.Fatalf("coalesced_requests %d, in_flight %d; want 0 and 0", st.CoalescedRequests, st.InFlight)
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // deadlineCtx is a poolable replacement for context.WithTimeout on the
-// batch solve path. The standard constructor allocates a timer, a cancel
-// closure and the context value itself on every batch — per-request
-// garbage on the warmest path in the daemon — where all the batch
+// solve path. The standard constructor allocates a timer, a cancel
+// closure and the context value itself on every solve — per-request
+// garbage on the warmest path in the daemon — where all the solve
 // context actually has to do is make Err() report DeadlineExceeded once
 // the solve budget elapses.
 //
@@ -20,7 +20,7 @@ import (
 //     and the krylov wrappers all do), so the budget is enforced exactly
 //     where it was before.
 //   - Done() passes through to the parent: the channel fires on client
-//     disconnect but not on deadline expiry. No consumer of the batch
+//     disconnect but not on deadline expiry. No consumer of the solve
 //     context selects on Done() — the solve path is poll-based — so
 //     nothing observes the difference; a future Done-based waiter would
 //     still unblock on client disconnect and at solve completion.
@@ -28,7 +28,7 @@ import (
 //     solve budget, so cooperative callers see the true bound.
 //
 // A deadlineCtx is embedded in the pooled solveItem and reinitialized
-// per batch; it needs no cancel/stop because nothing runs until expiry.
+// per solve; it needs no cancel/stop because nothing runs until expiry.
 type deadlineCtx struct {
 	parent   context.Context
 	deadline time.Time

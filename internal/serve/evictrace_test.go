@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
@@ -16,14 +15,14 @@ import (
 
 // TestPrepCacheEvictionRace: with a prepared-system LRU of capacity 1,
 // concurrent solves on two matrices force evictions to race in-flight
-// coalesced batches. The once-latch contract must hold regardless: no
+// builds and solves. The once-latch contract must hold regardless: no
 // panic, every request answered, and exactly one preparation per
 // prep-cache miss (an evicted entry's in-flight build completes and is
 // used by its waiters; it is never re-run, and a fresh miss builds a
-// fresh entry). Run under -race this is the eviction/coalescing
-// synchronization regression test.
+// fresh entry). Run under -race this is the eviction synchronization
+// regression test.
 func TestPrepCacheEvictionRace(t *testing.T) {
-	srv := New(Config{CacheSize: 4, PrepCacheSize: 1, MaxConcurrent: 2, BatchWindow: 5 * time.Millisecond})
+	srv := New(Config{CacheSize: 4, PrepCacheSize: 1, MaxConcurrent: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

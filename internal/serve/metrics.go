@@ -87,8 +87,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("asyrgsd_errors_total", "Requests failed with a client or solve error.", st.Errors)
 	counter("asyrgsd_rejected_total", "Requests shed at the admission gate.", st.Rejected)
 	counter("asyrgsd_panics_total", "Worker panics contained by the serving layer.", st.Panics)
-	counter("asyrgsd_batches_total", "Solve batches executed behind the admission gate.", st.Batches)
-	counter("asyrgsd_coalesced_requests_total", "Solve items run in multi-item batches: coalesced requests and explicit bs columns.", st.CoalescedRequests)
+	counter("asyrgsd_batches_total", "Solves run behind the admission gate, one per admitted request.", st.Batches)
+	counter("asyrgsd_coalesced_requests_total", "Right-hand sides of explicit bs requests with more than one column.", st.CoalescedRequests)
 
 	fmt.Fprintf(&b, "# HELP asyrgsd_in_flight Solve items currently executing.\n# TYPE asyrgsd_in_flight gauge\nasyrgsd_in_flight %d\n", st.InFlight)
 	fmt.Fprintf(&b, "# HELP asyrgsd_uptime_seconds Daemon uptime.\n# TYPE asyrgsd_uptime_seconds gauge\nasyrgsd_uptime_seconds %g\n", st.UptimeSec)

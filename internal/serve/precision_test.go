@@ -16,7 +16,7 @@ import (
 // solve: every method stores and iterates in float64, so the float64
 // spellings converge and share one prepared system.
 func TestPrecisionKnobEndToEnd(t *testing.T) {
-	ts := newTestServer(t, Config{BatchWindow: -1})
+	ts := newTestServer(t, Config{})
 	spec := MatrixSpec{Kind: "randomspd", N: 300, NNZ: 5, Seed: 4}
 	var st0 Stats
 	getJSON(t, ts, "/stats", &st0)
@@ -43,7 +43,7 @@ func TestPrecisionKnobEndToEnd(t *testing.T) {
 // value other than the float64 spellings is a 400 that names f64,
 // answered before the matrix is built.
 func TestPrecisionKnobRejections(t *testing.T) {
-	ts := newTestServer(t, Config{BatchWindow: -1})
+	ts := newTestServer(t, Config{})
 	spec := MatrixSpec{Kind: "randomspd", N: 300, NNZ: 5, Seed: 4}
 	var st0 Stats
 	getJSON(t, ts, "/stats", &st0)
@@ -83,7 +83,7 @@ func TestSizeBandRouting(t *testing.T) {
 		t.Fatalf("bandFor(100001) = %q", got)
 	}
 
-	srv := New(Config{BatchWindow: -1})
+	srv := New(Config{})
 	h := srv.Handler()
 	solveN := func(n, times int) {
 		body, _ := json.Marshal(SolveRequest{

@@ -5,9 +5,9 @@
 // built matrices keyed by matrix hash, one of prepared solver systems
 // keyed by matrix×method×prep-opts, so a warm request pays only
 // iteration cost (no parsing, no Gram/row-norm/diagonal setup). A
-// worker-pool admission gate bounds concurrency, and concurrent requests
-// for the same prepared system are coalesced into one batched multi-RHS
-// solve behind the gate.
+// worker-pool admission gate bounds concurrency. Each request runs its
+// own solve behind the gate, so its answer depends only on the request;
+// an explicit "bs" batch runs as one multi-RHS solve.
 //
 // Endpoints:
 //
@@ -45,8 +45,8 @@ import (
 
 // Config sizes the daemon. The zero value is usable.
 type Config struct {
-	// MaxConcurrent bounds in-flight solve batches (the admission gate);
-	// zero means GOMAXPROCS.
+	// MaxConcurrent bounds in-flight solves (the admission gate); zero
+	// means GOMAXPROCS.
 	MaxConcurrent int
 	// QueueTimeout is how long a request may wait for an admission slot
 	// before being rejected with 503; zero means 5s.
@@ -56,20 +56,7 @@ type Config struct {
 	// PrepCacheSize is the prepared-system LRU capacity; zero means
 	// 4×CacheSize (several methods per cached matrix).
 	PrepCacheSize int
-	// BatchWindow caps how long the first request for a prepared system
-	// waits for concurrent same-key requests to coalesce into one batched
-	// multi-RHS solve. The actual wait adapts: it shrinks toward the
-	// observed same-key arrival rate and ends early when the batch
-	// reaches its width target, so an idle server runs immediately and a
-	// saturated one stops paying the full window per batch. Zero means
-	// 2ms; negative disables coalescing.
-	BatchWindow time.Duration
-	// BatchTarget pins the coalescer's flush width: a pending batch
-	// flushes as soon as it holds this many right-hand sides. Zero
-	// adapts the target from observed batch widths (clamped to
-	// [2, 4×MaxConcurrent]).
-	BatchTarget int
-	// SolveTimeout caps one solve batch's wall time; zero means 60s.
+	// SolveTimeout caps one solve's wall time; zero means 60s.
 	SolveTimeout time.Duration
 	// MaxDim rejects generator specs larger than this dimension; zero
 	// means 1 << 20.
@@ -91,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PrepCacheSize <= 0 {
 		c.PrepCacheSize = 4 * c.CacheSize
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.SolveTimeout <= 0 {
 		c.SolveTimeout = 60 * time.Second
@@ -325,16 +309,6 @@ func (r SolveRequest) prepKey(matrixKey string) string {
 	return matrixKey + "|" + r.Method
 }
 
-// batchKey keys request coalescing: only requests that would run the
-// identical solve (same prepared system, same solver knobs) may share a
-// batched solve. The right-hand side is deliberately absent — it is the
-// per-item payload.
-func (r SolveRequest) batchKey(matrixKey string) string {
-	return fmt.Sprintf("%s|t%g|m%d|w%d|b%g|s%d|i%d|c%d|q%d|k%d|f%v|d%v",
-		r.prepKey(matrixKey), r.Tol, r.MaxSweeps, r.Workers, r.Beta, r.Seed, r.Inner,
-		r.CheckEvery, r.QueueCap, r.Chunk, r.FixedWork, r.MeasureDelay)
-}
-
 // opts maps the request knobs onto method.Opts. FixedWork zeroes the
 // tolerance, which is the registry's fixed-sweep convention.
 func (r SolveRequest) opts() method.Opts {
@@ -372,9 +346,8 @@ type SolveResponse struct {
 	// Unquantized, unlike the /stats stage histograms, which bucket by
 	// powers of two.
 	PrepMS float64 `json:"prep_ms"`
-	// BatchSize is the number of right-hand sides solved together in the
-	// batch this request was part of (explicit bs entries, or coalesced
-	// concurrent requests; 1 when the solve ran alone).
+	// BatchSize is the number of right-hand sides this request solved:
+	// the length of its explicit bs, or 1.
 	BatchSize   int     `json:"batch_size,omitempty"`
 	Rows        int     `json:"rows"`
 	Cols        int     `json:"cols"`
@@ -410,10 +383,10 @@ type Stats struct {
 	// LRU (a PrepCache hit skips Gram/row-norm/diagonal preparation).
 	Cache     CacheStats `json:"cache"`
 	PrepCache CacheStats `json:"prep_cache"`
-	// Batches counts solve batches executed behind the admission gate;
-	// CoalescedRequests counts the items of every batch with more than
-	// one: each coalesced request, and each column of an explicit bs
-	// request (one 3-column request adds 3).
+	// Batches counts solves run behind the admission gate, one per
+	// admitted request. CoalescedRequests counts the columns of explicit
+	// bs requests with more than one (one 3-column request adds 3); a
+	// single right-hand side adds none.
 	Batches           uint64            `json:"batches"`
 	CoalescedRequests uint64            `json:"coalesced_requests"`
 	PerMethod         map[string]uint64 `json:"per_method"`
@@ -449,6 +422,13 @@ type CacheStats struct {
 	Size       int    `json:"size"`
 	Capacity   int    `json:"capacity"`
 }
+
+// maxWorkers caps a request's workers at 4× the largest thread count in
+// the paper's experiments. An asynchronous solve starts one goroutine per
+// worker for every check_every chunk and polls its deadline only between
+// chunks, so an unbounded count could hold an admission slot long past
+// SolveTimeout.
+const maxWorkers = 256
 
 // errAtCapacity marks work shed at the admission gate.
 var errAtCapacity = errors.New("serve: at capacity")
@@ -494,37 +474,23 @@ func (s *Server) acquireGate() bool {
 
 func (s *Server) releaseGate() { <-s.gate }
 
-// solveItem is one right-hand side travelling through a solve batch.
-// Items are pooled: the done channel (capacity 1, completion delivered
-// by a token send) and the sized float64 buffers survive reuse, so a
-// warm request allocates no per-request vectors.
+// solveItem is one right-hand side of a request's solve. Items are
+// pooled: the sized float64 buffers survive reuse, so a warm request
+// allocates no per-request vectors.
 type solveItem struct {
 	b, x []float64
-	// rctx is the originating request's context; it cancels the solve
-	// only when the batch serves no other client.
-	rctx context.Context
 	res  method.Result
 	err  error
-	// batchSize, done and the stage timestamps are written by the batch
-	// leader before the completion token is sent. enqueuedAt is stamped
-	// by the owning handler when the item becomes solve-ready;
-	// solveStart/solveEnd bracket the batched solve (zero when the batch
-	// was shed before solving).
-	batchSize  int
-	done       chan struct{}
-	enqueuedAt time.Time
-	solveStart time.Time
-	solveEnd   time.Time
 	// Pooled backing storage: the iterate, a generated right-hand side,
 	// its known solution, and the A-norm-error difference vector. b/x
 	// above point into these on the pooled path (but to request-owned or
 	// escaping slices otherwise).
 	xBuf, bBuf, xsBuf, dBuf []float64
-	// self avoids a slice allocation for single-item batches.
+	// self avoids a slice allocation for a single right-hand side.
 	self [1]*solveItem
-	// dctx is the batch's pooled deadline context (see deadline.go); the
-	// batch leader's item hosts it, sparing the context.WithTimeout
-	// allocations per batch.
+	// dctx is the solve's pooled deadline context (see deadline.go); the
+	// request's first item hosts it, sparing the context.WithTimeout
+	// allocations per solve.
 	dctx deadlineCtx
 }
 
@@ -533,28 +499,23 @@ type solveItem struct {
 //asyrgs:noalloc
 func (s *Server) getItem() *solveItem {
 	if v, ok := s.itemPool.Get().(*solveItem); ok {
-		select {
-		case <-v.done: // drain the previous batch's completion token
-		default:
-		}
 		return v
 	}
 	//asyrgs:alloc-ok cold pool-miss path; steady state always hits the pool
-	return &solveItem{done: make(chan struct{}, 1)}
+	return &solveItem{}
 }
 
-// putItem recycles an item once no other goroutine can touch it (its
-// batch completed and the response no longer references its buffers).
+// putItem recycles an item once its solve has completed and the response
+// no longer references its buffers.
 // Request-scoped references are dropped here, not at getItem, so an
 // idle pool does not pin a finished request's context or a client's
 // decoded right-hand side.
 //
 //asyrgs:noalloc
 func (s *Server) putItem(it *solveItem) {
-	it.b, it.x, it.rctx = nil, nil, nil
+	it.b, it.x = nil, nil
 	it.dctx.parent = nil
-	it.res, it.err, it.batchSize = method.Result{}, nil, 0
-	it.enqueuedAt, it.solveStart, it.solveEnd = time.Time{}, time.Time{}, time.Time{}
+	it.res, it.err = method.Result{}, nil
 	it.self[0] = nil
 	s.itemPool.Put(it)
 }
@@ -595,9 +556,6 @@ type Server struct {
 	mux         *http.ServeMux
 	start       time.Time
 
-	// coal is the adaptive size-or-deadline coalescer (batcher.go).
-	coal *coalescer
-
 	// retryAfter is the precomputed Retry-After header value for 503
 	// responses, derived from the queue timeout at construction.
 	retryAfter string
@@ -614,10 +572,10 @@ type Server struct {
 	methodMu sync.Mutex
 	byMethod map[string]uint64
 
-	// itemPool recycles solveItems with their done channels and sized
-	// right-hand-side/iterate buffers across requests, so warm traffic
-	// allocates no per-request vectors (O(1) garbage per request
-	// regardless of matrix dimension).
+	// itemPool recycles solveItems with their sized right-hand-side and
+	// iterate buffers across requests, so warm traffic allocates no
+	// per-request vectors (O(1) garbage per request regardless of matrix
+	// dimension).
 	itemPool sync.Pool
 
 	// Latency histograms (µs): per endpoint, per registry method, and
@@ -643,7 +601,6 @@ func New(cfg Config) *Server {
 		gate:        make(chan struct{}, cfg.MaxConcurrent),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
-		coal:        newCoalescer(cfg),
 		byMethod:    map[string]uint64{},
 		endpointLat: map[string]*stats.AtomicPow2Histogram{},
 		methodLat:   map[string]*stats.AtomicPow2Histogram{},
@@ -769,29 +726,39 @@ func (s *Server) snapshot() Stats {
 	return st
 }
 
-// runBatch executes one solve batch behind the admission gate and
-// publishes every item's outcome. It is the only place solves run.
+// runBatch runs one request's solve behind the admission gate: a lone
+// right-hand side through Solve, an explicit bs batch through
+// SolveBatch. It is the only place solves run. Each item's outcome lands
+// in its res and err; start and end bracket the solve, and both are zero
+// when the gate shed the request.
 //
-// The batch context carries the server's per-solve budget. When the
-// batch serves exactly one client it is also derived from that client's
-// request context, so an abandoned request stops burning its admission
-// slot; a coalesced batch serves several clients, so there one client
-// going away must not cancel the others' solve.
-func (s *Server) runBatch(ps method.PreparedSystem, opts method.Opts, items []*solveItem) {
-	defer func() {
+// The solve context is the request's context capped by the server's
+// per-solve budget, so an abandoned request stops burning its admission
+// slot.
+func (s *Server) runBatch(parent context.Context, ps method.PreparedSystem, opts method.Opts, items []*solveItem) (start, end time.Time) {
+	// Admission gate: bound concurrent solves, waiting at most
+	// QueueTimeout for a slot and shedding the request if its client goes
+	// away (or already went away) while queued.
+	if err := s.acquireGateCtx(parent); err != nil {
 		for _, it := range items {
-			it.batchSize = len(items)
-			// Completion token instead of close so the channel survives
-			// pooling; each item sees exactly one send per batch.
-			it.done <- struct{}{}
+			it.err = err
 		}
-	}()
-	// Contain solver panics: every item (the leader's and each coalesced
-	// follower's) gets errPanic and its completion token still arrives —
-	// registered after the token defer, so it runs first and the tokens
-	// carry the error. The gate-release and in-flight defers below also
+		return
+	}
+	defer s.releaseGate()
+	s.inFlight.Add(int64(len(items)))
+	defer s.inFlight.Add(-int64(len(items)))
+	s.batches.Add(1)
+	if len(items) > 1 {
+		s.coalesced.Add(uint64(len(items)))
+	}
+
+	// Stamp the end on every way out, and contain solver panics: every
+	// item gets errPanic. The gate-release and in-flight defers above
 	// still run, so a panicking method cannot leak an admission slot.
+	start = time.Now()
 	defer func() {
+		end = time.Now()
 		if rec := recover(); rec != nil {
 			s.panics.Add(1)
 			for _, it := range items {
@@ -800,62 +767,12 @@ func (s *Server) runBatch(ps method.PreparedSystem, opts method.Opts, items []*s
 		}
 	}()
 
-	// "One client" covers both a solo request and an explicit bs batch:
-	// every item then carries the same request context.
-	parent := context.Background()
-	if items[0].rctx != nil {
-		shared := true
-		for _, it := range items[1:] {
-			if it.rctx != items[0].rctx {
-				shared = false
-				break
-			}
-		}
-		if shared {
-			parent = items[0].rctx
-		}
-	}
-
-	// Admission gate: bound concurrent solve batches, waiting at most
-	// QueueTimeout for a slot and shedding the batch if its only client
-	// goes away (or already went away) while queued.
-	switch err := s.acquireGateCtx(parent); {
-	case err == nil:
-		defer s.releaseGate()
-	default:
-		for _, it := range items {
-			it.err = err
-		}
-		return
-	}
-	s.inFlight.Add(int64(len(items)))
-	defer s.inFlight.Add(-int64(len(items)))
-	s.batches.Add(1)
-	if len(items) > 1 {
-		s.coalesced.Add(uint64(len(items)))
-	}
-
-	// The solve budget rides the leader item's pooled deadline context
+	// The solve budget rides the first item's pooled deadline context
 	// instead of context.WithTimeout: every solver polls Err() between
 	// chunks of work, and the pooled form sheds the timer, cancel closure
-	// and context allocations per batch (see deadline.go).
+	// and context allocations per solve (see deadline.go).
 	items[0].dctx.reset(parent, s.cfg.SolveTimeout)
 	ctx := &items[0].dctx
-
-	// Stage clocks: solveStart/solveEnd bracket the solve itself; the
-	// gap from each item's enqueuedAt to solveStart is its queue stage
-	// (coalescing wait plus gate wait). Written before the completion
-	// token, read by each handler after it.
-	solveStart := time.Now()
-	for _, it := range items {
-		it.solveStart = solveStart
-	}
-	defer func() {
-		end := time.Now()
-		for _, it := range items {
-			it.solveEnd = end
-		}
-	}()
 
 	if len(items) == 1 {
 		it := items[0]
@@ -875,6 +792,7 @@ func (s *Server) runBatch(ps method.PreparedSystem, opts method.Opts, items []*s
 		}
 		it.err = err
 	}
+	return
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -906,6 +824,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	case "", "f64", "float64":
 	default:
 		s.fail(w, http.StatusBadRequest, "unsupported precision %q (only \"f64\")", req.Precision)
+		return
+	}
+	if req.Workers > maxWorkers {
+		s.fail(w, http.StatusBadRequest, "workers %d exceeds the daemon's limit of %d", req.Workers, maxWorkers)
 		return
 	}
 	m, err := method.Get(req.Method)
@@ -948,7 +870,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.observeStage("build", time.Since(buildStart))
 	switch {
 	case errors.Is(err, errAtCapacity):
-		s.reject(w, "server at capacity (%d batches in flight); retry later", s.cfg.MaxConcurrent)
+		s.reject(w, "server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
 		return
 	case errors.Is(err, errPanic):
 		s.fail(w, http.StatusInternalServerError, "building matrix: %v", err)
@@ -988,11 +910,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return nil, errAtCapacity
 		}
 		defer s.releaseGate()
-		// The prepared system is shared by every coalesced waiter and by
-		// all future cache hits, so the build must not ride the first
-		// arrival's request context: a leader disconnecting mid-Prepare
-		// would fail every live follower with context.Canceled. Detach to
-		// the server's lifetime, capped by the per-solve budget.
+		// The prepared system is shared by every request waiting on this
+		// once-latch and by all future cache hits, so the build must not
+		// ride the first arrival's request context: its client
+		// disconnecting mid-Prepare would fail every waiter with
+		// context.Canceled. Detach to the server's lifetime, capped by the
+		// per-solve budget.
 		pctx, cancel := context.WithTimeout(context.Background(), s.cfg.SolveTimeout)
 		defer cancel()
 		return method.Prepare(pctx, m, a, opts)
@@ -1001,7 +924,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.observeStage("prepare", prepWall)
 	switch {
 	case errors.Is(err, errAtCapacity):
-		s.reject(w, "server at capacity (%d batches in flight); retry later", s.cfg.MaxConcurrent)
+		s.reject(w, "server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
 		return
 	case errors.Is(err, errPanic):
 		s.fail(w, http.StatusInternalServerError, "preparing system: %v", err)
@@ -1019,10 +942,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var items []*solveItem
 	// Recycle on every exit path — success, rejection, or error — so
 	// pool churn does not spike exactly when the server is shedding
-	// load. By the time the handler returns, each item's batch (if any)
-	// has delivered its completion token and the response has been
-	// written, so nothing references the pooled buffers (escaping
-	// iterates are allocated fresh, see itemIterate).
+	// load. By the time the handler returns, the solve (if any) has
+	// finished and the response has been written, so nothing references
+	// the pooled buffers (escaping iterates are allocated fresh, see
+	// itemIterate).
 	defer func() {
 		for _, bi := range items {
 			s.putItem(bi)
@@ -1038,13 +961,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			it := s.getItem()
-			it.b, it.rctx = b, r.Context()
+			it.b = b
 			it.x = s.itemIterate(it, a.Cols, req.IncludeSolution)
 			items = append(items, it)
 		}
 	default:
 		it := s.getItem()
-		it.rctx = r.Context()
 		it.self[0] = it
 		items = it.self[:]
 		b := req.B
@@ -1066,40 +988,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		it.x = s.itemIterate(it, a.Cols, req.IncludeSolution)
 	}
 
-	// Phase 2 — solve. An explicit bs request is already a batch; a
-	// single-RHS request is coalesced with concurrent identical requests.
-	// The enqueue stamp starts each item's queue stage (coalescing wait
-	// plus admission-gate wait, ended by the batch's solveStart).
-	enqueuedAt := time.Now()
-	for _, bi := range items {
-		bi.enqueuedAt = enqueuedAt
+	// Phase 2 — solve. The queue stage is the admission-gate wait; a
+	// request shed at the gate never started solving and records neither
+	// stage.
+	queued := time.Now()
+	solveStart, solveEnd := s.runBatch(r.Context(), ps, opts, items)
+	if !solveStart.IsZero() {
+		s.observeStage("queue", solveStart.Sub(queued))
+		s.observeStage("solve", solveEnd.Sub(solveStart))
 	}
-	if explicitBatch {
-		s.runBatch(ps, opts, items)
-	} else {
-		s.solveCoalesced(req.batchKey(key), ps, opts, items[0])
-	}
-
 	it := items[0]
-	// Queue and solve stages, once per request (an explicit batch's
-	// items share one batch, so the first item carries the timestamps).
-	// A batch shed at the gate never started solving and records neither.
-	if !it.solveStart.IsZero() {
-		s.observeStage("queue", it.solveStart.Sub(it.enqueuedAt))
-		s.observeStage("solve", it.solveEnd.Sub(it.solveStart))
-	}
 	switch {
 	case it.err == nil || errors.Is(it.err, method.ErrNotConverged):
 		// A budget-exhausted solve is still a well-formed answer.
 	case errors.Is(it.err, errAtCapacity):
-		s.reject(w, "server at capacity (%d batches in flight); retry later", s.cfg.MaxConcurrent)
+		s.reject(w, "server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
 		return
 	case errors.Is(it.err, context.DeadlineExceeded):
 		s.fail(w, http.StatusGatewayTimeout, "solve cancelled: %v", it.err)
 		return
 	case errors.Is(it.err, context.Canceled):
-		// Only a single-client batch is ever cancelled, and only by its
-		// own client going away — shed, not an error.
+		// Only the request's own client going away cancels its solve —
+		// shed, not an error.
 		s.reject(w, "client went away during solve")
 		return
 	case errors.Is(it.err, errPanic):
@@ -1124,7 +1034,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Method: it.res.Method, Kind: m.Kind().String(), MatrixKey: key,
 		CacheHit: hit, PrepHit: prepHit,
 		PrepMS:    float64(prepWall) / float64(time.Millisecond),
-		BatchSize: it.batchSize,
+		BatchSize: len(items),
 		Rows:      a.Rows, Cols: a.Cols,
 		Residual: it.res.Residual, Converged: it.res.Converged,
 		Sweeps: it.res.Sweeps, Iterations: it.res.Iterations,

@@ -7,9 +7,8 @@ package serve
 //
 //	build    — materializing the matrix (cache hits record ~0)
 //	prepare  — the method's Prepare phase (prep-cache hits record ~0)
-//	queue    — from solve-ready to solve-start: the coalescing wait plus
-//	           the admission-gate wait
-//	solve    — the batched solve itself
+//	queue    — from solve-ready to solve-start: the admission-gate wait
+//	solve    — the solve itself (SolveBatch for an explicit bs request)
 //	respond  — assembling and writing the JSON response
 //
 // The stages are disjoint sub-intervals of the handler, so per request

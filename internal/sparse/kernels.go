@@ -4,18 +4,18 @@ import "github.com/asynclinalg/asyrgs/internal/atomicfloat"
 
 // Inner kernels of the solver hot loop: gather-dot (row · x), scatter-axpy
 // (x += g·row) and contiguous axpy (dense multi-RHS row updates). The
-// unrolled bodies keep 4 independent accumulators (8 when built with
-// GOAMD64=v3, see kernels_v3.go) so the FMA/load chains overlap instead of
-// serializing on one register. Unrolling changes the summation order, so
-// results agree with the scalar reference loops in kernels_test.go to
-// relative rounding bounds, not bitwise — the tests there pin those bounds.
+// unrolled bodies keep 4 independent accumulators so the multiply/load
+// chains overlap instead of serializing on one register. Unrolling
+// changes the summation order, so results agree with the scalar
+// reference loops in kernels_test.go to relative rounding bounds, not
+// bitwise — the tests there pin those bounds.
 //
 // Everything here is allocation-free: the warm-path zero-alloc regression
 // tests run through these kernels.
 
-// KernelName identifies the build's kernel implementation for benchmark
-// labels: "unroll4", or "unroll8-v3" under GOAMD64=v3.
-func KernelName() string { return kernelName }
+// KernelName identifies the kernel implementation for benchmark labels:
+// "unroll4" on every build.
+func KernelName() string { return "unroll4" }
 
 // --- gather dot: sum_k vals[k] * x[idx[k]] ---
 
@@ -24,20 +24,6 @@ func dot64(vals []float64, idx []int, x []float64) float64 {
 	idx = idx[:n] // bounds-check hint
 	var s0, s1, s2, s3 float64
 	k := 0
-	if kernelWide {
-		var s4, s5, s6, s7 float64
-		for ; k+8 <= n; k += 8 {
-			s0 += vals[k] * x[idx[k]]
-			s1 += vals[k+1] * x[idx[k+1]]
-			s2 += vals[k+2] * x[idx[k+2]]
-			s3 += vals[k+3] * x[idx[k+3]]
-			s4 += vals[k+4] * x[idx[k+4]]
-			s5 += vals[k+5] * x[idx[k+5]]
-			s6 += vals[k+6] * x[idx[k+6]]
-			s7 += vals[k+7] * x[idx[k+7]]
-		}
-		s0, s1, s2, s3 = s0+s4, s1+s5, s2+s6, s3+s7
-	}
 	for ; k+4 <= n; k += 4 {
 		s0 += vals[k] * x[idx[k]]
 		s1 += vals[k+1] * x[idx[k+1]]
@@ -55,20 +41,6 @@ func dot64Atomic(vals []float64, idx []int, x []float64) float64 {
 	idx = idx[:n]
 	var s0, s1, s2, s3 float64
 	k := 0
-	if kernelWide {
-		var s4, s5, s6, s7 float64
-		for ; k+8 <= n; k += 8 {
-			s0 += vals[k] * atomicfloat.Load(&x[idx[k]])
-			s1 += vals[k+1] * atomicfloat.Load(&x[idx[k+1]])
-			s2 += vals[k+2] * atomicfloat.Load(&x[idx[k+2]])
-			s3 += vals[k+3] * atomicfloat.Load(&x[idx[k+3]])
-			s4 += vals[k+4] * atomicfloat.Load(&x[idx[k+4]])
-			s5 += vals[k+5] * atomicfloat.Load(&x[idx[k+5]])
-			s6 += vals[k+6] * atomicfloat.Load(&x[idx[k+6]])
-			s7 += vals[k+7] * atomicfloat.Load(&x[idx[k+7]])
-		}
-		s0, s1, s2, s3 = s0+s4, s1+s5, s2+s6, s3+s7
-	}
 	for ; k+4 <= n; k += 4 {
 		s0 += vals[k] * atomicfloat.Load(&x[idx[k]])
 		s1 += vals[k+1] * atomicfloat.Load(&x[idx[k+1]])

@@ -1,11 +1,10 @@
 package sparse
 
 // Equivalence tests for the unrolled hot-loop kernels. Unrolling keeps 4
-// (or 8 under GOAMD64=v3) independent accumulators, which reorders the
-// summation: results match the scalar reference loops below to a relative
-// rounding bound, not bitwise. The bound used here is c·ε·Σ|v·x| with a
-// generous constant — any indexing bug exceeds it by many orders of
-// magnitude.
+// independent accumulators, which reorders the summation: results match
+// the scalar reference loops below to a relative rounding bound, not
+// bitwise. The bound used here is c·ε·Σ|v·x| with a generous constant —
+// any indexing bug exceeds it by many orders of magnitude.
 
 import (
 	"math"
