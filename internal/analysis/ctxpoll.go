@@ -6,12 +6,14 @@ import (
 	"strings"
 )
 
-// loopPackages enrolls the packages whose loops execute solver work.
+// loopPackages enrolls the packages whose loops execute solver work,
+// including the claiming loop the asynchronous solvers share.
 // Every registry method promises context cancellation; an unbounded
 // loop that never observes ctx breaks that promise exactly where a
 // stuck solve is most expensive (the serve admission gate holds a slot
 // until the solver yields).
 var loopPackages = []string{
+	"internal/claim",
 	"internal/core",
 	"internal/kaczmarz",
 	"internal/lsq",

@@ -6,11 +6,16 @@ func TestExplicitWins(t *testing.T) {
 	if got := SizeFor(7, 1_000_000, 8, 64); got != 7 {
 		t.Fatalf("explicit chunk: got %d, want 7", got)
 	}
-	if got := Size(300, 1000, 1); got != 300 {
-		t.Fatalf("explicit chunk may exceed the cap: got %d, want 300", got)
+	if got := SizeFor(300, 1000, 1, 0); got != 300 {
+		t.Fatalf("explicit chunk may exceed the cache-aware cap: got %d, want 300", got)
 	}
-	if got := Size(300, 10, 1); got != 10 {
+	if got := SizeFor(300, 10, 1, 0); got != 10 {
 		t.Fatalf("explicit chunk beyond the budget claims the whole range: got %d, want 10", got)
+	}
+	// A huge range does not let a huge explicit chunk size an unbounded
+	// direction buffer: the chunk stops at maxChunkCap.
+	if got := SizeFor(1<<40, 1<<40, 2, 64); got != maxChunkCap {
+		t.Fatalf("huge explicit chunk over a huge range: got %d, want %d", got, maxChunkCap)
 	}
 }
 
@@ -21,7 +26,7 @@ func TestLowerBoundOne(t *testing.T) {
 }
 
 func TestLegacyCapWithoutFootprint(t *testing.T) {
-	if got := Size(0, 1<<30, 1); got != 256 {
+	if got := SizeFor(0, 1<<30, 1, 0); got != 256 {
 		t.Fatalf("rowBytes=0 must keep the legacy 256 cap: got %d", got)
 	}
 	if MaxChunk(0) != 256 || MaxChunk(-5) != 256 {

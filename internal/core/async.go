@@ -2,10 +2,10 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
+	"github.com/asynclinalg/asyrgs/internal/claim"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -28,161 +28,17 @@ func (s *Solver) AsyncSweeps(x, b []float64, sweeps int) {
 	if len(x) != n || len(b) != n {
 		panic("core: AsyncSweeps shape mismatch")
 	}
-	workers := s.opts.Workers
-	if workers <= 1 {
+	if s.opts.Workers <= 1 {
 		s.Sweeps(x, b, sweeps)
-		// A single worker never observes concurrent updates: every
-		// iteration has delay zero. Recording them keeps the histogram
-		// total invariant to the worker count.
-		if s.opts.MeasureDelay {
-			s.delayHist[0] += uint64(sweeps) * uint64(n)
-		}
+		s.countSerialDelays(sweeps)
 		return
 	}
-	total := uint64(sweeps) * uint64(n)
-	start := s.next
-	end := start + total
-
-	if p := s.opts.SyncPeriod; p > 0 {
-		// Occasional synchronization: run in barriers of p iterations.
-		for lo := start; lo < end; lo += uint64(p) {
-			hi := lo + uint64(p)
-			if hi > end {
-				hi = end
-			}
-			s.runAsyncRange(x, b, lo, hi, workers)
-		}
-	} else {
-		s.runAsyncRange(x, b, start, end, workers)
-	}
-	s.next = end
-	s.sweep += sweeps
-}
-
-// runAsyncRange executes global iterations [start,end) across the given
-// number of workers and blocks until all have finished.
-//
-// In the default (uniform/weighted) modes the workers race over a shared
-// iteration counter: whoever is scheduled claims the next index, so the
-// budget is spent at the maximum rate the machine allows. In partitioned
-// mode each worker instead receives its own contiguous slice of the index
-// range: ownership ties coordinates to workers, so a shared counter would
-// let a starved scheduler spend the whole budget inside one block. A
-// per-worker budget guarantees every block receives its share regardless
-// of scheduling — which is also how a distributed deployment behaves.
-func (s *Solver) runAsyncRange(x, b []float64, start, end uint64, workers int) {
-	stream := rng.NewStream(s.opts.Seed)
-	smp := s.newSampler(true)
-	chunk := s.chunkSize(end - start)
-	var wg sync.WaitGroup
-	if s.opts.Partitioned && workers > 1 {
-		total := end - start
-		var committed atomic.Uint64 // for delay measurement only
-		for w := 0; w < workers; w++ {
-			lo := start + uint64(w)*total/uint64(workers)
-			hi := start + uint64(w+1)*total/uint64(workers)
-			wg.Add(1)
-			go func(w int, lo, hi uint64) {
-				defer wg.Done()
-				s.asyncWorkerOwned(x, b, stream, smp, lo, hi, w, chunk, &committed)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		return
-	}
-	var counter atomic.Uint64
-	counter.Store(start)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s.asyncWorker(x, b, stream, smp, &counter, end, w, chunk)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// asyncWorkerOwned runs the partitioned-mode inner loop: a fixed index
-// slice [lo,hi) and single-writer updates within the worker's block. The
-// owned range is walked chunk indices at a time so the direction buffer
-// is generated in one pass per block, like the shared-counter path.
-func (s *Solver) asyncWorkerOwned(x, b []float64, stream rng.Stream, smp sampler, lo, hi uint64, worker, chunk int, committed *atomic.Uint64) {
-	a := s.a
-	beta := s.beta
+	a, invD, beta := s.a, s.invD, s.beta
 	nonAtomic := s.opts.NonAtomic
-	measure := s.opts.MeasureDelay
-	throttle := s.opts.Throttle
-	picks := make([]int32, chunk)
-	for base := lo; base < hi; base += uint64(chunk) {
-		top := base + uint64(chunk)
-		if top > hi {
-			top = hi
-		}
-		m := int(top - base)
-		smp.fill(stream, base, picks[:m], worker)
-		for t := 0; t < m; t++ {
-			j := base + uint64(t)
-			if throttle != nil {
-				throttle(worker, j)
-			}
-			r := int(picks[t])
-			var dot float64
-			if nonAtomic {
-				dot = a.RowDot(r, x)
-			} else {
-				dot = a.RowDotAtomic(r, x)
-			}
-			gamma := (b[r] - dot) * s.invD[r]
-			if nonAtomic {
-				x[r] += beta * gamma
-			} else {
-				atomicfloat.Add(&x[r], beta*gamma)
-			}
-			if measure {
-				before := committed.Load()
-				after := committed.Add(1)
-				var d uint64
-				if after > before+1 {
-					d = after - before - 1
-				}
-				s.observeTau(d)
-			}
-		}
-	}
-}
-
-// asyncWorker claims blocks of chunk iteration indices from the shared
-// counter until the range is exhausted: one CAS per chunk instead of one
-// per iteration, with the block's directions generated into a local
-// buffer in a single pass. Each iteration is Algorithm 1's body. The
-// direction consumed at global index j is unchanged by the chunking —
-// the sampler is a pure function of (stream, j) — so every chunk size
-// replays the identical direction multiset.
-func (s *Solver) asyncWorker(x, b []float64, stream rng.Stream, smp sampler, counter *atomic.Uint64, end uint64, worker, chunk int) {
-	a := s.a
-	beta := s.beta
-	nonAtomic := s.opts.NonAtomic
-	measure := s.opts.MeasureDelay
-	throttle := s.opts.Throttle
-	picks := make([]int32, chunk)
-	//asyrgs:boundedloop the claimed counter is monotone; every pass claims chunk>=1 indices and exits once base passes end
-	for {
-		base := counter.Add(uint64(chunk)) - uint64(chunk)
-		if base >= end {
-			return
-		}
-		top := base + uint64(chunk)
-		if top > end {
-			top = end
-		}
-		m := int(top - base)
-		smp.fill(stream, base, picks[:m], worker)
-		for t := 0; t < m; t++ {
-			j := base + uint64(t)
-			if throttle != nil {
-				throttle(worker, j)
-			}
-			r := int(picks[t])
+	s.runAsync(sweeps, func(worker int, base uint64, picks []int32) {
+		for t, p := range picks {
+			before := s.begin(worker, base+uint64(t))
+			r := int(p)
 			// Read phase: other workers may commit updates mid-read — the
 			// inconsistent-read model (iteration (9)). Atomic loads cost
 			// nothing on mainstream hardware and keep the execution free of
@@ -194,38 +50,15 @@ func (s *Solver) asyncWorker(x, b []float64, stream rng.Stream, smp sampler, cou
 			} else {
 				dot = a.RowDotAtomic(r, x)
 			}
-			gamma := (b[r] - dot) * s.invD[r]
+			gamma := (b[r] - dot) * invD[r]
 			if nonAtomic {
 				x[r] += beta * gamma
 			} else {
 				atomicfloat.Add(&x[r], beta*gamma)
 			}
-			if measure {
-				// Updates committed by others while this iteration ran
-				// bound the delay this iteration experienced:
-				// τ̂ ≥ committed − j. Chunked claiming forces chunk = 1
-				// here (see chunkSize), so the counter still counts
-				// committed work.
-				var d uint64
-				if c := counter.Load(); c > j+1 {
-					d = c - j - 1
-				}
-				s.observeTau(d)
-			}
+			s.commit(before)
 		}
-	}
-}
-
-// observeTau raises the recorded max delay with a CAS loop and counts the
-// observation into the power-of-two delay histogram.
-func (s *Solver) observeTau(d uint64) {
-	atomic.AddUint64(&s.delayHist[bits.Len64(d)], 1)
-	for {
-		cur := atomic.LoadUint64(&s.tau)
-		if d <= cur || atomic.CompareAndSwapUint64(&s.tau, cur, d) {
-			return
-		}
-	}
+	})
 }
 
 // AsyncSweepsDense is AsyncSweeps for a row-major multi-right-hand-side
@@ -237,96 +70,23 @@ func (s *Solver) AsyncSweepsDense(x, b *vec.Dense, sweeps int) {
 	if x.Rows != n || b.Rows != n || x.Cols != b.Cols {
 		panic("core: AsyncSweepsDense shape mismatch")
 	}
-	workers := s.opts.Workers
-	if workers <= 1 {
+	if s.opts.Workers <= 1 {
 		s.SweepsDense(x, b, sweeps)
-		if s.opts.MeasureDelay {
-			s.delayHist[0] += uint64(sweeps) * uint64(n)
-		}
+		s.countSerialDelays(sweeps)
 		return
 	}
-	total := uint64(sweeps) * uint64(n)
-	start := s.next
-	end := start + total
-	run := func(lo, hi uint64) {
-		stream := rng.NewStream(s.opts.Seed)
-		smp := s.newSampler(true)
-		chunk := s.chunkSize(hi - lo)
-		var wg sync.WaitGroup
-		if s.opts.Partitioned && workers > 1 {
-			// Per-worker budgets for the same coverage reason as the
-			// vector path (see runAsyncRange).
-			span := hi - lo
-			for w := 0; w < workers; w++ {
-				wlo := lo + uint64(w)*span/uint64(workers)
-				whi := lo + uint64(w+1)*span/uint64(workers)
-				wg.Add(1)
-				go func(w int, wlo, whi uint64) {
-					defer wg.Done()
-					var counter atomic.Uint64
-					counter.Store(wlo)
-					s.asyncWorkerDense(x, b, stream, smp, &counter, whi, w, chunk)
-				}(w, wlo, whi)
-			}
-			wg.Wait()
-			return
-		}
-		var counter atomic.Uint64
-		counter.Store(lo)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s.asyncWorkerDense(x, b, stream, smp, &counter, hi, w, chunk)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if p := s.opts.SyncPeriod; p > 0 {
-		for lo := start; lo < end; lo += uint64(p) {
-			hi := lo + uint64(p)
-			if hi > end {
-				hi = end
-			}
-			run(lo, hi)
-		}
-	} else {
-		run(start, end)
-	}
-	s.next = end
-	s.sweep += sweeps
-}
-
-// asyncWorkerDense is asyncWorker for the row-major multi-RHS block:
-// chunked claiming and buffered direction generation around the block
-// update body.
-func (s *Solver) asyncWorkerDense(x, b *vec.Dense, stream rng.Stream, smp sampler, counter *atomic.Uint64, end uint64, worker, chunk int) {
 	c := x.Cols
-	a := s.a
-	beta := s.beta
+	a, invD, beta := s.a, s.invD, s.beta
 	nonAtomic := s.opts.NonAtomic
-	measure := s.opts.MeasureDelay
-	throttle := s.opts.Throttle
-	gamma := make([]float64, c)
-	picks := make([]int32, chunk)
-	//asyrgs:boundedloop the claimed counter is monotone; every pass claims chunk>=1 indices and exits once base passes end
-	for {
-		base := counter.Add(uint64(chunk)) - uint64(chunk)
-		if base >= end {
-			return
-		}
-		top := base + uint64(chunk)
-		if top > end {
-			top = end
-		}
-		m := int(top - base)
-		smp.fill(stream, base, picks[:m], worker)
-		for t := 0; t < m; t++ {
-			j := base + uint64(t)
-			if throttle != nil {
-				throttle(worker, j)
-			}
-			r := int(picks[t])
+	// One γ row per worker, a cache line apart so no two workers write
+	// the same line.
+	stride := c + 8
+	gammas := make([]float64, s.opts.Workers*stride)
+	s.runAsync(sweeps, func(worker int, base uint64, picks []int32) {
+		gamma := gammas[worker*stride : worker*stride+c]
+		for t, p := range picks {
+			before := s.begin(worker, base+uint64(t))
+			r := int(p)
 			copy(gamma, b.Row(r))
 			if nonAtomic {
 				for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
@@ -337,7 +97,7 @@ func (s *Solver) asyncWorkerDense(x, b *vec.Dense, stream rng.Stream, smp sample
 					sparse.AxpyAtomicRead(gamma, x.Row(a.ColIdx[k]), -a.Vals[k])
 				}
 			}
-			scale := beta * s.invD[r]
+			scale := beta * invD[r]
 			xrow := x.Row(r)
 			if nonAtomic {
 				sparse.Axpy(xrow, gamma, scale)
@@ -346,13 +106,89 @@ func (s *Solver) asyncWorkerDense(x, b *vec.Dense, stream rng.Stream, smp sample
 					atomicfloat.Add(&xrow[col], scale*gamma[col])
 				}
 			}
-			if measure {
-				var d uint64
-				if cnt := counter.Load(); cnt > j+1 {
-					d = cnt - j - 1
-				}
-				s.observeTau(d)
-			}
+			s.commit(before)
+		}
+	})
+}
+
+// runAsync executes the next sweeps·n global iterations on Options.Workers
+// goroutines through claim.Run and advances the direction stream. Each
+// claimed block's directions are generated into the worker's buffer in
+// one pass and handed to block with the block's first global index. The
+// direction consumed at index j is unchanged by the chunking — the
+// sampler is a pure function of (stream, j) — so every chunk size
+// replays the identical direction multiset.
+//
+// In the default (uniform/weighted) modes the workers race over a shared
+// counter. In partitioned mode each worker walks its own share of every
+// range (claim.Run's owned mode), the sampler drawing inside the worker's
+// coordinate block. A positive SyncPeriod splits the budget into
+// barriers of SyncPeriod iterations: each range drains before the next
+// starts.
+func (s *Solver) runAsync(sweeps int, block func(worker int, base uint64, picks []int32)) {
+	workers := s.opts.Workers
+	start := s.next
+	end := start + uint64(sweeps)*uint64(s.a.Rows)
+	period := end - start
+	if p := s.opts.SyncPeriod; p > 0 {
+		period = min(uint64(p), period)
+	}
+	stream := rng.NewStream(s.opts.Seed)
+	smp := s.newSampler(true)
+	chunk := claim.SizeFor(s.opts.Chunk, period, workers, s.rowBytes)
+	// One direction buffer per worker, padded a cache line apart.
+	stride := chunk + 16
+	picks := make([]int32, workers*stride)
+	for lo := start; lo < end; lo += period {
+		claim.Run(lo, min(lo+period, end), workers, chunk, s.opts.Partitioned, func(w int, blo, bhi uint64) {
+			buf := picks[w*stride : w*stride+int(bhi-blo)]
+			smp.fill(stream, blo, buf, w)
+			block(w, blo, buf)
+		})
+	}
+	s.next = end
+	s.sweep += sweeps
+}
+
+// begin opens global iteration j on a worker. Under MeasureDelay it
+// reads the count of committed updates before anything else, Throttle
+// included; commit turns the difference into the iteration's delay.
+func (s *Solver) begin(worker int, j uint64) (committed uint64) {
+	if s.opts.MeasureDelay {
+		committed = s.commits.Load()
+	}
+	if s.opts.Throttle != nil {
+		s.opts.Throttle(worker, j)
+	}
+	return committed
+}
+
+// commit closes an iteration opened by begin. Its delay is the number of
+// updates other workers committed in between.
+func (s *Solver) commit(committed uint64) {
+	if s.opts.MeasureDelay {
+		s.observeTau(s.commits.Add(1) - committed - 1)
+	}
+}
+
+// countSerialDelays records a one-worker run's iterations under
+// MeasureDelay. A single worker never observes concurrent updates, so
+// every iteration has delay zero; recording them keeps the histogram total
+// invariant to the worker count.
+func (s *Solver) countSerialDelays(sweeps int) {
+	if s.opts.MeasureDelay {
+		s.delayHist[0] += uint64(sweeps) * uint64(s.a.Rows)
+	}
+}
+
+// observeTau raises the recorded max delay with a CAS loop and counts the
+// observation into the power-of-two delay histogram.
+func (s *Solver) observeTau(d uint64) {
+	atomic.AddUint64(&s.delayHist[bits.Len64(d)], 1)
+	for {
+		cur := atomic.LoadUint64(&s.tau)
+		if d <= cur || atomic.CompareAndSwapUint64(&s.tau, cur, d) {
+			return
 		}
 	}
 }

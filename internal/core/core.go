@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -67,8 +68,10 @@ type Options struct {
 	SyncPeriod int
 
 	// MeasureDelay enables bookkeeping of the observed asynchrony bound
-	// τ̂ (max number of other updates committed during one iteration) and
-	// of the full delay histogram (see Solver.DelayHistogram).
+	// τ̂ and of the full delay histogram (see Solver.DelayHistogram). An
+	// iteration's delay is the number of updates other workers committed
+	// between its start (before Throttle) and its own commit, measured the
+	// same way in every asynchronous mode and at every chunk size.
 	MeasureDelay bool
 
 	// DiagonalWeighted samples coordinate r with probability A_rr/tr(A)
@@ -80,12 +83,12 @@ type Options struct {
 	DiagonalWeighted bool
 
 	// Chunk is the number of global iteration indices a worker claims
-	// from the shared counter at a time. One CAS per chunk instead of one
-	// per iteration takes the counter off the critical path; the claimed
-	// block's directions are generated into a local buffer in one pass.
-	// Zero auto-sizes from the budget and worker count. Forced to 1 when
-	// MeasureDelay is set (per-iteration claiming is what makes the delay
-	// bookkeeping meaningful).
+	// from the shared counter at a time. One atomic add per chunk instead
+	// of one per iteration takes the counter off the critical path; the
+	// claimed block's directions are generated into a local buffer in one
+	// pass. Zero auto-sizes from the budget and worker count; an explicit
+	// chunk is capped at the claimed range and at 4096 (see
+	// claim.SizeFor).
 	Chunk int
 
 	// Partitioned restricts each asynchronous worker to its own
@@ -129,6 +132,10 @@ type Solver struct {
 	// delayHist[k] counts iterations whose observed delay fell in
 	// [2^(k-1), 2^k) (bucket 0 is delay 0); updated atomically.
 	delayHist [delayBuckets]uint64
+	// commits counts the asynchronous updates committed under
+	// MeasureDelay; an iteration's delay is how far it advanced while the
+	// iteration ran.
+	commits atomic.Uint64
 }
 
 // delayBuckets is the number of power-of-two delay histogram buckets; 2⁶³

@@ -57,32 +57,44 @@ func TestFillMatchesPickEverySampler(t *testing.T) {
 
 // TestChunkSizeInvariantDirectionMultiset runs the asynchronous solver
 // over the same budget at several claiming granularities and worker
-// counts, recording every (iteration, worker) the throttle hook sees.
-// The set of global iteration indices executed must be exactly
-// [0, budget) for every configuration — chunked claiming drops and
-// duplicates nothing — which, with the pure sampler, makes the direction
-// multiset identical everywhere.
+// counts, in shared, partitioned and SyncPeriod modes, recording every
+// (iteration, worker) the throttle hook sees. The set of global iteration
+// indices executed must be exactly [0, budget) for every configuration —
+// chunked claiming drops and duplicates nothing — which, with the pure
+// sampler, makes the direction multiset identical everywhere.
+//
+// Regime: schedule-independent. Coverage holds under every interleaving.
 func TestChunkSizeInvariantDirectionMultiset(t *testing.T) {
 	a := workload.RandomSPD(60, 5, 1.5, 9)
 	b := workload.RandomRHS(60, 10)
 	const sweeps = 3
 	budget := uint64(sweeps) * 60
-	for _, workers := range []int{2, 5} {
-		// 1<<62 exceeds the budget: the claim clamps it to the whole range.
-		for _, chunk := range []int{0, 1, 3, 64, 1000, 1 << 62} {
-			seen := make([]atomicCounter, budget)
-			s, err := New(a, Options{
-				Seed: 4, Workers: workers, Chunk: chunk,
-				Throttle: func(_ int, j uint64) { seen[j].v.Add(1) },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := make([]float64, 60)
-			s.AsyncSweeps(x, b, sweeps)
-			for j := range seen {
-				if got := seen[j].v.Load(); got != 1 {
-					t.Fatalf("workers=%d chunk=%d: iteration %d executed %d times", workers, chunk, j, got)
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"shared", Options{}},
+		{"partitioned", Options{Partitioned: true}},
+		{"syncperiod7", Options{SyncPeriod: 7}},
+	}
+	for _, mode := range modes {
+		for _, workers := range []int{2, 5} {
+			// 1<<62 exceeds the budget: the claim clamps it to the whole range.
+			for _, chunk := range []int{0, 1, 3, 64, 1000, 1 << 62} {
+				seen := make([]atomicCounter, budget)
+				opts := mode.opts
+				opts.Seed, opts.Workers, opts.Chunk = 4, workers, chunk
+				opts.Throttle = func(_ int, j uint64) { seen[j].v.Add(1) }
+				s, err := New(a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := make([]float64, 60)
+				s.AsyncSweeps(x, b, sweeps)
+				for j := range seen {
+					if got := seen[j].v.Load(); got != 1 {
+						t.Fatalf("%s workers=%d chunk=%d: iteration %d executed %d times", mode.name, workers, chunk, j, got)
+					}
 				}
 			}
 		}

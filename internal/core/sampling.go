@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
-	"github.com/asynclinalg/asyrgs/internal/claim"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 )
 
@@ -130,15 +129,4 @@ func (s *Solver) newSampler(async bool) sampler {
 	default:
 		return sampler{kind: samplerUniform, n: s.a.Rows}
 	}
-}
-
-// chunkSize resolves the iteration-claiming granularity (see
-// claim.Size). Delay measurement claims one iteration at a time: its
-// committed-counter bookkeeping is only meaningful when a claimed index
-// is executed immediately.
-func (s *Solver) chunkSize(total uint64) int {
-	if s.opts.MeasureDelay {
-		return 1
-	}
-	return claim.SizeFor(s.opts.Chunk, total, s.opts.Workers, s.rowBytes)
 }

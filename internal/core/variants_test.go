@@ -288,27 +288,94 @@ func TestStalledWorkerDelaysButConverges(t *testing.T) {
 
 // --- delay histogram ---
 
+// TestDelayHistogramCollected checks that every iteration lands in the
+// delay histogram exactly once, in every asynchronous mode: shared and
+// partitioned claiming, vector and dense blocks.
+//
+// Regime: schedule-independent. The histogram total counts iterations,
+// whatever delays the scheduler produced.
 func TestDelayHistogramCollected(t *testing.T) {
 	a := workload.RandomSPD(400, 6, 1.5, 64)
 	b := workload.RandomRHS(400, 65)
-	s, err := New(a, Options{Seed: 66, Workers: runtime.GOMAXPROCS(0), MeasureDelay: true})
-	if err != nil {
-		t.Fatal(err)
+	bd := workload.MultiRHS(400, 2, 65)
+	for _, mode := range []struct {
+		name               string
+		partitioned, dense bool
+	}{
+		{"shared", false, false},
+		{"partitioned", true, false},
+		{"shared dense", false, true},
+		{"partitioned dense", true, true},
+	} {
+		s, err := New(a, Options{
+			Seed: 66, Workers: max(2, runtime.GOMAXPROCS(0)), MeasureDelay: true,
+			Partitioned: mode.partitioned,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode.dense {
+			s.AsyncSweepsDense(vec.NewDense(400, 2), bd, 10)
+		} else {
+			s.AsyncSweeps(make([]float64, 400), b, 10)
+		}
+		var total uint64
+		for _, c := range s.DelayHistogram() {
+			total += c
+		}
+		if total != 10*400 {
+			t.Fatalf("%s: histogram counts %d iterations, want 4000", mode.name, total)
+		}
+		s.Reset()
+		for _, c := range s.DelayHistogram() {
+			if c != 0 {
+				t.Fatalf("%s: Reset must clear the histogram", mode.name)
+			}
+		}
 	}
-	x := make([]float64, 400)
-	s.AsyncSweeps(x, b, 10)
-	hist := s.DelayHistogram()
-	var total uint64
-	for _, c := range hist {
-		total += c
-	}
-	if total != 10*400 {
-		t.Fatalf("histogram counts %d iterations, want 4000", total)
-	}
-	s.Reset()
-	for _, c := range s.DelayHistogram() {
-		if c != 0 {
-			t.Fatal("Reset must clear the histogram")
+}
+
+// TestScriptedDelayWindow holds one iteration open while another worker
+// commits 63 updates, and checks that the delay measure sees them, in
+// partitioned mode for the vector and the dense path. Worker 1 owns
+// indices 64–127 of the 2-sweep budget on n = 64. Worker 0's first
+// iteration starts, signals, and waits in Throttle; worker 1 waits for
+// that signal at j = 64 and releases worker 0 at j = 127, after
+// committing j = 64…126.
+//
+// Regime: scripted τ. The waits are channel blocks, so the window is the
+// same under every scheduler and on one CPU.
+func TestScriptedDelayWindow(t *testing.T) {
+	const n = 64
+	a := workload.RandomSPD(n, 5, 1.5, 70)
+	b := workload.RandomRHS(n, 71)
+	bd := workload.MultiRHS(n, 2, 71)
+	for _, dense := range []bool{false, true} {
+		started, release := make(chan struct{}), make(chan struct{})
+		s, err := New(a, Options{
+			Seed: 72, Workers: 2, Partitioned: true, MeasureDelay: true,
+			Throttle: func(w int, j uint64) {
+				switch {
+				case w == 0 && j == 0:
+					close(started)
+					<-release
+				case w == 1 && j == n:
+					<-started
+				case w == 1 && j == 2*n-1:
+					close(release)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense {
+			s.AsyncSweepsDense(vec.NewDense(n, 2), bd, 2)
+		} else {
+			s.AsyncSweeps(make([]float64, n), b, 2)
+		}
+		if got := s.ObservedTau(); got < n-1 {
+			t.Fatalf("dense=%v: observed τ̂ = %d, want at least %d", dense, got, n-1)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
@@ -189,42 +188,15 @@ func (s *Solver) Iterations(x, b []float64, m int) float64 {
 			s.step(x, b, i, false)
 		}
 	} else {
-		// Chunked claiming: one CAS per chunk of indices instead of one
-		// per projection takes the shared counter off the critical path.
-		chunk := s.chunkSize(end - start)
-		var counter atomic.Uint64
-		counter.Store(start)
-		var wg sync.WaitGroup
-		for w := 0; w < s.opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				//asyrgs:boundedloop the claimed counter is monotone; every pass claims chunk>=1 indices and exits once base passes end
-				for {
-					base := counter.Add(uint64(chunk)) - uint64(chunk)
-					if base >= end {
-						return
-					}
-					top := base + uint64(chunk)
-					if top > end {
-						top = end
-					}
-					for j := base; j < top; j++ {
-						i := s.pickRow(stream, j)
-						s.step(x, b, i, true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers, s.rowBytes)
+		claim.Run(start, end, s.opts.Workers, chunk, false, func(_ int, lo, hi uint64) {
+			for j := lo; j < hi; j++ {
+				s.step(x, b, s.pickRow(stream, j), true)
+			}
+		})
 	}
 	s.next = end
 	return s.Residual(x, b)
-}
-
-// chunkSize resolves the claiming granularity (see claim.SizeFor).
-func (s *Solver) chunkSize(total uint64) int {
-	return claim.SizeFor(s.opts.Chunk, total, s.opts.Workers, s.rowBytes)
 }
 
 // Solve iterates until the relative residual reaches tol or maxIter

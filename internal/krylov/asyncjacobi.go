@@ -3,7 +3,6 @@ package krylov
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -25,12 +24,21 @@ import (
 // the ablation against AsyRGS isolates the direction strategy, not the
 // memory model.
 func AsyncJacobi(a *sparse.CSR, x, b []float64, sweeps, workers int) StationaryResult {
-	return AsyncJacobiWithInv(a, InvDiag(a), x, b, sweeps, workers)
+	return AsyncJacobiWithInv(a, InvDiag(a), x, b, sweeps, workers, nil)
 }
 
-// AsyncJacobiWithInv is AsyncJacobi with a precomputed D⁻¹ (see InvDiag),
-// the prepared-state entry point: no per-call diagonal extraction.
-func AsyncJacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, workers int) StationaryResult {
+// AsyncJacobiThrottled is AsyncJacobi with a per-iteration hook, mirroring
+// core.Options.Throttle, so the fault-injection experiments can starve a
+// block and demonstrate the single-point-of-failure weakness that
+// randomization removes.
+func AsyncJacobiThrottled(a *sparse.CSR, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
+	return AsyncJacobiWithInv(a, InvDiag(a), x, b, sweeps, workers, throttle)
+}
+
+// AsyncJacobiWithInv is AsyncJacobiThrottled with a precomputed D⁻¹ (see
+// InvDiag), the prepared-state entry point: no per-call diagonal
+// extraction. A nil throttle runs free.
+func AsyncJacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n || len(inv) != n {
 		panic("krylov: AsyncJacobi shape mismatch")
@@ -54,66 +62,6 @@ func AsyncJacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, workers int)
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			<-start
-			for s := 0; s < sweeps; s++ {
-				for i := lo; i < hi; i++ {
-					if inv[i] == 0 {
-						continue
-					}
-					dot := a.RowDotAtomic(i, x)
-					// dot includes A_ii·x_i; the Jacobi/GS hybrid update
-					// x_i += (b_i − A_i·x)/A_ii is the natural chaotic
-					// relaxation step (within a block it is Gauss–Seidel,
-					// across blocks Jacobi-with-stale-data).
-					atomicfloat.Add(&x[i], (b[i]-dot)*inv[i])
-				}
-				runtime.Gosched()
-			}
-		}(lo, hi)
-	}
-	close(start)
-	wg.Wait()
-	normB := vec.Nrm2(b)
-	if normB == 0 {
-		normB = 1
-	}
-	res := relResidual(a, x, b, normB)
-	return StationaryResult{Sweeps: sweeps, Residual: res}
-}
-
-// AsyncJacobiThrottled is AsyncJacobi with a per-iteration hook, mirroring
-// core.Options.Throttle, so the fault-injection experiments can starve a
-// block and demonstrate the single-point-of-failure weakness that
-// randomization removes.
-func AsyncJacobiThrottled(a *sparse.CSR, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
-	return AsyncJacobiThrottledWithInv(a, InvDiag(a), x, b, sweeps, workers, throttle)
-}
-
-// AsyncJacobiThrottledWithInv is AsyncJacobiThrottled with a precomputed
-// D⁻¹ (see InvDiag), the prepared-state entry point.
-func AsyncJacobiThrottledWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
-	n := a.Rows
-	if a.Cols != n || len(x) != n || len(b) != n || len(inv) != n {
-		panic("krylov: AsyncJacobiThrottled shape mismatch")
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	start := make(chan struct{})
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			<-start
@@ -126,8 +74,11 @@ func AsyncJacobiThrottledWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, wor
 						continue
 					}
 					dot := a.RowDotAtomic(i, x)
+					// dot includes A_ii·x_i; the Jacobi/GS hybrid update
+					// x_i += (b_i − A_i·x)/A_ii is the natural chaotic
+					// relaxation step (within a block it is Gauss–Seidel,
+					// across blocks Jacobi-with-stale-data).
 					atomicfloat.Add(&x[i], (b[i]-dot)*inv[i])
-					done.Add(1)
 				}
 				runtime.Gosched()
 			}

@@ -154,7 +154,7 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 	r := vec.NewDense(n, c)
 	p := vec.NewDense(n, c)
 	ap := vec.NewDense(n, c)
-	a.MulDense(ap.Data, x.Data, c, opts.Workers)
+	a.MulDensePar(ap.Data, x.Data, c, opts.Workers, sparse.PartitionContiguous)
 	matvecs := 1
 	vec.Sub(r.Data, b.Data, ap.Data)
 	copy(p.Data, r.Data)
@@ -189,7 +189,7 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 	}
 
 	for it := 1; it <= maxIter; it++ {
-		a.MulDense(ap.Data, p.Data, c, opts.Workers)
+		a.MulDensePar(ap.Data, p.Data, c, opts.Workers, sparse.PartitionContiguous)
 		matvecs++
 		colDot(p, ap, pap)
 		for j := 0; j < c; j++ {

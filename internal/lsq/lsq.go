@@ -228,44 +228,18 @@ func (s *Solver) runSequential(x, b []float64, stream rng.Stream, start, end uin
 // relevant residual entries (A_i·x for rows i touching column j) with
 // plain reads, and commits the single-coordinate update atomically.
 func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) {
-	// Chunked claiming: one CAS per chunk of indices instead of one per
-	// coordinate step takes the shared counter off the critical path.
-	chunk := s.chunkSize(end - start)
-	var counter atomic.Uint64
-	counter.Store(start)
-	var wg sync.WaitGroup
-	for w := 0; w < s.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//asyrgs:boundedloop the claimed counter is monotone; every pass claims chunk>=1 indices and exits once base passes end
-			for {
-				base := counter.Add(uint64(chunk)) - uint64(chunk)
-				if base >= end {
-					return
-				}
-				top := base + uint64(chunk)
-				if top > end {
-					top = end
-				}
-				for it := base; it < top; it++ {
-					j := s.pickCol(stream, it)
-					rows, vals := s.csc.Col(j)
-					var g float64
-					for k, i := range rows {
-						g += vals[k] * (b[i] - s.a.RowDotAtomic(i, x))
-					}
-					atomicfloat.Add(&x[j], s.beta*g/s.colNorm2[j])
-				}
+	chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers, s.rowBytes)
+	claim.Run(start, end, s.opts.Workers, chunk, false, func(_ int, lo, hi uint64) {
+		for it := lo; it < hi; it++ {
+			j := s.pickCol(stream, it)
+			rows, vals := s.csc.Col(j)
+			var g float64
+			for k, i := range rows {
+				g += vals[k] * (b[i] - s.a.RowDotAtomic(i, x))
 			}
-		}()
-	}
-	wg.Wait()
-}
-
-// chunkSize resolves the claiming granularity (see claim.SizeFor).
-func (s *Solver) chunkSize(total uint64) int {
-	return claim.SizeFor(s.opts.Chunk, total, s.opts.Workers, s.rowBytes)
+			atomicfloat.Add(&x[j], s.beta*g/s.colNorm2[j])
+		}
+	})
 }
 
 // LSQResidual returns ‖Aᵀ(b − A·x)‖₂, the least-squares optimality

@@ -357,14 +357,13 @@ func (p *stationaryPrepared) Solve(ctx context.Context, b, x []float64, opts Opt
 			return krylov.GaussSeidelWithInv(p.a, p.inv, x, b, chunk, tol)
 		})
 	default: // asyncjacobi
-		var iter atomic.Uint64 // the throttle hook is invoked from every worker
+		var throttle func(w, i int)
+		if opts.Throttle != nil {
+			var iter atomic.Uint64 // the throttle hook is invoked from every worker
+			throttle = func(w, _ int) { opts.Throttle(w, iter.Add(1)-1) }
+		}
 		return chunkedStationary(ctx, p.name, p.a, b, x, opts, func(chunk int, tol float64) krylov.StationaryResult {
-			if opts.Throttle != nil {
-				return krylov.AsyncJacobiThrottledWithInv(p.a, p.inv, x, b, chunk, opts.Workers, func(w, i int) {
-					opts.Throttle(w, iter.Add(1)-1)
-				})
-			}
-			return krylov.AsyncJacobiWithInv(p.a, p.inv, x, b, chunk, opts.Workers)
+			return krylov.AsyncJacobiWithInv(p.a, p.inv, x, b, chunk, opts.Workers, throttle)
 		})
 	}
 }

@@ -90,12 +90,12 @@ type Opts struct {
 
 	// Chunk is the iteration-claiming granularity of the asynchronous
 	// coordinate methods: a worker grabs Chunk global iteration indices
-	// from the shared counter per CAS and generates that block's random
-	// directions into a local buffer in one pass. Zero auto-sizes from
-	// the budget and worker count. The direction at index j is a pure
-	// function of (seed, j), so Chunk trades contention against tail
-	// imbalance without changing the direction multiset. Methods without
-	// a claiming counter ignore it.
+	// from the shared counter per atomic add and generates that block's
+	// random directions into a local buffer in one pass. Zero auto-sizes
+	// from the budget and worker count; an explicit value is capped at
+	// 4096. The direction at index j is a pure function of (seed, j), so
+	// Chunk trades contention against tail imbalance without changing the
+	// direction multiset. Methods without a claiming counter ignore it.
 	Chunk int
 
 	// CheckEvery is the number of sweeps between residual evaluations and

@@ -278,8 +278,9 @@ type SolveRequest struct {
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Chunk is the iteration-claiming granularity of the asynchronous
 	// coordinate methods (indices grabbed from the shared counter per
-	// CAS); zero auto-sizes. The direction sequence is chunk-invariant,
-	// so this is purely a performance knob.
+	// atomic add); zero auto-sizes, and a larger value is capped at 4096.
+	// The direction sequence is chunk-invariant, so this is purely a
+	// performance knob.
 	Chunk int `json:"chunk,omitempty"`
 	// Precision must be "", "f64" or "float64": every method stores and
 	// iterates in float64, and any other value is rejected with 400

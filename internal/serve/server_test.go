@@ -222,9 +222,10 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 }
 
 // TestHugeChunkIsClamped sends a claiming chunk far beyond the solve's
-// budget. The claim clamps it to the claimed range, so the async workers
-// size their direction buffers from the range, not from the request, and
-// the solve converges instead of panicking in a worker goroutine.
+// budget. The claim clamps it to the claimed range and to 4096, so the
+// async workers size their direction buffers from neither the request nor
+// the range, and the solve converges instead of panicking in a worker
+// goroutine.
 func TestHugeChunkIsClamped(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for _, m := range []string{"asyrgs", "asyrgs-partitioned"} {

@@ -84,7 +84,7 @@ func scatter64Atomic(x []float64, vals []float64, idx []int, g float64) {
 
 // Axpy adds a·src into dst elementwise over len(src) entries; dst must be
 // at least that long. This is the streaming c-vector update at the heart
-// of MulDense/MulDensePar and the batched dense sweeps.
+// of MulDensePar and the batched dense sweeps.
 func Axpy(dst, src []float64, a float64) {
 	n := len(src)
 	dst = dst[:n]

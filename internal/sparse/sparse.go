@@ -279,46 +279,6 @@ func (m *CSR) MulVecPar(y, x []float64, workers int, part Partition) {
 	wg.Wait()
 }
 
-// MulDense computes Y ← A·X for row-major dense blocks: Y is Rows×c and X
-// is Cols×c. Row-major storage means each sparse entry update streams a
-// contiguous c-vector, the multi-RHS locality trick from the paper's §9.
-// workers <= 1 runs serially.
-func (m *CSR) MulDense(ydata []float64, xdata []float64, c int, workers int) {
-	if len(xdata) != m.Cols*c || len(ydata) != m.Rows*c {
-		panic("sparse: MulDense shape mismatch")
-	}
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yrow := ydata[i*c : (i+1)*c]
-			for j := range yrow {
-				yrow[j] = 0
-			}
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				xrow := xdata[m.ColIdx[k]*c : (m.ColIdx[k]+1)*c]
-				Axpy(yrow, xrow, m.Vals[k])
-			}
-		}
-	}
-	if workers <= 1 || m.Rows < 128 {
-		body(0, m.Rows)
-		return
-	}
-	if workers > m.Rows {
-		workers = m.Rows
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m.Rows / workers
-		hi := (w + 1) * m.Rows / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // Transpose returns Aᵀ in CSR form.
 func (m *CSR) Transpose() *CSR {
 	colCount := make([]int, m.Cols+1)

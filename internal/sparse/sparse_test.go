@@ -188,31 +188,6 @@ func TestMulVecParMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMulDenseMatchesPerColumn(t *testing.T) {
-	m := randomCSR(60, 60, 0.1, 3)
-	const c = 5
-	x := make([]float64, 60*c)
-	for i := range x {
-		x[i] = float64(i%11) - 5
-	}
-	y := make([]float64, 60*c)
-	m.MulDense(y, x, c, 4)
-	// Column-by-column reference.
-	xcol := make([]float64, 60)
-	ycol := make([]float64, 60)
-	for j := 0; j < c; j++ {
-		for i := 0; i < 60; i++ {
-			xcol[i] = x[i*c+j]
-		}
-		m.MulVec(ycol, xcol)
-		for i := 0; i < 60; i++ {
-			if math.Abs(y[i*c+j]-ycol[i]) > 1e-12 {
-				t.Fatalf("MulDense (%d,%d): got %v want %v", i, j, y[i*c+j], ycol[i])
-			}
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	m := randomCSR(20, 35, 0.15, 4)
 	tt := m.Transpose().Transpose()
