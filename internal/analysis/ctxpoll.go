@@ -7,16 +7,19 @@ import (
 )
 
 // loopPackages enrolls the packages whose loops execute solver work,
-// including the claiming loop the asynchronous solvers share.
+// including the claiming loop the asynchronous solvers share and the
+// outer loop every solve runs.
 // Every registry method promises context cancellation; an unbounded
 // loop that never observes ctx breaks that promise exactly where a
 // stuck solve is most expensive (the serve admission gate holds a slot
 // until the solver yields).
 var loopPackages = []string{
 	"internal/claim",
+	"internal/outer",
 	"internal/core",
 	"internal/kaczmarz",
 	"internal/lsq",
+	"internal/krylov",
 	"internal/distmem",
 	"internal/method",
 }

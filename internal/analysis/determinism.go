@@ -8,12 +8,13 @@ import (
 // detPackages enrolls the packages whose every output must be a pure
 // function of their inputs and Philox (stream, counter) pairs: the
 // solver cores, the claiming loop that hands them iteration indices, the
-// sharded backend, the alias sampler and the generator itself. The
-// paper's convergence claims are only testable because replays are
-// bit-exact; one stray wall-clock read or math/rand draw silently breaks
-// every replay-based test downstream.
+// outer loop that decides when they stop, the sharded backend, the alias
+// sampler and the generator itself. The paper's convergence claims are
+// only testable because replays are bit-exact; one stray wall-clock read
+// or math/rand draw silently breaks every replay-based test downstream.
 var detPackages = []string{
 	"internal/claim",
+	"internal/outer",
 	"internal/core",
 	"internal/kaczmarz",
 	"internal/lsq",

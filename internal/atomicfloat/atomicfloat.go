@@ -52,8 +52,3 @@ func Add(addr *float64, delta float64) float64 {
 func CompareAndSwap(addr *float64, old, next float64) bool {
 	return atomic.CompareAndSwapUint64(word(addr), math.Float64bits(old), math.Float64bits(next))
 }
-
-// Swap atomically stores v and returns the previous value.
-func Swap(addr *float64, v float64) float64 {
-	return math.Float64frombits(atomic.SwapUint64(word(addr), math.Float64bits(v)))
-}

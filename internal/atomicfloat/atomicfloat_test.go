@@ -24,16 +24,6 @@ func TestAddReturnsNewValue(t *testing.T) {
 	}
 }
 
-func TestSwap(t *testing.T) {
-	x := 1.0
-	if old := Swap(&x, 2.0); old != 1.0 {
-		t.Fatalf("Swap returned %v, want 1", old)
-	}
-	if x != 2.0 {
-		t.Fatalf("x = %v after Swap", x)
-	}
-}
-
 func TestCompareAndSwap(t *testing.T) {
 	x := 5.0
 	if !CompareAndSwap(&x, 5.0, 6.0) {

@@ -196,25 +196,10 @@ func (s *Solver) observeTau(d uint64) {
 // SolveAsync iterates asynchronously until the relative residual drops
 // below tol or maxSweeps sweeps are spent. The residual check is a
 // synchronization point (as in the paper's occasional-synchronization
-// scheme), performed every checkEvery sweeps (1 if zero).
+// scheme), performed every checkEvery sweeps (1 if zero). A non-positive
+// tol runs all maxSweeps.
 func (s *Solver) SolveAsync(x, b []float64, tol float64, maxSweeps, checkEvery int) (Result, error) {
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	done := 0
-	for done < maxSweeps {
-		step := checkEvery
-		if done+step > maxSweeps {
-			step = maxSweeps - done
-		}
-		s.AsyncSweeps(x, b, step)
-		done += step
-		if res := s.Residual(x, b); res <= tol {
-			return Result{Sweeps: done, Iterations: s.next, Residual: res, Converged: true, ObservedTau: s.ObservedTau()}, nil
-		}
-	}
-	res := s.Residual(x, b)
-	return Result{Sweeps: done, Iterations: s.next, Residual: res, ObservedTau: s.ObservedTau()}, ErrNotConverged
+	return s.solve(x, b, tol, maxSweeps, checkEvery, s.AsyncSweeps)
 }
 
 // Precondition approximates z ≈ A⁻¹·r by running the configured number of

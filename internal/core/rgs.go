@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -93,25 +95,22 @@ func (s *Solver) SweepsDense(x, b *vec.Dense, sweeps int) {
 
 // Solve iterates synchronously until the relative residual drops below tol
 // or maxSweeps sweeps have been spent, checking the residual every
-// checkEvery sweeps (1 if zero).
+// checkEvery sweeps (1 if zero). A non-positive tol runs all maxSweeps.
 func (s *Solver) Solve(x, b []float64, tol float64, maxSweeps, checkEvery int) (Result, error) {
-	if checkEvery <= 0 {
-		checkEvery = 1
+	return s.solve(x, b, tol, maxSweeps, checkEvery, s.Sweeps)
+}
+
+// solve drives sweep through outer.Run, checkEvery sweeps per call and
+// one residual per round.
+func (s *Solver) solve(x, b []float64, tol float64, maxSweeps, checkEvery int, sweep func(x, b []float64, sweeps int)) (Result, error) {
+	p, _ := outer.Run(context.Background(), tol, maxSweeps, checkEvery,
+		func(k int) int { sweep(x, b, k); return k },
+		func() float64 { return s.Residual(x, b) })
+	res := Result{Sweeps: p.Done, Iterations: s.next, Residual: p.Residual, Converged: p.Converged, ObservedTau: s.ObservedTau()}
+	if !p.Converged {
+		return res, ErrNotConverged
 	}
-	done := 0
-	for done < maxSweeps {
-		step := checkEvery
-		if done+step > maxSweeps {
-			step = maxSweeps - done
-		}
-		s.Sweeps(x, b, step)
-		done += step
-		if res := s.Residual(x, b); res <= tol {
-			return Result{Sweeps: done, Iterations: s.next, Residual: res, Converged: true}, nil
-		}
-	}
-	res := s.Residual(x, b)
-	return Result{Sweeps: done, Iterations: s.next, Residual: res}, ErrNotConverged
+	return res, nil
 }
 
 // ResidualDense returns ‖B−AX‖_F / ‖B‖_F.

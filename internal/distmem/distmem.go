@@ -37,6 +37,7 @@ import (
 	"sync"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
@@ -352,9 +353,8 @@ func (s *Solver) Solve(ctx context.Context, x, b []float64, sweeps int) (Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := s.p.a.Rows
-	if len(x) != n || len(b) != n {
-		return Result{}, fmt.Errorf("distmem: shape mismatch n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
+	if err := s.checkShape(x, b); err != nil {
+		return Result{}, err
 	}
 	msgs, maxQ, err := s.round(ctx, x, b, sweeps)
 	return Result{
@@ -365,32 +365,41 @@ func (s *Solver) Solve(ctx context.Context, x, b []float64, sweeps int) (Result,
 }
 
 // SolveToTol repeats rounds of sweepsPerRound sweeps until the residual
-// drops below tol or maxRounds is exhausted. Each round boundary is a
-// global synchronization (the natural restart point of the occasional-
-// synchronization scheme in a distributed deployment). The returned
-// Result accumulates MessagesSent (sum) and MaxQueueLen (max) across
-// rounds and reports the final round's residual; the int is the number of
-// rounds run.
+// drops below tol or maxRounds is exhausted; a non-positive tol runs all
+// maxRounds. Each round boundary is a global synchronization (the natural
+// restart point of the occasional-synchronization scheme in a distributed
+// deployment). The returned Result accumulates MessagesSent (sum) and
+// MaxQueueLen (max) across rounds and reports the last measured residual;
+// the int is the number of rounds run. A round that ctx cuts short is not
+// measured, and ctx's error is returned.
 func (s *Solver) SolveToTol(ctx context.Context, x, b []float64, tol float64, sweepsPerRound, maxRounds int) (Result, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var total Result
-	for round := 1; round <= maxRounds; round++ {
-		res, err := s.Solve(ctx, x, b, sweepsPerRound)
-		total.Residual = res.Residual
-		total.MessagesSent += res.MessagesSent
-		if res.MaxQueueLen > total.MaxQueueLen {
-			total.MaxQueueLen = res.MaxQueueLen
-		}
-		if err != nil {
-			return total, round, err
-		}
-		if res.Residual <= tol {
-			return total, round, nil
-		}
+	if err := s.checkShape(x, b); err != nil {
+		return Result{}, 0, err
 	}
-	return total, maxRounds, fmt.Errorf("distmem: residual %g above tol %g after %d rounds", total.Residual, tol, maxRounds)
+	var total Result
+	p, err := outer.Run(ctx, tol, maxRounds, 1, func(int) int {
+		// round's only error is ctx's, which Run reports after the round.
+		msgs, maxQ, _ := s.round(ctx, x, b, sweepsPerRound)
+		total.MessagesSent += msgs
+		total.MaxQueueLen = max(total.MaxQueueLen, maxQ)
+		return 1
+	}, func() float64 { return relResidual(s.p.a, x, b) })
+	total.Residual = p.Residual
+	if err == nil && !p.Converged {
+		err = fmt.Errorf("distmem: residual %g above tol %g after %d rounds", p.Residual, tol, p.Done)
+	}
+	return total, p.Done, err
+}
+
+// checkShape rejects x and b whose length is not the matrix dimension.
+func (s *Solver) checkShape(x, b []float64) error {
+	if n := s.p.a.Rows; len(x) != n || len(b) != n {
+		return fmt.Errorf("distmem: shape mismatch n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
+	}
+	return nil
 }
 
 // Solve is the one-shot convenience path: Prepare plus a single round on

@@ -7,6 +7,7 @@
 package kaczmarz
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/claim"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -172,10 +174,10 @@ func (s *Solver) step(x, b []float64, i int, concurrent bool) {
 	s.a.RowAxpy(i, x, gamma)
 }
 
-// Iterations runs m iterations (synchronously for Workers <= 1, otherwise
-// asynchronously with atomic coordinate updates) and returns the relative
-// residual.
-func (s *Solver) Iterations(x, b []float64, m int) float64 {
+// Iterations runs m iterations: synchronously for Workers <= 1, otherwise
+// asynchronously with atomic coordinate updates. It measures nothing;
+// call Residual for progress.
+func (s *Solver) Iterations(x, b []float64, m int) {
 	if len(x) != s.a.Cols || len(b) != s.a.Rows {
 		panic("kaczmarz: shape mismatch")
 	}
@@ -196,31 +198,22 @@ func (s *Solver) Iterations(x, b []float64, m int) float64 {
 		})
 	}
 	s.next = end
-	return s.Residual(x, b)
 }
 
 // Solve iterates until the relative residual reaches tol or maxIter
 // iterations are spent, checking every checkEvery iterations (n if zero).
+// A non-positive tol runs all maxIter.
 func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (int, float64, error) {
 	if checkEvery <= 0 {
 		checkEvery = s.a.Cols
-		if checkEvery == 0 {
-			checkEvery = 1
-		}
 	}
-	done := 0
-	for done < maxIter {
-		step := checkEvery
-		if done+step > maxIter {
-			step = maxIter - done
-		}
-		res := s.Iterations(x, b, step)
-		done += step
-		if res <= tol {
-			return done, res, nil
-		}
+	p, _ := outer.Run(context.Background(), tol, maxIter, checkEvery,
+		func(k int) int { s.Iterations(x, b, k); return k },
+		func() float64 { return s.Residual(x, b) })
+	if !p.Converged {
+		return p.Done, p.Residual, ErrNotConverged
 	}
-	return done, s.Residual(x, b), ErrNotConverged
+	return p.Done, p.Residual, nil
 }
 
 // Residual returns ‖b−Ax‖₂/‖b‖₂.

@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"runtime"
 	"sync"
 
@@ -24,21 +25,17 @@ import (
 // the ablation against AsyRGS isolates the direction strategy, not the
 // memory model.
 func AsyncJacobi(a *sparse.CSR, x, b []float64, sweeps, workers int) StationaryResult {
-	return AsyncJacobiWithInv(a, InvDiag(a), x, b, sweeps, workers, nil)
+	return AsyncJacobiWithInv(context.Background(), a, InvDiag(a), x, b, sweeps, workers, nil)
 }
 
-// AsyncJacobiThrottled is AsyncJacobi with a per-iteration hook, mirroring
+// AsyncJacobiWithInv is AsyncJacobi with a precomputed D⁻¹ (see InvDiag),
+// the prepared-state entry point: no per-call diagonal extraction. A
+// non-nil throttle runs before every coordinate update, mirroring
 // core.Options.Throttle, so the fault-injection experiments can starve a
-// block and demonstrate the single-point-of-failure weakness that
-// randomization removes.
-func AsyncJacobiThrottled(a *sparse.CSR, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
-	return AsyncJacobiWithInv(a, InvDiag(a), x, b, sweeps, workers, throttle)
-}
-
-// AsyncJacobiWithInv is AsyncJacobiThrottled with a precomputed D⁻¹ (see
-// InvDiag), the prepared-state entry point: no per-call diagonal
-// extraction. A nil throttle runs free.
-func AsyncJacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
+// block and show the single-point-of-failure weakness that randomization
+// removes. Each worker polls ctx before each of its sweeps and stops once
+// ctx is done; the residual is then that of the partial run.
+func AsyncJacobiWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64, sweeps, workers int, throttle func(worker int, i int)) StationaryResult {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n || len(inv) != n {
 		panic("krylov: AsyncJacobi shape mismatch")
@@ -65,7 +62,7 @@ func AsyncJacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps, workers int,
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			<-start
-			for s := 0; s < sweeps; s++ {
+			for s := 0; s < sweeps && ctx.Err() == nil; s++ {
 				for i := lo; i < hi; i++ {
 					if throttle != nil {
 						throttle(w, i)

@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -334,7 +335,7 @@ func TestAsyncJacobiThrottledStarvation(t *testing.T) {
 	b := workload.RandomRHS(200, 38)
 	slowCalls := 0
 	x := make([]float64, 200)
-	res := AsyncJacobiThrottled(a, x, b, 20, 4, func(w, i int) {
+	res := AsyncJacobiWithInv(context.Background(), a, InvDiag(a), x, b, 20, 4, func(w, i int) {
 		if w == 0 {
 			slowCalls++ // just count; heavy sleeps would slow the suite
 		}

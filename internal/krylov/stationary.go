@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"math"
 
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -17,8 +18,7 @@ type StationaryResult struct {
 // InvDiag returns the entrywise reciprocal of the matrix diagonal with
 // zero entries mapped to zero — the prepared state every stationary
 // iteration in this file consumes. Computing it once per matrix (rather
-// than once per chunk of sweeps) is what the ...WithInv variants exist
-// for.
+// than once per call) is what the ...WithInv variants exist for.
 func InvDiag(a *sparse.CSR) []float64 {
 	diag := a.Diag()
 	inv := make([]float64, len(diag))
@@ -36,12 +36,14 @@ func InvDiag(a *sparse.CSR) []float64 {
 // baseline that asynchronous methods historically relaxed. Repeated
 // solves against one matrix should hoist InvDiag and call JacobiWithInv.
 func Jacobi(a *sparse.CSR, x, b []float64, sweeps int, tol float64, workers int) StationaryResult {
-	return JacobiWithInv(a, InvDiag(a), x, b, sweeps, tol, workers)
+	return JacobiWithInv(context.Background(), a, InvDiag(a), x, b, sweeps, tol, workers)
 }
 
 // JacobiWithInv is Jacobi with a precomputed D⁻¹ (see InvDiag), the
-// prepared-state entry point: no per-call diagonal extraction.
-func JacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, workers int) StationaryResult {
+// prepared-state entry point: no per-call diagonal extraction. It polls
+// ctx before every sweep; once ctx is done it stops, and Sweeps counts
+// the sweeps run.
+func JacobiWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, workers int) StationaryResult {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n || len(inv) != n {
 		panic("krylov: Jacobi shape mismatch")
@@ -51,7 +53,8 @@ func JacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, 
 		normB = 1
 	}
 	ax := make([]float64, n)
-	for s := 1; s <= sweeps; s++ {
+	done := 0
+	for ; done < sweeps && ctx.Err() == nil; done++ {
 		a.MulVecPar(ax, x, workers, sparse.PartitionRoundRobin)
 		var rn float64
 		for i := 0; i < n; i++ {
@@ -61,7 +64,7 @@ func JacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, 
 		}
 		if tol > 0 {
 			if res := sqrtSafe(rn) / normB; res <= tol {
-				return StationaryResult{Sweeps: s, Residual: res, Converged: true}
+				return StationaryResult{Sweeps: done + 1, Residual: res, Converged: true}
 			}
 		}
 	}
@@ -72,7 +75,7 @@ func JacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, 
 		rn += d * d
 	}
 	res := sqrtSafe(rn) / normB
-	return StationaryResult{Sweeps: sweeps, Residual: res, Converged: tol > 0 && res <= tol}
+	return StationaryResult{Sweeps: done, Residual: res, Converged: tol > 0 && res <= tol}
 }
 
 // GaussSeidel runs deterministic forward Gauss–Seidel sweeps:
@@ -81,12 +84,14 @@ func JacobiWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, 
 // on. Repeated solves against one matrix should hoist InvDiag and call
 // GaussSeidelWithInv.
 func GaussSeidel(a *sparse.CSR, x, b []float64, sweeps int, tol float64) StationaryResult {
-	return GaussSeidelWithInv(a, InvDiag(a), x, b, sweeps, tol)
+	return GaussSeidelWithInv(context.Background(), a, InvDiag(a), x, b, sweeps, tol)
 }
 
 // GaussSeidelWithInv is GaussSeidel with a precomputed D⁻¹ (see InvDiag),
-// the prepared-state entry point: no per-call diagonal extraction.
-func GaussSeidelWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64) StationaryResult {
+// the prepared-state entry point: no per-call diagonal extraction. It
+// polls ctx before every sweep; once ctx is done it stops, and Sweeps
+// counts the sweeps run.
+func GaussSeidelWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64) StationaryResult {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n || len(inv) != n {
 		panic("krylov: GaussSeidel shape mismatch")
@@ -95,7 +100,8 @@ func GaussSeidelWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol floa
 	if normB == 0 {
 		normB = 1
 	}
-	for s := 1; s <= sweeps; s++ {
+	done := 0
+	for ; done < sweeps && ctx.Err() == nil; done++ {
 		for i := 0; i < n; i++ {
 			if inv[i] == 0 {
 				continue
@@ -109,12 +115,12 @@ func GaussSeidelWithInv(a *sparse.CSR, inv, x, b []float64, sweeps int, tol floa
 		}
 		if tol > 0 {
 			if res := relResidual(a, x, b, normB); res <= tol {
-				return StationaryResult{Sweeps: s, Residual: res, Converged: true}
+				return StationaryResult{Sweeps: done + 1, Residual: res, Converged: true}
 			}
 		}
 	}
 	res := relResidual(a, x, b, normB)
-	return StationaryResult{Sweeps: sweeps, Residual: res, Converged: tol > 0 && res <= tol}
+	return StationaryResult{Sweeps: done, Residual: res, Converged: tol > 0 && res <= tol}
 }
 
 func relResidual(a *sparse.CSR, x, b []float64, normB float64) float64 {

@@ -18,6 +18,7 @@
 package lsq
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
 	"github.com/asynclinalg/asyrgs/internal/claim"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -264,24 +266,18 @@ func (s *Solver) ResidualNorm(x, b []float64) float64 {
 
 // Solve iterates until the normal-equation residual ‖Aᵀ(b−Ax)‖₂ drops
 // below tol or maxIter steps are spent, checking every checkEvery steps
-// (one sweep = Cols steps if zero).
+// (one sweep = Cols steps if zero). A non-positive tol runs all maxIter.
 func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (int, float64, error) {
 	if checkEvery <= 0 {
 		checkEvery = s.a.Cols
 	}
-	done := 0
-	for done < maxIter {
-		step := checkEvery
-		if done+step > maxIter {
-			step = maxIter - done
-		}
-		s.Iterations(x, b, step)
-		done += step
-		if res := s.LSQResidual(x, b); res <= tol {
-			return done, res, nil
-		}
+	p, _ := outer.Run(context.Background(), tol, maxIter, checkEvery,
+		func(k int) int { s.Iterations(x, b, k); return k },
+		func() float64 { return s.LSQResidual(x, b) })
+	if !p.Converged {
+		return p.Done, p.Residual, ErrNotConverged
 	}
-	return done, s.LSQResidual(x, b), ErrNotConverged
+	return p.Done, p.Residual, nil
 }
 
 // Normal returns the explicit normal-equation system (AᵀA, Aᵀb), the SPD

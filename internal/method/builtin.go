@@ -3,6 +3,7 @@ package method
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
 	"github.com/asynclinalg/asyrgs/internal/krylov"
 	"github.com/asynclinalg/asyrgs/internal/lsq"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
@@ -116,36 +118,38 @@ func (p *corePrepared) release(s *core.Solver) { p.pool.Put(s) }
 
 //asyrgs:noalloc
 func (p *corePrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(1)
 	s, err := p.fork(opts)
 	if err != nil {
 		return Result{}, err
 	}
 	defer p.release(s)
 	start := time.Now()
-	res := Result{Method: p.name}
-	for res.Sweeps < opts.MaxSweeps {
-		if err := ctx.Err(); err != nil {
-			return res, ctxErr(p.name, ctx)
-		}
-		step := min(opts.CheckEvery, opts.MaxSweeps-res.Sweeps)
-		s.AsyncSweeps(x, b, step)
-		res.Sweeps += step
-		res.Residual = s.Residual(x, b)
-		if opts.converged(res.Residual) {
-			res.Converged = true
-			break
-		}
-	}
-	res.Iterations = s.Iterations()
+	r := coreRun{s: s, x: x, b: b}
+	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery, r.sweep, r.residual)
+	res, err := p.settle(ctx, prog, err, p.a.Rows, x, opts, start)
 	res.ObservedTau = s.ObservedTau()
-	return res, finish(&res, p.a, x, opts, start, SPD)
+	return res, err
 }
+
+// coreRun binds one core solve for outer.Run. Its method values stand in
+// for function literals, which noallocwarm rejects in Solve; outer.Run
+// only calls them, so they stay on the stack and the warm path allocates
+// nothing.
+type coreRun struct {
+	s    *core.Solver
+	x, b []float64
+}
+
+// sweep advances one sweep: the context is polled between sweeps.
+func (r *coreRun) sweep(int) int     { r.s.AsyncSweeps(r.x, r.b, 1); return 1 }
+func (r *coreRun) residual() float64 { return r.s.Residual(r.x, r.b) }
 
 // SolveBatch runs every right-hand side together through the core block
 // iteration: each coordinate update touches the whole row-major RHS block
 // (the paper's multi-RHS locality trick), and convergence is checked for
-// all columns with one SpMM residual pass per CheckEvery sweeps.
+// all columns with one SpMM residual pass per CheckEvery sweeps. Sweeps
+// run one per call, so the context is polled between sweeps.
 func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
 	if len(bs) != len(xs) {
 		panic("method: SolveBatch needs one initial guess per right-hand side")
@@ -158,7 +162,7 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 		res, err := p.Solve(ctx, bs[0], xs[0], opts)
 		return []Result{res}, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(1)
 	s, err := p.fork(opts)
 	if err != nil {
 		return nil, err
@@ -174,43 +178,31 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 		bblk.SetCol(j, bs[j])
 		xblk.SetCol(j, xs[j])
 	}
-	flush := func() {
-		for j := range xs {
-			xblk.Col(xs[j], j)
-		}
-	}
-
 	start := time.Now()
 	results := make([]Result, c)
-	done := 0
 	var residuals []float64
-	for done < opts.MaxSweeps {
-		if err := ctx.Err(); err != nil {
-			flush()
-			stampBatch(results, p.name, start)
-			return results, ctxErr(p.name, ctx)
-		}
-		step := min(opts.CheckEvery, opts.MaxSweeps-done)
-		s.AsyncSweepsDense(xblk, bblk, step)
-		done += step
-		residuals = p.a.BatchRelResiduals(bblk.Data, xblk.Data, c, opts.Workers)
-		all := true
-		for _, r := range residuals {
-			if !opts.converged(r) {
-				all = false
-				break
+	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
+		func(int) int { s.AsyncSweepsDense(xblk, bblk, 1); return 1 },
+		func() float64 {
+			residuals = p.a.BatchRelResiduals(bblk.Data, xblk.Data, c, opts.Workers)
+			worst := 0.0
+			for _, r := range residuals {
+				worst = math.Max(worst, r) // NaN propagates: a NaN column never converges
 			}
-		}
-		if all {
-			break
-		}
+			return worst
+		})
+	for j := range xs {
+		xblk.Col(xs[j], j)
 	}
-	flush()
+	if err != nil {
+		stampBatch(results, p.name, start)
+		return results, ctxErr(p.name, ctx)
+	}
 	var firstErr error
 	for j := range results {
 		results[j] = Result{
 			Residual: residuals[j], Converged: opts.converged(residuals[j]),
-			Sweeps: done, Iterations: s.Iterations(), ObservedTau: s.ObservedTau(),
+			Sweeps: prog.Done, Iterations: s.Iterations(), ObservedTau: s.ObservedTau(),
 		}
 		if !results[j].Converged && opts.Tol > 0 && firstErr == nil {
 			firstErr = ErrNotConverged
@@ -236,7 +228,7 @@ func cgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 }
 
 func (p *cgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(1)
 	start := time.Now()
 	cgRes, err := krylov.CG(p.a, x, b, krylov.CGOptions{
 		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers,
@@ -247,7 +239,7 @@ func (p *cgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Resu
 		Residual: cgRes.Residual, Converged: cgRes.Converged,
 		Sweeps: cgRes.Iterations, Iterations: uint64(cgRes.Iterations),
 	}
-	if isCtxErr(err) {
+	if err != nil && ctx.Err() != nil {
 		res.Wall = time.Since(start)
 		return res, ctxErr(p.name, ctx)
 	}
@@ -276,7 +268,7 @@ func fcgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 }
 
 func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(1)
 	s, err := core.NewFromPrep(p.prep, core.Options{
 		Workers: opts.Workers, Beta: opts.Beta, Seed: opts.Seed,
 		Throttle: opts.Throttle,
@@ -284,7 +276,14 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	pre := krylov.PrecondFunc(func(z, r []float64) { s.Precondition(z, r, opts.Inner) })
+	// The Inner sweeps run one per call and stop once ctx is done;
+	// FlexibleCG then stops at its next iteration.
+	pre := krylov.PrecondFunc(func(z, r []float64) {
+		clear(z)
+		for k := 0; k < opts.Inner && ctx.Err() == nil; k++ {
+			s.AsyncSweeps(z, r, 1)
+		}
+	})
 	start := time.Now()
 	fcgRes, err := krylov.FlexibleCG(p.a, x, b, pre, krylov.FCGOptions{
 		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers,
@@ -295,7 +294,9 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 		Residual: fcgRes.Residual, Converged: fcgRes.Converged,
 		Sweeps: fcgRes.Iterations, Iterations: s.Iterations(),
 	}
-	if isCtxErr(err) {
+	// A preconditioner cut short by ctx can break FlexibleCG down before
+	// it polls ctx itself.
+	if err != nil && ctx.Err() != nil {
 		res.Wall = time.Since(start)
 		return res, ctxErr(p.name, ctx)
 	}
@@ -317,18 +318,12 @@ func effectiveTol(tol float64) float64 {
 	return tol
 }
 
-// isCtxErr reports whether a solver error came from context
-// cancellation.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // ---------------------------------------------------------------------------
 // Classical stationary baselines
 
 // stationaryPrepared holds the prepared state of the Jacobi, Gauss–Seidel
 // and chaotic-relaxation baselines: the reciprocal diagonal, extracted
-// once per matrix instead of once per chunk of sweeps.
+// once per matrix instead of once per solve.
 type stationaryPrepared struct {
 	preparedBase
 	inv []float64
@@ -346,61 +341,42 @@ func stationaryPrepare(name string) prepareFunc {
 	}
 }
 
+// Solve runs jacobi and gs as one call each over the whole budget: both
+// poll ctx and test tol before every sweep. asyncjacobi runs one
+// barrier-free call per round of CheckEvery sweeps (16 by default), each
+// worker polling ctx between its own sweeps.
 func (p *stationaryPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
+	opts = opts.withDefaults(16)
+	start := time.Now()
+	var sr krylov.StationaryResult
 	switch p.name {
 	case "jacobi":
-		return chunkedStationary(ctx, p.name, p.a, b, x, opts, func(chunk int, tol float64) krylov.StationaryResult {
-			return krylov.JacobiWithInv(p.a, p.inv, x, b, chunk, tol, opts.Workers)
-		})
+		sr = krylov.JacobiWithInv(ctx, p.a, p.inv, x, b, opts.MaxSweeps, opts.Tol, opts.Workers)
 	case "gs":
-		return chunkedStationary(ctx, p.name, p.a, b, x, opts, func(chunk int, tol float64) krylov.StationaryResult {
-			return krylov.GaussSeidelWithInv(p.a, p.inv, x, b, chunk, tol)
-		})
+		sr = krylov.GaussSeidelWithInv(ctx, p.a, p.inv, x, b, opts.MaxSweeps, opts.Tol)
 	default: // asyncjacobi
 		var throttle func(w, i int)
 		if opts.Throttle != nil {
 			var iter atomic.Uint64 // the throttle hook is invoked from every worker
 			throttle = func(w, _ int) { opts.Throttle(w, iter.Add(1)-1) }
 		}
-		return chunkedStationary(ctx, p.name, p.a, b, x, opts, func(chunk int, tol float64) krylov.StationaryResult {
-			return krylov.AsyncJacobiWithInv(p.a, p.inv, x, b, chunk, opts.Workers, throttle)
-		})
+		prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
+			func(k int) int {
+				sr = krylov.AsyncJacobiWithInv(ctx, p.a, p.inv, x, b, k, opts.Workers, throttle)
+				return k
+			},
+			func() float64 { return sr.Residual })
+		return p.settle(ctx, prog, err, p.a.Rows, x, opts, start)
 	}
+	var err error
+	if !sr.Converged {
+		err = ctx.Err()
+	}
+	return p.settle(ctx, outer.Progress{Done: sr.Sweeps, Residual: sr.Residual, Converged: sr.Converged}, err, p.a.Rows, x, opts, start)
 }
 
 func (p *stationaryPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
 	return solveColumns(ctx, p, bs, xs, opts)
-}
-
-// chunkedStationary runs a stationary iteration CheckEvery sweeps at a
-// time, checking the context between chunks. Each chunk call re-runs a
-// trailing residual matvec, so when the caller did not pick a granularity
-// the default is a larger chunk than the shared CheckEvery=1 (the
-// iterations stop early within a chunk once tol is met, so a big chunk
-// cannot overshoot).
-func chunkedStationary(ctx context.Context, name string, a *sparse.CSR, b, x []float64, opts Opts, sweep func(chunk int, tol float64) krylov.StationaryResult) (Result, error) {
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = 16
-	}
-	opts = opts.withDefaults()
-	n := uint64(a.Rows)
-	start := time.Now()
-	res := Result{Method: name}
-	for res.Sweeps < opts.MaxSweeps {
-		if err := ctx.Err(); err != nil {
-			return res, ctxErr(name, ctx)
-		}
-		step := min(opts.CheckEvery, opts.MaxSweeps-res.Sweeps)
-		sr := sweep(step, opts.Tol)
-		res.Sweeps += sr.Sweeps
-		res.Iterations += uint64(sr.Sweeps) * n
-		res.Residual = sr.Residual
-		if opts.converged(res.Residual) {
-			res.Converged = true
-			break
-		}
-	}
-	return res, finish(&res, a, x, opts, start, SPD)
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +398,7 @@ func kaczmarzPrepare(a *sparse.CSR) (PreparedSystem, error) {
 }
 
 func (p *kaczmarzPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(1)
 	s, err := kaczmarz.NewFromPrep(p.prep, kaczmarz.Options{
 		Workers: opts.Workers, Seed: opts.Seed, Beta: opts.Beta, Chunk: opts.Chunk,
 	})
@@ -430,21 +406,10 @@ func (p *kaczmarzPrepared) Solve(ctx context.Context, b, x []float64, opts Opts)
 		return Result{}, err
 	}
 	start := time.Now()
-	res := Result{Method: p.name}
-	for res.Sweeps < opts.MaxSweeps {
-		if err := ctx.Err(); err != nil {
-			return res, ctxErr(p.name, ctx)
-		}
-		step := min(opts.CheckEvery, opts.MaxSweeps-res.Sweeps)
-		res.Residual = s.Iterations(x, b, step*p.a.Rows)
-		res.Sweeps += step
-		res.Iterations += uint64(step) * uint64(p.a.Rows)
-		if opts.converged(res.Residual) {
-			res.Converged = true
-			break
-		}
-	}
-	return res, finish(&res, p.a, x, opts, start, SPD)
+	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
+		func(int) int { s.Iterations(x, b, p.a.Rows); return 1 },
+		func() float64 { return s.Residual(x, b) })
+	return p.settle(ctx, prog, err, p.a.Rows, x, opts, start)
 }
 
 func (p *kaczmarzPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
@@ -489,7 +454,7 @@ func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
 }
 
 func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(1)
 	workers := opts.Workers
 	if p.sequential {
 		workers = 1
@@ -508,22 +473,10 @@ func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 		normATb = 1
 	}
 	start := time.Now()
-	res := Result{Method: p.name}
-	for res.Sweeps < opts.MaxSweeps {
-		if err := ctx.Err(); err != nil {
-			return res, ctxErr(p.name, ctx)
-		}
-		step := min(opts.CheckEvery, opts.MaxSweeps-res.Sweeps)
-		s.Iterations(x, b, step*p.a.Cols)
-		res.Sweeps += step
-		res.Iterations += uint64(step) * uint64(p.a.Cols)
-		res.Residual = s.LSQResidual(x, b) / normATb
-		if opts.converged(res.Residual) {
-			res.Converged = true
-			break
-		}
-	}
-	return res, finish(&res, p.a, x, opts, start, LeastSquares)
+	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
+		func(int) int { s.Iterations(x, b, p.a.Cols); return 1 },
+		func() float64 { return s.LSQResidual(x, b) / normATb })
+	return p.settle(ctx, prog, err, p.a.Cols, x, opts, start)
 }
 
 func (p *lsqPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {

@@ -103,3 +103,77 @@ func TestDeadlineExceeded(t *testing.T) {
 		t.Fatalf("want wrapped DeadlineExceeded, got %v", err)
 	}
 }
+
+// TestEveryMethodStopsWithinASweepOfItsDeadline: with a residual interval
+// and a budget only the deadline can end, every registered method (and a
+// two-column asyrgs SolveBatch) must return within 1 s of a 100 ms
+// deadline, with an error wrapping DeadlineExceeded if it was still
+// running when the deadline passed. cg is the exception that ends on its
+// own: at tol 1e-300 its recurrence breaks down after about 1 ms. Each
+// solve runs in its own goroutine behind a 1 s timer, so a solve that
+// ignores its deadline fails the test instead of hanging it.
+//
+// Async regime: schedule-independent. The assertions bound only the
+// return time and the error, never the iterate, so they hold under any
+// interleaving of the 2 workers.
+func TestEveryMethodStopsWithinASweepOfItsDeadline(t *testing.T) {
+	opts := method.Opts{
+		Tol: 1e-300, CheckEvery: 1 << 30, MaxSweeps: 1 << 30, Inner: 1 << 20, Workers: 2,
+	}
+	type solveCase struct {
+		name  string
+		solve func(ctx context.Context) error
+	}
+	var cases []solveCase
+	for _, m := range method.All() {
+		m := m
+		a := workload.Laplacian2D(8, 8)
+		if m.Kind() == method.LeastSquares {
+			a = workload.RandomOverdetermined(128, 64, 4, 23)
+		}
+		b := workload.RandomRHS(a.Rows, 24)
+		cases = append(cases, solveCase{m.Name(), func(ctx context.Context) error {
+			_, err := m.Solve(ctx, a, b, make([]float64, a.Cols), opts)
+			return err
+		}})
+	}
+	cases = append(cases, solveCase{"asyrgs-batch", func(ctx context.Context) error {
+		m, err := method.Get("asyrgs")
+		if err != nil {
+			return err
+		}
+		a := workload.Laplacian2D(8, 8)
+		ps, err := method.Prepare(ctx, m, a, opts)
+		if err != nil {
+			return err
+		}
+		bs := [][]float64{workload.RandomRHS(a.Rows, 25), workload.RandomRHS(a.Rows, 26)}
+		_, err = ps.SolveBatch(ctx, bs, [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}, opts)
+		return err
+	}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			skipNonAtomicUnderRace(t, c.name)
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			deadline, _ := ctx.Deadline()
+			type outcome struct {
+				err error
+				at  time.Time
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				err := c.solve(ctx)
+				done <- outcome{err, time.Now()}
+			}()
+			select {
+			case out := <-done:
+				if out.at.After(deadline) && !errors.Is(out.err, context.DeadlineExceeded) {
+					t.Fatalf("returned %v after its deadline, want an error wrapping context.DeadlineExceeded", out.err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("still running 1 s after a 100 ms deadline")
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/distmem"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
@@ -36,7 +37,7 @@ func (distmemMethod) Kind() Kind   { return SPD }
 // distmemConfig maps the normalized options onto the backend's
 // deployment shape. Exactly these fields appear in PrepKey.
 func distmemConfig(opts Opts) distmem.Config {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(16)
 	queueCap := opts.QueueCap
 	if queueCap <= 0 {
 		queueCap = 4
@@ -92,58 +93,40 @@ type distmemPrepared struct {
 }
 
 func (p *distmemPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = distmemCheckEvery(opts).withDefaults()
+	opts = opts.withDefaults(16)
 	s := p.prep.NewSolver()
 	defer s.Close()
 	return p.solveOn(ctx, s, b, x, opts)
 }
 
-// distmemCheckEvery raises the unset residual-check granularity above
-// the shared CheckEvery=1 default: every round pays pool barriers,
-// fresh inbox allocation, per-rank iterate copies and an O(nnz)
-// residual, so one-sweep rounds would be dominated by setup (the same
-// reasoning as chunkedStationary's default).
-func distmemCheckEvery(opts Opts) Opts {
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = 16
-	}
-	return opts
-}
-
 // solveOn runs one right-hand side over an already-running worker pool.
 // Solve and SolveBatch share it, so a batch reuses one pool — and one
 // set of ever-advancing stream offsets — across rounds and columns
-// instead of respawning every goroutine per round.
+// instead of respawning every goroutine per round. One round of
+// CheckEvery sweeps is one advance: every round pays pool barriers,
+// fresh inboxes and an O(nnz) residual, and the ranks poll ctx every 64
+// iterations within it.
 func (p *distmemPrepared) solveOn(ctx context.Context, s *distmem.Solver, b, x []float64, opts Opts) (Result, error) {
-	start := time.Now()
-	res := Result{Method: p.name}
-	for res.Sweeps < opts.MaxSweeps {
-		if err := ctx.Err(); err != nil {
-			res.Wall = time.Since(start)
-			return res, ctxErr(p.name, ctx)
-		}
-		step := min(opts.CheckEvery, opts.MaxSweeps-res.Sweeps)
-		dres, err := s.Solve(ctx, x, b, step)
-		res.Messages += dres.MessagesSent
-		if dres.MaxQueueLen > res.MaxQueue {
-			res.MaxQueue = dres.MaxQueueLen
-		}
-		if err != nil {
-			if isCtxErr(err) {
-				res.Wall = time.Since(start)
-				return res, ctxErr(p.name, ctx)
-			}
-			return res, err
-		}
-		res.Sweeps += step
-		res.Iterations += uint64(step) * uint64(p.a.Rows)
-		res.Residual = dres.Residual
-		if opts.converged(res.Residual) {
-			res.Converged = true
-			break
-		}
+	n := p.a.Rows
+	if len(x) != n || len(b) != n {
+		return Result{Method: p.name}, fmt.Errorf("distmem: shape mismatch n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
 	}
-	return res, finish(&res, p.a, x, opts, start, SPD)
+	start := time.Now()
+	var round distmem.Result
+	var messages uint64
+	var maxQueue int
+	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
+		func(k int) int {
+			// A round cut short by ctx surfaces as ctx's error from Run.
+			round, _ = s.Solve(ctx, x, b, k)
+			messages += round.MessagesSent
+			maxQueue = max(maxQueue, round.MaxQueueLen)
+			return k
+		},
+		func() float64 { return round.Residual })
+	res, err := p.settle(ctx, prog, err, n, x, opts, start)
+	res.Messages, res.MaxQueue = messages, maxQueue
+	return res, err
 }
 
 // SolveBatch solves the columns sequentially over one shared worker
@@ -154,7 +137,7 @@ func (p *distmemPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, op
 	if len(bs) != len(xs) {
 		panic("method: SolveBatch needs one initial guess per right-hand side")
 	}
-	opts = distmemCheckEvery(opts).withDefaults()
+	opts = opts.withDefaults(16)
 	opts.XStar = nil
 	s := p.prep.NewSolver()
 	defer s.Close()

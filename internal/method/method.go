@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
@@ -98,11 +99,13 @@ type Opts struct {
 	// direction multiset. Methods without a claiming counter ignore it.
 	Chunk int
 
-	// CheckEvery is the number of sweeps between residual evaluations and
-	// context-cancellation checks; zero means 1 (16 for the stationary
-	// methods, whose per-chunk setup cost is higher and which stop early
-	// within a chunk). Raising it amortizes the Θ(nnz) residual over
-	// more sweeps at the cost of coarser stopping.
+	// CheckEvery is the number of sweeps between residual evaluations;
+	// zero means 1 (16 for asyncjacobi and asyrgs-distmem, whose rounds
+	// pay worker start-up and barriers). Raising it amortizes the Θ(nnz)
+	// residual over more sweeps at the cost of coarser stopping. It does
+	// not set how often the context is polled: every method polls it at
+	// least once per sweep. cg, fcg, jacobi and gs ignore it; they test
+	// the tolerance every iteration.
 	CheckEvery int
 
 	// Precision is read by nothing: every method stores and iterates in
@@ -167,8 +170,9 @@ type Method interface {
 	Solve(ctx context.Context, a *sparse.CSR, b, x []float64, opts Opts) (Result, error)
 }
 
-// withDefaults resolves zero option fields to the shared defaults.
-func (o Opts) withDefaults() Opts {
+// withDefaults resolves zero option fields to the shared defaults;
+// checkEvery is the method family's default residual interval.
+func (o Opts) withDefaults(checkEvery int) Opts {
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 1000
 	}
@@ -179,7 +183,7 @@ func (o Opts) withDefaults() Opts {
 		o.Inner = 2
 	}
 	if o.CheckEvery <= 0 {
-		o.CheckEvery = 1
+		o.CheckEvery = checkEvery
 	}
 	return o
 }
@@ -205,6 +209,21 @@ func finish(res *Result, a *sparse.CSR, x []float64, opts Opts, start time.Time,
 		return ErrNotConverged
 	}
 	return nil
+}
+
+// settle turns where a solve's outer loop stopped into its Result:
+// perSweep coordinate updates per sweep, and a context error wrapped by
+// ctxErr or else the trailing fields stamped by finish.
+func (p *preparedBase) settle(ctx context.Context, prog outer.Progress, err error, perSweep int, x []float64, opts Opts, start time.Time) (Result, error) {
+	res := Result{
+		Method: p.name, Sweeps: prog.Done, Iterations: uint64(prog.Done) * uint64(perSweep),
+		Residual: prog.Residual, Converged: prog.Converged,
+	}
+	if err != nil {
+		res.Wall = time.Since(start)
+		return res, ctxErr(p.name, ctx)
+	}
+	return res, finish(&res, p.a, x, opts, start, p.kind)
 }
 
 // ctxErr wraps a context error so callers can errors.Is it against

@@ -178,11 +178,3 @@ func (g *Sequential) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomly permutes the first n elements using swap.
-func (g *Sequential) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := g.Intn(i + 1)
-		swap(i, j)
-	}
-}

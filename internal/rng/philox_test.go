@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // TestPhiloxKnownAnswer pins the generator to the Random123 reference
@@ -208,29 +207,6 @@ func TestPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestShuffleProperty(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%50) + 1
-		a := make([]int, n)
-		for i := range a {
-			a[i] = i
-		}
-		g := NewSequential(seed)
-		g.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
-		seen := make([]bool, n)
-		for _, v := range a {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 //
 //   - Err() reports the parent's error first, then DeadlineExceeded once
 //     the deadline passes. Every solver family checks cancellation by
-//     polling Err() between chunks of work (core, kaczmarz, lsq, distmem
-//     and the krylov wrappers all do), so the budget is enforced exactly
-//     where it was before.
+//     polling Err() at least once per sweep (outer.Run between sweeps,
+//     the stationary and Krylov loops every iteration, distmem's ranks
+//     every 64 updates), so the budget is enforced within about a sweep
+//     whatever check_every.
 //   - Done() passes through to the parent: the channel fires on client
 //     disconnect but not on deadline expiry. No consumer of the solve
 //     context selects on Done() — the solve path is poll-based — so

@@ -426,8 +426,8 @@ type CacheStats struct {
 
 // maxWorkers caps a request's workers at 4× the largest thread count in
 // the paper's experiments. An asynchronous solve starts one goroutine per
-// worker for every check_every chunk and polls its deadline only between
-// chunks, so an unbounded count could hold an admission slot long past
+// worker for every sweep and polls its deadline only between sweeps, so
+// an unbounded count could hold an admission slot long past
 // SolveTimeout.
 const maxWorkers = 256
 

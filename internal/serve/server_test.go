@@ -246,7 +246,7 @@ func TestHugeChunkIsClamped(t *testing.T) {
 
 // TestHugeWorkersRejected: a worker count above maxWorkers is a 400 that
 // names the limit, answered before the matrix is built. Admitted, an
-// asynchronous solve would start that many goroutines for every chunk
+// asynchronous solve would start that many goroutines for every sweep
 // before polling its deadline again, holding its admission slot long
 // past SolveTimeout.
 func TestHugeWorkersRejected(t *testing.T) {
@@ -392,6 +392,54 @@ func TestSolveTimeoutReturns504(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestDeadlineFreesTheGate: two solves that only their deadline can end,
+// whatever check_every, fill both admission slots. Each must answer 504
+// within 1 s of a 200 ms SolveTimeout, and a normal request after them
+// must be served. Requests go straight into Handler().ServeHTTP, each in
+// its own goroutine behind one timer, so a solve that outlives its
+// deadline fails the test instead of hanging it.
+//
+// Async regime: schedule-independent. The assertions bound only status
+// codes and the return time, so they hold under any interleaving of the
+// 2 workers.
+func TestDeadlineFreesTheGate(t *testing.T) {
+	h := New(Config{MaxConcurrent: 2, SolveTimeout: 200 * time.Millisecond, QueueTimeout: time.Second}).Handler()
+	serveSolve := func(req SolveRequest) <-chan int {
+		body, _ := json.Marshal(req)
+		code := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)))
+			code <- rec.Code
+		}()
+		return code
+	}
+	spec := MatrixSpec{Kind: "laplacian2d", N: 8}
+	stuck := SolveRequest{
+		Matrix: spec, Method: "asyrgs", Workers: 2,
+		Tol: 1e-300, CheckEvery: 1 << 30, MaxSweeps: 1 << 30,
+	}
+	timeout := time.After(time.Second)
+	for i, code := range []<-chan int{serveSolve(stuck), serveSolve(stuck)} {
+		select {
+		case c := <-code:
+			if c != http.StatusGatewayTimeout {
+				t.Fatalf("request %d: status %d, want 504", i, c)
+			}
+		case <-timeout:
+			t.Fatalf("request %d still running 1 s after a 200 ms solve timeout", i)
+		}
+	}
+	select {
+	case c := <-serveSolve(SolveRequest{Matrix: spec, Method: "cg", Tol: 1e-6}):
+		if c != http.StatusOK {
+			t.Fatalf("normal request after the timed-out ones: status %d, want 200", c)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("normal request still running after 1 s")
 	}
 }
 

@@ -77,18 +77,3 @@ func (s *Scaling) SolutionToUnit(y []float64) []float64 {
 	}
 	return out
 }
-
-// HasUnitDiagonal reports whether every diagonal entry of the square matrix
-// equals 1 to within tol.
-func HasUnitDiagonal(m *CSR, tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i, v := range m.Diag() {
-		_ = i
-		if math.Abs(v-1) > tol {
-			return false
-		}
-	}
-	return true
-}

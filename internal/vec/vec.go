@@ -3,16 +3,12 @@
 //
 // All operations are written against plain []float64 slices so that they
 // compose with the sparse kernels and the atomic shared-state solvers
-// without copies. Parallel variants split work across goroutines; they are
-// intended for the long vectors that arise in the solvers (n in the
-// thousands or more) and fall back to the serial path for short inputs.
+// without copies.
 package vec
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Dot returns the Euclidean inner product x·y. It panics if the lengths
@@ -73,14 +69,6 @@ func Scal(alpha float64, x []float64) {
 	}
 }
 
-// Copy copies src into dst; the lengths must match.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("vec: Copy length mismatch %d != %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Fill sets every entry of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
@@ -106,17 +94,6 @@ func Add(dst, x, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] + y[i]
 	}
-}
-
-// MaxAbs returns max_i |x_i|, or 0 for an empty slice.
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Sum returns the sum of the entries of x.
@@ -154,73 +131,4 @@ func RelErr(x, y []float64) float64 {
 		return Nrm2(d)
 	}
 	return Nrm2(d) / ny
-}
-
-// parallelThreshold is the minimum length for which the parallel kernels
-// split work; below it goroutine overhead dominates.
-const parallelThreshold = 4096
-
-// parallelFor runs body over [0,n) split into roughly equal contiguous
-// chunks, one per available CPU. body receives the half-open range [lo,hi).
-func parallelFor(n int, body func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelThreshold || workers <= 1 {
-		body(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// DotPar is a parallel Dot for long vectors.
-func DotPar(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vec: DotPar length mismatch %d != %d", len(x), len(y)))
-	}
-	n := len(x)
-	if n < parallelThreshold {
-		return Dot(x, y)
-	}
-	var mu sync.Mutex
-	var total float64
-	parallelFor(n, func(lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += x[i] * y[i]
-		}
-		mu.Lock()
-		total += s
-		mu.Unlock()
-	})
-	return total
-}
-
-// AxpyPar is a parallel Axpy for long vectors.
-func AxpyPar(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("vec: AxpyPar length mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	parallelFor(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
 }

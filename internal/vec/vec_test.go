@@ -75,9 +75,9 @@ func TestScalCopyFill(t *testing.T) {
 		t.Fatalf("Scal = %v", x)
 	}
 	dst := make([]float64, 2)
-	Copy(dst, x)
+	copy(dst, x)
 	if dst[0] != 3 || dst[1] != 6 {
-		t.Fatalf("Copy = %v", dst)
+		t.Fatalf("copy = %v", dst)
 	}
 	Fill(dst, -1)
 	if dst[0] != -1 || dst[1] != -1 {
@@ -94,9 +94,6 @@ func TestSubAddMaxAbsSum(t *testing.T) {
 	Add(d, []float64{5, 1}, []float64{2, 4})
 	if d[0] != 7 || d[1] != 5 {
 		t.Fatalf("Add = %v", d)
-	}
-	if got := MaxAbs([]float64{-9, 3}); got != 9 {
-		t.Fatalf("MaxAbs = %v", got)
 	}
 	if got := Sum([]float64{1, 2, 3}); got != 6 {
 		t.Fatalf("Sum = %v", got)
@@ -162,38 +159,6 @@ func clip(x []float64) []float64 {
 		out[i] = math.Mod(v, 1e6)
 	}
 	return out
-}
-
-func TestDotParMatchesSerial(t *testing.T) {
-	n := 100_000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%97) / 97
-		y[i] = float64(i%89) / 89
-	}
-	serial := Dot(x, y)
-	par := DotPar(x, y)
-	if math.Abs(serial-par) > 1e-6*math.Abs(serial) {
-		t.Fatalf("DotPar = %v, serial = %v", par, serial)
-	}
-}
-
-func TestAxpyParMatchesSerial(t *testing.T) {
-	n := 50_000
-	x := make([]float64, n)
-	y1 := make([]float64, n)
-	y2 := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i % 13)
-		y1[i] = float64(i % 7)
-		y2[i] = y1[i]
-	}
-	Axpy(0.5, x, y1)
-	AxpyPar(0.5, x, y2)
-	if !Equal(y1, y2, 0) {
-		t.Fatal("AxpyPar diverged from Axpy")
-	}
 }
 
 func TestDense(t *testing.T) {
