@@ -7,7 +7,7 @@
 //
 //	asysolve -A matrix.mtx [-b rhs.mtx] [-method name | -method list]
 //	         [-tol 1e-6] [-maxsweeps 1000] [-workers P] [-beta b] [-inner k]
-//	         [-queue-cap c] [-chunk k] [-timeout d]
+//	         [-check k] [-queue-cap c] [-chunk k] [-timeout d]
 //	         [-o solution.mtx] [-repeat k]
 //
 // When -b is omitted a random right-hand side with known solution is
@@ -51,7 +51,7 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines")
 		beta       = flag.Float64("beta", 0, "step size β in (0,2); 0 = method default")
 		inner      = flag.Int("inner", 2, "preconditioner sweeps for fcg")
-		checkEvery = flag.Int("check", 5, "sweeps between residual checks")
+		checkEvery = flag.Int("check", 0, "sweeps between residual checks (0 = the method's default, predicted from the measured rate where the method supports it)")
 		queueCap   = flag.Int("queue-cap", 0, "per-peer message-queue budget of the sharded asyrgs-distmem backend (0 = default 4)")
 		chunk      = flag.Int("chunk", 0, "iteration-claiming granularity of the asynchronous methods (0 = auto)")
 		timeout    = flag.Duration("timeout", 0, "abort the solve after this duration (0 = none)")
@@ -157,7 +157,7 @@ func main() {
 			k, warm.Wall.Round(time.Millisecond), warm.Residual, warm.Converged)
 	}
 
-	fmt.Printf("sweeps=%d iterations=%d", res.Sweeps, res.Iterations)
+	fmt.Printf("sweeps=%d checks=%d iterations=%d", res.Sweeps, res.Checks, res.Iterations)
 	if res.ObservedTau > 0 {
 		fmt.Printf(" observed-tau=%d", res.ObservedTau)
 	}

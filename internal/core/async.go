@@ -196,8 +196,9 @@ func (s *Solver) observeTau(d uint64) {
 // SolveAsync iterates asynchronously until the relative residual drops
 // below tol or maxSweeps sweeps are spent. The residual check is a
 // synchronization point (as in the paper's occasional-synchronization
-// scheme), performed every checkEvery sweeps (1 if zero). A non-positive
-// tol runs all maxSweeps.
+// scheme), performed every checkEvery sweeps, or for checkEvery ≤ 0 on
+// outer.Run's predicted schedule: near the sweep at which the residuals
+// measured so far cross tol. A non-positive tol runs all maxSweeps.
 func (s *Solver) SolveAsync(x, b []float64, tol float64, maxSweeps, checkEvery int) (Result, error) {
 	return s.solve(x, b, tol, maxSweeps, checkEvery, s.AsyncSweeps)
 }

@@ -95,13 +95,15 @@ func (s *Solver) SweepsDense(x, b *vec.Dense, sweeps int) {
 
 // Solve iterates synchronously until the relative residual drops below tol
 // or maxSweeps sweeps have been spent, checking the residual every
-// checkEvery sweeps (1 if zero). A non-positive tol runs all maxSweeps.
+// checkEvery sweeps, or for checkEvery ≤ 0 on outer.Run's predicted
+// schedule: near the sweep at which the residuals measured so far cross
+// tol. A non-positive tol runs all maxSweeps.
 func (s *Solver) Solve(x, b []float64, tol float64, maxSweeps, checkEvery int) (Result, error) {
 	return s.solve(x, b, tol, maxSweeps, checkEvery, s.Sweeps)
 }
 
-// solve drives sweep through outer.Run, checkEvery sweeps per call and
-// one residual per round.
+// solve drives sweep through outer.Run, one round per call and one
+// residual per round.
 func (s *Solver) solve(x, b []float64, tol float64, maxSweeps, checkEvery int, sweep func(x, b []float64, sweeps int)) (Result, error) {
 	p, _ := outer.Run(context.Background(), tol, maxSweeps, checkEvery,
 		func(k int) int { sweep(x, b, k); return k },

@@ -216,6 +216,33 @@ func TestJacobiConvergesOnDiagonallyDominant(t *testing.T) {
 	}
 }
 
+// TestJacobiReportsTheIterateItReturns pins that a converged Jacobi
+// result describes the returned x: its Residual is ‖b − A·x‖/‖b‖
+// recomputed from that x, and Sweeps counts the updates applied.
+func TestJacobiReportsTheIterateItReturns(t *testing.T) {
+	a := workload.RandomSPD(200, 6, 1.5, 40)
+	b := workload.RandomRHS(200, 41)
+	for _, workers := range []int{1, 2} {
+		x := make([]float64, 200)
+		res := Jacobi(a, x, b, 1000, 1e-8, workers)
+		if !res.Converged {
+			t.Fatalf("workers %d: %+v", workers, res)
+		}
+		r := make([]float64, 200)
+		a.MulVec(r, x)
+		vec.Sub(r, b, r)
+		want := vec.Nrm2(r) / vec.Nrm2(b)
+		if math.Abs(res.Residual-want) > 1e-12*want {
+			t.Fatalf("workers %d: reported residual %.6e, recomputed from the returned x %.6e", workers, res.Residual, want)
+		}
+		// The same sweeps again from zero end on the same iterate.
+		y := make([]float64, 200)
+		if again := Jacobi(a, y, b, res.Sweeps, 0, workers); !vec.Equal(x, y, 0) || again.Residual != res.Residual {
+			t.Fatalf("workers %d: %d fixed sweeps give residual %.6e, the converged call %.6e", workers, res.Sweeps, again.Residual, res.Residual)
+		}
+	}
+}
+
 func TestGaussSeidelConvergesAndBeatsJacobi(t *testing.T) {
 	a := spd(t, 50, 27)
 	b := workload.RandomRHS(50, 28)

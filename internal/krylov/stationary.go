@@ -40,9 +40,11 @@ func Jacobi(a *sparse.CSR, x, b []float64, sweeps int, tol float64, workers int)
 }
 
 // JacobiWithInv is Jacobi with a precomputed D⁻¹ (see InvDiag), the
-// prepared-state entry point: no per-call diagonal extraction. It polls
-// ctx before every sweep; once ctx is done it stops, and Sweeps counts
-// the sweeps run.
+// prepared-state entry point: no per-call diagonal extraction. Each sweep
+// forms b − A·x once, tests the tolerance on it, and only then updates x,
+// so a converged result reports the residual of the x it returns and
+// Sweeps counts the updates applied. It polls ctx before every sweep;
+// once ctx is done it stops.
 func JacobiWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64, sweeps int, tol float64, workers int) StationaryResult {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n || len(inv) != n {
@@ -52,30 +54,22 @@ func JacobiWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64, swee
 	if normB == 0 {
 		normB = 1
 	}
-	ax := make([]float64, n)
-	done := 0
-	for ; done < sweeps && ctx.Err() == nil; done++ {
-		a.MulVecPar(ax, x, workers, sparse.PartitionRoundRobin)
+	r := make([]float64, n)
+	for done := 0; ; done++ {
+		a.MulVecPar(r, x, workers, sparse.PartitionRoundRobin)
 		var rn float64
-		for i := 0; i < n; i++ {
-			r := b[i] - ax[i]
-			rn += r * r
-			x[i] += inv[i] * r
+		for i := range r {
+			r[i] = b[i] - r[i]
+			rn += r[i] * r[i]
 		}
-		if tol > 0 {
-			if res := sqrtSafe(rn) / normB; res <= tol {
-				return StationaryResult{Sweeps: done + 1, Residual: res, Converged: true}
-			}
+		res := sqrtSafe(rn) / normB
+		if converged := tol > 0 && res <= tol; converged || done >= sweeps || ctx.Err() != nil {
+			return StationaryResult{Sweeps: done, Residual: res, Converged: converged}
+		}
+		for i := range x {
+			x[i] += inv[i] * r[i]
 		}
 	}
-	a.MulVecPar(ax, x, workers, sparse.PartitionRoundRobin)
-	var rn float64
-	for i := 0; i < n; i++ {
-		d := b[i] - ax[i]
-		rn += d * d
-	}
-	res := sqrtSafe(rn) / normB
-	return StationaryResult{Sweeps: done, Residual: res, Converged: tol > 0 && res <= tol}
 }
 
 // GaussSeidel runs deterministic forward Gauss–Seidel sweeps:

@@ -179,39 +179,32 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 }
 
 // Iterations runs m coordinate steps on x and returns nothing; use
-// ResidualNorm or LSQResidual for progress metrics.
+// ResidualNorm or LSQResidual for progress metrics. With Workers <= 1 it
+// builds r = b − A·x and runs SequentialIterations from it.
 func (s *Solver) Iterations(x, b []float64, m int) {
 	if len(x) != s.a.Cols || len(b) != s.a.Rows {
 		panic("lsq: shape mismatch")
 	}
-	stream := rng.NewStream(s.opts.Seed)
-	start := s.next
-	end := start + uint64(m)
 	if s.opts.Workers <= 1 {
-		s.runSequential(x, b, stream, start, end)
-	} else {
-		s.runAsync(x, b, stream, start, end)
+		s.SequentialIterations(x, s.residual(x, b), m)
+		return
 	}
+	end := s.next + uint64(m)
+	s.runAsync(x, b, rng.NewStream(s.opts.Seed), s.next, end)
 	s.next = end
 }
 
-// pickCol maps iteration index it to a column: uniform, or the
-// ‖A e_j‖²-weighted O(1) alias draw under NormWeighted. A pure function
-// of (seed, it) either way.
-func (s *Solver) pickCol(stream rng.Stream, it uint64) int {
-	if s.tab != nil {
-		return s.tab.Pick(stream, it)
+// SequentialIterations runs m steps of the sequential iteration (20) on
+// x, whatever Workers, from r = b − A·x, which it keeps current: the
+// cheap O(nnz(col)) step. A caller that advances x in rounds builds r
+// once and passes it to every round, instead of an SpMV per call.
+func (s *Solver) SequentialIterations(x, r []float64, m int) {
+	if len(x) != s.a.Cols || len(r) != s.a.Rows {
+		panic("lsq: shape mismatch")
 	}
-	return stream.IntnAt(it, s.a.Cols)
-}
-
-// runSequential is iteration (20): the residual r = b − A·x is maintained
-// incrementally, giving the cheap O(nnz(col)) step.
-func (s *Solver) runSequential(x, b []float64, stream rng.Stream, start, end uint64) {
-	r := make([]float64, s.a.Rows)
-	s.a.MulVec(r, x)
-	vec.Sub(r, b, r)
-	for it := start; it < end; it++ {
+	stream := rng.NewStream(s.opts.Seed)
+	end := s.next + uint64(m)
+	for it := s.next; it < end; it++ {
 		j := s.pickCol(stream, it)
 		rows, vals := s.csc.Col(j)
 		var g float64
@@ -224,6 +217,17 @@ func (s *Solver) runSequential(x, b []float64, stream rng.Stream, start, end uin
 			r[i] -= gamma * vals[k]
 		}
 	}
+	s.next = end
+}
+
+// pickCol maps iteration index it to a column: uniform, or the
+// ‖A e_j‖²-weighted O(1) alias draw under NormWeighted. A pure function
+// of (seed, it) either way.
+func (s *Solver) pickCol(stream rng.Stream, it uint64) int {
+	if s.tab != nil {
+		return s.tab.Pick(stream, it)
+	}
+	return stream.IntnAt(it, s.a.Cols)
 }
 
 // runAsync is iteration (21): workers share x, each step recomputes the
@@ -247,21 +251,23 @@ func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) 
 // LSQResidual returns ‖Aᵀ(b − A·x)‖₂, the least-squares optimality
 // residual: zero exactly at the minimizer x* = (AᵀA)⁻¹Aᵀb.
 func (s *Solver) LSQResidual(x, b []float64) float64 {
-	r := make([]float64, s.a.Rows)
-	s.a.MulVec(r, x)
-	vec.Sub(r, b, r)
 	atr := make([]float64, s.a.Cols)
-	s.csc.MulTransVec(atr, r)
+	s.csc.MulTransVec(atr, s.residual(x, b))
 	return vec.Nrm2(atr)
 }
 
 // ResidualNorm returns ‖b − A·x‖₂ (does not vanish for inconsistent
 // systems; compare against the optimal value).
 func (s *Solver) ResidualNorm(x, b []float64) float64 {
+	return vec.Nrm2(s.residual(x, b))
+}
+
+// residual returns a new vector holding b − A·x.
+func (s *Solver) residual(x, b []float64) []float64 {
 	r := make([]float64, s.a.Rows)
 	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
-	return vec.Nrm2(r)
+	return r
 }
 
 // Solve iterates until the normal-equation residual ‖Aᵀ(b−Ax)‖₂ drops

@@ -180,6 +180,34 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 	}
 }
 
+// TestRoundsFromOneResidualMatchOneCall pins that SequentialIterations,
+// called once per sweep on one running residual, is the same iteration as
+// one Iterations call over all the sweeps: bit-identical iterates, for
+// uniform and norm-weighted columns. Single worker, so deterministic.
+func TestRoundsFromOneResidualMatchOneCall(t *testing.T) {
+	a := workload.RandomOverdetermined(80, 24, 4, 30)
+	b := workload.RandomRHS(a.Rows, 31)
+	const sweeps = 7
+	for _, weighted := range []bool{false, true} {
+		opts := Options{Seed: 32, NormWeighted: weighted}
+		one, _ := New(a, opts)
+		want := make([]float64, a.Cols)
+		one.Iterations(want, b, sweeps*a.Cols)
+
+		rounds, _ := New(a, opts)
+		x := make([]float64, a.Cols)
+		r := make([]float64, a.Rows)
+		a.MulVec(r, x)
+		vec.Sub(r, b, r)
+		for k := 0; k < sweeps; k++ {
+			rounds.SequentialIterations(x, r, a.Cols)
+		}
+		if !vec.Equal(x, want, 0) {
+			t.Fatalf("weighted %v: %d one-sweep rounds differ from one %d-sweep call", weighted, sweeps, sweeps)
+		}
+	}
+}
+
 // TestNormWeightedConverges runs the ‖A e_j‖²-weighted alias draw (the
 // general Leventhal–Lewis distribution) through both the sequential and
 // the asynchronous iteration, at explicit claiming granularities, and

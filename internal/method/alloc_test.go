@@ -1,6 +1,7 @@
 // Allocation regression tests for the zero-allocation warm path: once a
-// system is prepared and the solver pool is warm, a sequential
-// fixed-work Solve for the core family must not allocate at all — the
+// system is prepared and the solver pool is warm, a sequential Solve for
+// the core family, fixed-work or on the predicted check schedule, must
+// not allocate at all — the
 // direction buffer, residual scratch and the solver itself are all
 // recycled. Run in CI's plain test step; skipped under -race, where the
 // detector's instrumentation changes allocation accounting.
@@ -30,20 +31,26 @@ func TestWarmPreparedSolveZeroAllocCoreFamily(t *testing.T) {
 			}
 			// Workers: 1 pins the sequential path: the asynchronous one
 			// spawns goroutines, which allocate by nature (their stacks).
-			opts := method.Opts{Tol: 0, MaxSweeps: 2, CheckEvery: 2, Workers: 1, Seed: 9}
-			ps, err := method.Prepare(context.Background(), m, a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := make([]float64, 300)
-			solve := func() {
-				if _, err := ps.Solve(context.Background(), b, x, opts); err != nil && !errors.Is(err, method.ErrNotConverged) {
+			// An unreachable tol keeps the predicted rounds going to the
+			// budget.
+			for _, opts := range []method.Opts{
+				{Tol: 0, MaxSweeps: 2, CheckEvery: 2, Workers: 1, Seed: 9},
+				{Tol: 1e-300, MaxSweeps: 12, Workers: 1, Seed: 9},
+			} {
+				ps, err := method.Prepare(context.Background(), m, a, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			solve() // warm the solver pool and its scratch
-			if avg := testing.AllocsPerRun(20, solve); avg != 0 {
-				t.Fatalf("warm prepared Solve allocated %.1f times per run, want 0", avg)
+				x := make([]float64, 300)
+				solve := func() {
+					if _, err := ps.Solve(context.Background(), b, x, opts); err != nil && !errors.Is(err, method.ErrNotConverged) {
+						t.Fatal(err)
+					}
+				}
+				solve() // warm the solver pool and its scratch
+				if avg := testing.AllocsPerRun(20, solve); avg != 0 {
+					t.Fatalf("check_every %d: warm prepared Solve allocated %.1f times per run, want 0", opts.CheckEvery, avg)
+				}
 			}
 		})
 	}

@@ -118,7 +118,7 @@ func (p *corePrepared) release(s *core.Solver) { p.pool.Put(s) }
 
 //asyrgs:noalloc
 func (p *corePrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults(0)
 	s, err := p.fork(opts)
 	if err != nil {
 		return Result{}, err
@@ -148,8 +148,9 @@ func (r *coreRun) residual() float64 { return r.s.Residual(r.x, r.b) }
 // SolveBatch runs every right-hand side together through the core block
 // iteration: each coordinate update touches the whole row-major RHS block
 // (the paper's multi-RHS locality trick), and convergence is checked for
-// all columns with one SpMM residual pass per CheckEvery sweeps. Sweeps
-// run one per call, so the context is polled between sweeps.
+// all columns with one SpMM residual pass per round, on the worst column;
+// every Result carries the batch's one count of checks. Sweeps run one
+// per call, so the context is polled between sweeps.
 func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
 	if len(bs) != len(xs) {
 		panic("method: SolveBatch needs one initial guess per right-hand side")
@@ -162,7 +163,7 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 		res, err := p.Solve(ctx, bs[0], xs[0], opts)
 		return []Result{res}, err
 	}
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults(0)
 	s, err := p.fork(opts)
 	if err != nil {
 		return nil, err
@@ -202,7 +203,7 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 	for j := range results {
 		results[j] = Result{
 			Residual: residuals[j], Converged: opts.converged(residuals[j]),
-			Sweeps: prog.Done, Iterations: s.Iterations(), ObservedTau: s.ObservedTau(),
+			Sweeps: prog.Done, Checks: prog.Checks, Iterations: s.Iterations(), ObservedTau: s.ObservedTau(),
 		}
 		if !results[j].Converged && opts.Tol > 0 && firstErr == nil {
 			firstErr = ErrNotConverged
@@ -398,7 +399,7 @@ func kaczmarzPrepare(a *sparse.CSR) (PreparedSystem, error) {
 }
 
 func (p *kaczmarzPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults(0)
 	s, err := kaczmarz.NewFromPrep(p.prep, kaczmarz.Options{
 		Workers: opts.Workers, Seed: opts.Seed, Beta: opts.Beta, Chunk: opts.Chunk,
 	})
@@ -453,8 +454,11 @@ func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
 	}
 }
 
+// Solve runs one sweep per advance. The sequential variants keep the
+// running residual b − A·x of iteration (20) across sweeps, built once per
+// solve; each check is still a fresh LSQResidual.
 func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults(0)
 	workers := opts.Workers
 	if p.sequential {
 		workers = 1
@@ -473,9 +477,15 @@ func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 		normATb = 1
 	}
 	start := time.Now()
+	sweep := func(int) int { s.Iterations(x, b, p.a.Cols); return 1 }
+	if p.sequential {
+		r := make([]float64, p.a.Rows)
+		p.a.MulVec(r, x)
+		vec.Sub(r, b, r)
+		sweep = func(int) int { s.SequentialIterations(x, r, p.a.Cols); return 1 }
+	}
 	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
-		func(int) int { s.Iterations(x, b, p.a.Cols); return 1 },
-		func() float64 { return s.LSQResidual(x, b) / normATb })
+		sweep, func() float64 { return s.LSQResidual(x, b) / normATb })
 	return p.settle(ctx, prog, err, p.a.Cols, x, opts, start)
 }
 

@@ -99,13 +99,20 @@ type Opts struct {
 	// direction multiset. Methods without a claiming counter ignore it.
 	Chunk int
 
-	// CheckEvery is the number of sweeps between residual evaluations;
-	// zero means 1 (16 for asyncjacobi and asyrgs-distmem, whose rounds
-	// pay worker start-up and barriers). Raising it amortizes the Θ(nnz)
-	// residual over more sweeps at the cost of coarser stopping. It does
-	// not set how often the context is polled: every method polls it at
-	// least once per sweep. cg, fcg, jacobi and gs ignore it; they test
-	// the tolerance every iteration.
+	// CheckEvery is the number of sweeps between residual evaluations.
+	// Zero means predicted for asyrgs*, rgs, kaczmarz and lsqcd*: after
+	// the first two sweeps the solve fits the per-sweep contraction from
+	// its measured residuals and measures next near the predicted
+	// crossing of Tol (see outer.Run). At one worker it never stops
+	// before a check after every sweep would, and on average stops within
+	// a sweep of it (kaczmarz, whose residual falls in steps, a few
+	// percent later). Zero means 16 for asyncjacobi and asyrgs-distmem,
+	// whose rounds pay worker start-up and barriers. A positive value
+	// fixes the interval: raising it amortizes the Θ(nnz) residual over
+	// more sweeps at the cost of coarser stopping. It does not set how
+	// often the context is polled: every method polls it at least once
+	// per sweep. cg, fcg, jacobi and gs ignore it; they test the
+	// tolerance every iteration.
 	CheckEvery int
 
 	// Precision is read by nothing: every method stores and iterates in
@@ -140,6 +147,11 @@ type Result struct {
 	Converged bool
 	// Sweeps is the number of sweeps (or Krylov iterations) performed.
 	Sweeps int
+	// Checks counts the residuals the solve measured to decide whether to
+	// stop: one per round of the outer loop, shared by the columns of a
+	// block SolveBatch. Zero for cg, fcg, jacobi and gs, which test the
+	// tolerance inside every iteration.
+	Checks int
 	// Iterations is the total single-coordinate update count where the
 	// method is coordinate-wise; for Krylov methods it equals Sweeps.
 	Iterations uint64
@@ -171,7 +183,8 @@ type Method interface {
 }
 
 // withDefaults resolves zero option fields to the shared defaults;
-// checkEvery is the method family's default residual interval.
+// checkEvery is the method family's default residual interval, 0 for the
+// predicted schedule.
 func (o Opts) withDefaults(checkEvery int) Opts {
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 1000
@@ -216,7 +229,7 @@ func finish(res *Result, a *sparse.CSR, x []float64, opts Opts, start time.Time,
 // ctxErr or else the trailing fields stamped by finish.
 func (p *preparedBase) settle(ctx context.Context, prog outer.Progress, err error, perSweep int, x []float64, opts Opts, start time.Time) (Result, error) {
 	res := Result{
-		Method: p.name, Sweeps: prog.Done, Iterations: uint64(prog.Done) * uint64(perSweep),
+		Method: p.name, Sweeps: prog.Done, Checks: prog.Checks, Iterations: uint64(prog.Done) * uint64(perSweep),
 		Residual: prog.Residual, Converged: prog.Converged,
 	}
 	if err != nil {

@@ -4,9 +4,18 @@
 // (Theorem 2 discussion) the residual check is the barrier between
 // free-running epochs and the place a solve decides to stop; Run writes
 // that decision once for every solver that advances in rounds.
+//
+// A round is either a fixed number of units or, by default, predicted:
+// the paper's solvers converge at a linear rate (a fixed contraction per
+// epoch, Theorems 3–4), so the residuals already measured give the unit
+// at which the tolerance will be crossed, and Run measures near that unit
+// instead of after every one.
 package outer
 
-import "context"
+import (
+	"context"
+	"math"
+)
 
 // Progress reports where a Run stopped.
 type Progress struct {
@@ -17,14 +26,31 @@ type Progress struct {
 	// Converged reports whether the last measured residual met the
 	// tolerance.
 	Converged bool
+	// Checks counts the residuals measured.
+	Checks int
 }
 
-// Run advances up to budget units of work in rounds of every units
-// (every < 1 counts as 1, and the last round is cut to the budget) and
-// measures the residual once after each round. It stops at the first
-// round whose residual r has tol > 0 && r ≤ tol, so a non-positive tol
-// runs the whole budget (fixed work). A budget ≤ 0 advances nothing and
-// measures once.
+// margin is the share of the predicted units left to the tolerance that
+// a predicted round runs: a residual that falls up to a quarter faster
+// than fitted still crosses after the round, which costs one more short
+// round instead of an overshoot.
+const margin = 0.8
+
+// Run advances up to budget units of work in rounds and measures the
+// residual once after each round. It stops at the first round whose
+// residual r has tol > 0 && r ≤ tol, so a non-positive tol runs the whole
+// budget (fixed work). A budget ≤ 0 advances nothing and measures once.
+// The last round is always cut to the budget, and a solve stops only on a
+// measured residual or at the budget: the reported residual is never a
+// prediction.
+//
+// every > 0 makes every round every units long. every ≤ 0 selects the
+// predicted schedule. With tol ≤ 0 it runs the whole budget as one round.
+// Otherwise it fits the per-unit contraction from the first and the latest
+// measured residual and runs ⌊0.8 × the predicted units left to tol⌋,
+// capped at twice the units already done. It falls back to one-unit rounds
+// while the residual has not fallen since the first measurement, so the
+// first two rounds are one unit each.
 //
 // advance(k) runs at most k units and returns how many it ran, at least
 // one; a round calls it until the round's units are spent, so the caller
@@ -34,9 +60,14 @@ type Progress struct {
 // counting the units advanced.
 func Run(ctx context.Context, tol float64, budget, every int, advance func(k int) int, measure func() float64) (Progress, error) {
 	var p Progress
-	every = max(every, 1)
+	var first float64 // the first measured residual
+	firstDone := 0
 	for {
-		for end := p.Done + min(every, budget-p.Done); p.Done < end; {
+		round := every
+		if every <= 0 {
+			round = p.predict(tol, budget, first, firstDone)
+		}
+		for end := p.Done + min(round, budget-p.Done); p.Done < end; {
 			if err := ctx.Err(); err != nil {
 				return p, err
 			}
@@ -46,9 +77,37 @@ func Run(ctx context.Context, tol float64, budget, every int, advance func(k int
 			return p, err
 		}
 		p.Residual = measure()
+		p.Checks++
+		if p.Checks == 1 {
+			first, firstDone = p.Residual, p.Done
+		}
 		p.Converged = tol > 0 && p.Residual <= tol
 		if p.Converged || p.Done >= budget {
 			return p, nil
 		}
 	}
+}
+
+// predict returns the length of the next round of the predicted schedule,
+// from one unit up to the budget left, given the first residual measured
+// (after firstDone units) and the progress so far. The length is clamped
+// in float64 before it becomes an int: a near-flat residual predicts a
+// huge or infinite length, and a NaN falls back to one unit.
+func (p Progress) predict(tol float64, budget int, first float64, firstDone int) int {
+	rest := budget - p.Done
+	switch {
+	case tol <= 0:
+		return rest
+	case !(p.Residual < first): // nothing measured yet, or no fall since the first
+		return 1
+	}
+	perUnit := math.Log(p.Residual/first) / float64(p.Done-firstDone)
+	n := min(math.Floor(margin*math.Log(tol/p.Residual)/perUnit), 2*float64(p.Done))
+	switch {
+	case !(n >= 1):
+		return 1
+	case n >= float64(rest):
+		return rest
+	}
+	return int(n)
 }

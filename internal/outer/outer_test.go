@@ -21,14 +21,18 @@ type flagCtx struct {
 func (c *flagCtx) Err() error { return c.err }
 
 // script records the calls Run makes. advance runs min(k, step) units
-// (all k when step is 0) and then calls onAdvance, if set; measure
-// returns the next value of residuals, repeating the last one.
+// (all k when step is 0) and then calls onAdvance, if set; measure returns
+// curve of the units advanced so far when curve is set, and otherwise the
+// next value of residuals, repeating the last one.
 type script struct {
-	step      int
-	ks        []int
-	measured  int
-	residuals []float64
-	onAdvance func(call int)
+	step       int
+	ks         []int
+	done       int
+	measured   int
+	measuredAt []int // units advanced at each measure
+	residuals  []float64
+	curve      func(done int) float64
+	onAdvance  func(call int)
 }
 
 func (s *script) advance(k int) int {
@@ -37,14 +41,19 @@ func (s *script) advance(k int) int {
 		s.onAdvance(len(s.ks))
 	}
 	if s.step > 0 {
-		return min(k, s.step)
+		k = min(k, s.step)
 	}
+	s.done += k
 	return k
 }
 
 func (s *script) measure() float64 {
 	s.measured++
-	if len(s.residuals) == 0 {
+	s.measuredAt = append(s.measuredAt, s.done)
+	switch {
+	case s.curve != nil:
+		return s.curve(s.done)
+	case len(s.residuals) == 0:
 		return 1
 	}
 	return s.residuals[min(s.measured, len(s.residuals))-1]
@@ -60,7 +69,7 @@ func TestNonPositiveBudgetMeasuresOnce(t *testing.T) {
 		if len(s.ks) != 0 || s.measured != 1 {
 			t.Fatalf("budget %d: %d advance calls and %d measures, want 0 and 1", budget, len(s.ks), s.measured)
 		}
-		if p != (Progress{Done: 0, Residual: 0.5, Converged: true}) {
+		if p != (Progress{Done: 0, Residual: 0.5, Converged: true, Checks: 1}) {
 			t.Fatalf("budget %d: %+v", budget, p)
 		}
 	}
@@ -89,8 +98,11 @@ func TestRoundsAreEveryUnitsLong(t *testing.T) {
 		wantMeasured  int
 	}{
 		{"last round cut to the budget", 10, 4, 0, []int{4, 4, 2}, 3},
-		{"every 0 counts as 1", 3, 0, 0, []int{1, 1, 1}, 3},
-		{"negative every counts as 1", 2, -5, 0, []int{1, 1}, 2},
+		// With tol 0 the predicted schedule (every ≤ 0) is one round of
+		// the whole budget and one measure.
+		{"every 0 runs the budget as one round", 3, 0, 0, []int{3}, 1},
+		{"negative every runs the budget as one round", 2, -5, 0, []int{2}, 1},
+		{"one round of single-unit calls", 3, 0, 1, []int{3, 2, 1}, 1},
 		{"one unit per call", 5, 2, 1, []int{2, 1, 2, 1, 1}, 3},
 	}
 	for _, c := range cases {
@@ -158,7 +170,7 @@ func TestFirstRoundAtOrBelowTolConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != (Progress{Done: 9, Residual: 0.25, Converged: true}) || s.measured != 3 {
+	if p != (Progress{Done: 9, Residual: 0.25, Converged: true, Checks: 3}) || s.measured != 3 {
 		t.Fatalf("%+v after %d measures; want 9 units, residual 0.25, converged, 3 measures", p, s.measured)
 	}
 }
@@ -171,5 +183,196 @@ func TestNaNResidualNeverConverges(t *testing.T) {
 	}
 	if p.Converged || p.Done != 4 || !math.IsNaN(p.Residual) {
 		t.Fatalf("%+v", p)
+	}
+}
+
+// The predicted-schedule tests below script the residual as a function of
+// the units advanced, so each names the convergence regime it scripts.
+
+// geometric returns the residual curve rate^done.
+func geometric(rate float64) func(int) float64 {
+	return func(done int) float64 { return math.Pow(rate, float64(done)) }
+}
+
+// rounds returns the length of each measured round.
+func (s *script) rounds() []int {
+	out := make([]int, len(s.measuredAt))
+	prev := 0
+	for i, d := range s.measuredAt {
+		out[i], prev = d-prev, d
+	}
+	return out
+}
+
+// Regime: linear convergence, the paper's rate (a fixed contraction per
+// unit). The fitted rate is exact, so the prediction stops at the same unit
+// as a measure after every unit.
+func TestPredictedGeometricConvergesAtTheSameUnit(t *testing.T) {
+	for _, c := range []struct {
+		rate     float64
+		crossing int
+	}{{0.5, 24}, {0.55, 23}, {0.9, 40}, {0.95, 177}, {0.99, 478}} {
+		// tol sits half a unit above the crossing.
+		tol := math.Pow(c.rate, float64(c.crossing)-0.5)
+		each := &script{curve: geometric(c.rate)}
+		pe, err := Run(context.Background(), tol, 10_000, 1, each.advance, each.measure)
+		if err != nil || !pe.Converged || pe.Done != c.crossing {
+			t.Fatalf("rate %g every 1: %+v, %v; want converged at %d", c.rate, pe, err, c.crossing)
+		}
+		pred := &script{curve: geometric(c.rate)}
+		pp, err := Run(context.Background(), tol, 10_000, 0, pred.advance, pred.measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.Done != pe.Done || !pp.Converged || pp.Residual != pe.Residual {
+			t.Fatalf("rate %g: predicted stopped at %+v, every 1 at %+v", c.rate, pp, pe)
+		}
+		if pp.Checks != pred.measured || 3*pp.Checks > pe.Checks {
+			t.Fatalf("rate %g: %d checks (%d measures) against %d for every 1; want at most a third",
+				c.rate, pp.Checks, pred.measured, pe.Checks)
+		}
+	}
+}
+
+// Regime: accelerating convergence, the shape of lsqcd's trajectory. Two
+// slow units are followed by a much faster steady rate, so the rate fitted
+// after the second unit predicts about 645 units left; a round of 80% of
+// that would run some 490 units past the crossing. The cap of twice the
+// units done holds each round to what has been seen, so the solve stops
+// within one round of the crossing.
+func TestPredictedAcceleratingOvershootsByAtMostOneRound(t *testing.T) {
+	curve := func(done int) float64 {
+		switch done {
+		case 0:
+			return 1
+		case 1:
+			return 0.95
+		}
+		return 0.93 * math.Pow(0.6, float64(done-2))
+	}
+	const tol = 1e-6
+	crossing := 1
+	for curve(crossing) > tol {
+		crossing++
+	}
+	s := &script{curve: curve}
+	p, err := Run(context.Background(), tol, 10_000, 0, s.advance, s.measure)
+	if err != nil || !p.Converged {
+		t.Fatalf("%+v, %v", p, err)
+	}
+	rounds := s.rounds()
+	last := rounds[len(rounds)-1]
+	if p.Done < crossing || p.Done-last >= crossing {
+		t.Fatalf("stopped at %d after a last round of %d; the crossing is at %d", p.Done, last, crossing)
+	}
+	for i, r := range rounds[1:] {
+		if before := s.measuredAt[i]; r > 2*before {
+			t.Fatalf("round %d ran %d units after %d; the cap is twice the units done", i+2, r, before)
+		}
+	}
+	if p.Done > crossing+1 {
+		t.Fatalf("stopped at %d, %d units past the crossing at %d (rounds %v)", p.Done, p.Done-crossing, crossing, rounds)
+	}
+}
+
+// Regime: no convergence. A residual that is flat, rising, or back at or
+// above its first value gives no rate to fit, so every round after it is
+// one unit.
+func TestPredictedFlatOrRisingFallsBackToOneUnit(t *testing.T) {
+	ones := []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	// A fall from 1 to 0.5 over the second unit predicts a round of four.
+	fallThenRise := []int{1, 1, 4, 1, 1, 1, 1, 1, 1}
+	for _, c := range []struct {
+		name       string
+		residuals  []float64
+		wantRounds []int
+	}{
+		{"flat", []float64{1}, ones},
+		{"rising", []float64{1, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2, 2.1}, ones},
+		{"above the first", []float64{1, 0.5, 2}, fallThenRise},
+		{"back to the first", []float64{1, 0.5, 1}, fallThenRise},
+	} {
+		s := &script{residuals: c.residuals}
+		p, err := Run(context.Background(), 1e-6, 12, 0, s.advance, s.measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Converged || p.Done != 12 || p.Checks != len(c.wantRounds) || !slices.Equal(s.rounds(), c.wantRounds) {
+			t.Fatalf("%s: %+v, rounds %v; want 12 units, not converged, rounds %v", c.name, p, s.rounds(), c.wantRounds)
+		}
+	}
+}
+
+// Regime: fixed work. A non-positive tol measures once, at the budget.
+func TestPredictedNonPositiveTolMeasuresOnceAtTheBudget(t *testing.T) {
+	for _, tol := range []float64{0, -1} {
+		s := &script{curve: geometric(0.5)}
+		p, err := Run(context.Background(), tol, 10, 0, s.advance, s.measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(s.ks, []int{10}) || p.Checks != 1 || p.Done != 10 || p.Converged {
+			t.Fatalf("tol %g: advance(k) ks %v, %+v; want one call of 10 and one check", tol, s.ks, p)
+		}
+	}
+}
+
+// Regime: a slow linear rate against a short budget. The predicted rounds
+// grow, but the last one is cut to the budget; so are an explicit every's.
+func TestBudgetIsNeverPassed(t *testing.T) {
+	for _, every := range []int{0, 3, 7} {
+		for budget := 1; budget <= 30; budget++ {
+			s := &script{curve: geometric(0.99)}
+			p, err := Run(context.Background(), 1e-9, budget, every, s.advance, s.measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Done != budget || s.done != budget || p.Converged {
+				t.Fatalf("every %d budget %d: %+v after %d units", every, budget, p, s.done)
+			}
+			if every > 0 {
+				for i, r := range s.rounds() {
+					if r != every && i != len(s.rounds())-1 {
+						t.Fatalf("every %d budget %d: rounds %v", every, budget, s.rounds())
+					}
+				}
+			}
+		}
+	}
+}
+
+// Regime: a diverged or broken residual. NaN and +Inf never converge, and
+// the rates they feed the prediction (including −Inf/−Inf, a NaN length)
+// still give rounds of one unit up to the budget left.
+func TestPredictedNaNAndInfResidualsNeitherPanicNorConverge(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, c := range map[string]struct {
+		tol       float64
+		residuals []float64
+	}{
+		"NaN":                   {1e-6, []float64{nan}},
+		"+Inf":                  {1e-6, []float64{inf}},
+		"NaN after a fall":      {1e-6, []float64{1, 0.5, nan}},
+		"finite after +Inf":     {1e-6, []float64{inf, 2, 1.5, 1.2}},
+		"NaN length":            {1e-300, []float64{inf, 1e300}},
+		"+Inf after a fall":     {1e-6, []float64{1, 0.9, inf, 0.8}},
+		"underflowing quotient": {1e-6, []float64{1e300, 1e-10 * 1e-300, nan}},
+	} {
+		s := &script{residuals: c.residuals}
+		p, err := Run(context.Background(), c.tol, 40, 0, s.advance, s.measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Converged && !(p.Residual <= c.tol) {
+			t.Fatalf("%s: converged at residual %g", name, p.Residual)
+		}
+		if !p.Converged && (p.Done != 40 || s.done != 40) {
+			t.Fatalf("%s: %+v after %d units; want the budget of 40", name, p, s.done)
+		}
+		for _, k := range s.ks {
+			if k < 1 || k > 40 {
+				t.Fatalf("%s: advance(%d), outside [1, 40] (ks %v)", name, k, s.ks)
+			}
+		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/stats"
+	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
@@ -264,7 +265,11 @@ type SolveRequest struct {
 	// together against one prepared system (SolveResponse.Batch holds the
 	// per-RHS outcomes). Mutually exclusive with B.
 	Bs [][]float64 `json:"bs,omitempty"`
-	// Solver knobs, mapped onto method.Opts.
+	// Solver knobs, mapped onto method.Opts. CheckEvery is the number of
+	// sweeps between residual checks. Unset, asyrgs*, rgs, kaczmarz and
+	// lsqcd* predict when to check: near the sweep at which the residuals
+	// measured so far cross tol (see SolveResponse.Checks); asyncjacobi
+	// and asyrgs-distmem check every 16 sweeps.
 	Tol        float64 `json:"tol,omitempty"`
 	MaxSweeps  int     `json:"max_sweeps,omitempty"`
 	Workers    int     `json:"workers,omitempty"`
@@ -358,6 +363,11 @@ type SolveResponse struct {
 	Iterations  uint64  `json:"iterations"`
 	WallMS      float64 `json:"wall_ms"`
 	ObservedTau int     `json:"observed_tau"`
+	// Checks is the number of residuals the solve measured to decide
+	// whether to stop; zero for cg, fcg, jacobi and gs, which test the
+	// tolerance every iteration. The columns of a block bs batch share
+	// one count; otherwise a batch reports its largest.
+	Checks int `json:"checks"`
 	// Messages and MaxQueue report the sharded backend's network traffic
 	// and worst inbox backlog; zero (omitted) for shared-memory methods.
 	Messages uint64    `json:"messages,omitempty"`
@@ -1038,19 +1048,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		BatchSize: len(items),
 		Rows:      a.Rows, Cols: a.Cols,
 		Residual: it.res.Residual, Converged: it.res.Converged,
-		Sweeps: it.res.Sweeps, Iterations: it.res.Iterations,
+		Sweeps: it.res.Sweeps, Checks: it.res.Checks, Iterations: it.res.Iterations,
 		WallMS: float64(it.res.Wall) / float64(time.Millisecond), ObservedTau: it.res.ObservedTau,
 		Messages: it.res.Messages, MaxQueue: it.res.MaxQueue,
 	}
 	if xstar != nil && a.Rows == a.Cols {
-		if nx := a.ANorm(xstar); nx > 0 {
+		// b = A·x*, so ‖x*‖²_A = x*ᵀb: one pass over A, for ‖x−x*‖_A.
+		if nx2 := vec.Dot(xstar, it.b); nx2 > 0 {
 			// ‖x−x*‖_A through the item's pooled difference buffer
 			// (sparse.ANormErr would allocate an n-vector per request).
 			it.dBuf = sized(it.dBuf, len(xstar))
 			for i := range it.dBuf {
 				it.dBuf[i] = it.x[i] - xstar[i]
 			}
-			v := a.ANorm(it.dBuf) / nx
+			v := a.ANorm(it.dBuf) / math.Sqrt(nx2)
 			resp.ANormErr = &v
 		}
 	}
@@ -1065,9 +1076,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				resp.Residual = bi.res.Residual
 			}
 			resp.Converged = resp.Converged && bi.res.Converged
-			if bi.res.Sweeps > resp.Sweeps {
-				resp.Sweeps = bi.res.Sweeps
-			}
+			resp.Sweeps = max(resp.Sweeps, bi.res.Sweeps)
+			resp.Checks = max(resp.Checks, bi.res.Checks)
 		}
 	} else if req.IncludeSolution {
 		resp.X = it.x

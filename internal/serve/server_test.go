@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
+	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
@@ -151,6 +153,36 @@ func TestSolveGeneratorSpec(t *testing.T) {
 	}
 	if out2.MatrixKey != out.MatrixKey {
 		t.Fatalf("cache keys differ for identical specs: %q vs %q", out.MatrixKey, out2.MatrixKey)
+	}
+}
+
+// TestSolveReportsChecksAndANormErr pins the reply's checks count under
+// the predicted and the fixed schedule, and the A-norm error of a
+// generated right-hand side against the two-pass computation from the
+// returned x. Regime: bit-exact single worker.
+func TestSolveReportsChecksAndANormErr(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	spec := MatrixSpec{Kind: "randomspd", N: 200, NNZ: 5, Seed: 4}
+	req := SolveRequest{Matrix: spec, Method: "asyrgs", Tol: 1e-8, MaxSweeps: 500, Workers: 1, RHSSeed: 3, IncludeSolution: true}
+	out, _ := postSolve(t, ts, req)
+	if !out.Converged || out.Checks < 2 || 3*out.Checks > out.Sweeps {
+		t.Fatalf("predicted schedule: %+v; want converged with at most a third as many checks as sweeps", out)
+	}
+	a := workload.RandomSPD(200, 5, 1.5, 4)
+	b, xstar := make([]float64, 200), make([]float64, 200)
+	workload.RHSForSolutionInto(a, 3, b, xstar)
+	want := a.ANormErr(out.X, xstar) / a.ANorm(xstar)
+	if out.ANormErr == nil || math.Abs(*out.ANormErr-want) > 1e-12*want {
+		t.Fatalf("a_norm_err %v, want %v", out.ANormErr, want)
+	}
+
+	req.CheckEvery = 1
+	if out, _ := postSolve(t, ts, req); !out.Converged || out.Checks != out.Sweeps {
+		t.Fatalf("check_every 1: %+v; want one check per sweep", out)
+	}
+	req.Method, req.CheckEvery = "cg", 0
+	if out, _ := postSolve(t, ts, req); !out.Converged || out.Checks != 0 {
+		t.Fatalf("cg: %+v; want no outer-loop checks", out)
 	}
 }
 

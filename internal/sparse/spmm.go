@@ -77,7 +77,7 @@ func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int, part Partition
 // ‖b_j − A·x_j‖₂/‖b_j‖₂ (absolute when ‖b_j‖₂ = 0) for the row-major
 // blocks B (Rows×c) and X (Cols×c), evaluating all columns with a single
 // SpMM pass over the matrix. It is the convergence check of the batched
-// Solve path: one call per CheckEvery sweeps covers every right-hand side
+// Solve path: one call per round of sweeps covers every right-hand side
 // in the batch.
 func (m *CSR) BatchRelResiduals(bdata, xdata []float64, c, workers int) []float64 {
 	if c < 0 || len(bdata) != m.Rows*c || len(xdata) != m.Cols*c {
