@@ -52,6 +52,9 @@ type Solver struct {
 	beta     float64
 	next     uint64
 	rowBytes int // per-iteration cache footprint estimate for chunk sizing
+	// resScratch holds b − A·x for Residual, allocated on first use and
+	// reused by every later check.
+	resScratch []float64
 }
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
@@ -216,9 +219,14 @@ func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (in
 	return p.Done, p.Residual, nil
 }
 
-// Residual returns ‖b−Ax‖₂/‖b‖₂.
+// Residual returns ‖b−Ax‖₂/‖b‖₂. It forms b−Ax in the solver's own
+// scratch, so checks allocate nothing after the first, and it is not
+// reentrant.
 func (s *Solver) Residual(x, b []float64) float64 {
-	r := make([]float64, s.a.Rows)
+	if cap(s.resScratch) < s.a.Rows {
+		s.resScratch = make([]float64, s.a.Rows)
+	}
+	r := s.resScratch[:s.a.Rows]
 	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	nb := vec.Nrm2(b)

@@ -87,5 +87,5 @@ func AsyncJacobiWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64,
 	if normB == 0 {
 		normB = 1
 	}
-	return StationaryResult{Sweeps: sweeps, Residual: relResidual(a, x, b, normB)}
+	return StationaryResult{Sweeps: sweeps, Residual: relResidual(a, x, b, make([]float64, len(b)), normB)}
 }

@@ -94,6 +94,7 @@ func GaussSeidelWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64,
 	if normB == 0 {
 		normB = 1
 	}
+	r := make([]float64, n)
 	done := 0
 	for ; done < sweeps && ctx.Err() == nil; done++ {
 		for i := 0; i < n; i++ {
@@ -108,17 +109,18 @@ func GaussSeidelWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64,
 			x[i] += (b[i] - dot) * inv[i]
 		}
 		if tol > 0 {
-			if res := relResidual(a, x, b, normB); res <= tol {
+			if res := relResidual(a, x, b, r, normB); res <= tol {
 				return StationaryResult{Sweeps: done + 1, Residual: res, Converged: true}
 			}
 		}
 	}
-	res := relResidual(a, x, b, normB)
+	res := relResidual(a, x, b, r, normB)
 	return StationaryResult{Sweeps: done, Residual: res, Converged: tol > 0 && res <= tol}
 }
 
-func relResidual(a *sparse.CSR, x, b []float64, normB float64) float64 {
-	r := make([]float64, len(b))
+// relResidual returns ‖b−Ax‖₂/normB, forming b−Ax in the caller's
+// scratch r (len(b) entries).
+func relResidual(a *sparse.CSR, x, b, r []float64, normB float64) float64 {
 	a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	return vec.Nrm2(r) / normB

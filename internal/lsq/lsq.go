@@ -68,6 +68,10 @@ type Solver struct {
 	opts     Options
 	next     uint64
 	rowBytes int // per-iteration cache footprint estimate for chunk sizing
+	// resScratch (Rows) and atrScratch (Cols) hold b − A·x and Aᵀ(b − A·x)
+	// for the residual checks, allocated on first use and reused by every
+	// later check.
+	resScratch, atrScratch []float64
 }
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
@@ -249,9 +253,14 @@ func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) 
 }
 
 // LSQResidual returns ‖Aᵀ(b − A·x)‖₂, the least-squares optimality
-// residual: zero exactly at the minimizer x* = (AᵀA)⁻¹Aᵀb.
+// residual: zero exactly at the minimizer x* = (AᵀA)⁻¹Aᵀb. Like
+// ResidualNorm it works in the solver's own scratch, so checks allocate
+// nothing after the first, and it is not reentrant.
 func (s *Solver) LSQResidual(x, b []float64) float64 {
-	atr := make([]float64, s.a.Cols)
+	if cap(s.atrScratch) < s.a.Cols {
+		s.atrScratch = make([]float64, s.a.Cols)
+	}
+	atr := s.atrScratch[:s.a.Cols]
 	s.csc.MulTransVec(atr, s.residual(x, b))
 	return vec.Nrm2(atr)
 }
@@ -262,9 +271,14 @@ func (s *Solver) ResidualNorm(x, b []float64) float64 {
 	return vec.Nrm2(s.residual(x, b))
 }
 
-// residual returns a new vector holding b − A·x.
+// residual returns b − A·x in the solver's scratch, overwritten by the
+// next call. A running residual kept across SequentialIterations calls
+// must be the caller's own vector, not this one.
 func (s *Solver) residual(x, b []float64) []float64 {
-	r := make([]float64, s.a.Rows)
+	if cap(s.resScratch) < s.a.Rows {
+		s.resScratch = make([]float64, s.a.Rows)
+	}
+	r := s.resScratch[:s.a.Rows]
 	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	return r

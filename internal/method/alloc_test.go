@@ -3,8 +3,10 @@
 // the core family, fixed-work or on the predicted check schedule, must
 // not allocate at all — the
 // direction buffer, residual scratch and the solver itself are all
-// recycled. Run in CI's plain test step; skipped under -race, where the
-// detector's instrumentation changes allocation accounting.
+// recycled. The other sequential families allocate per solve, but not
+// per sweep or per check. Run in CI's plain test step; skipped under
+// -race, where the detector's instrumentation changes allocation
+// accounting.
 package method_test
 
 import (
@@ -51,6 +53,56 @@ func TestWarmPreparedSolveZeroAllocCoreFamily(t *testing.T) {
 				if avg := testing.AllocsPerRun(20, solve); avg != 0 {
 					t.Fatalf("check_every %d: warm prepared Solve allocated %.1f times per run, want 0", opts.CheckEvery, avg)
 				}
+			}
+		})
+	}
+}
+
+// TestWarmSolveAllocsIndependentOfBudget: at 1 worker, a warm prepared
+// Solve of the stationary, Krylov, Kaczmarz and least-squares methods
+// allocates a fixed amount whatever its sweep budget. Per-sweep and
+// per-check vectors live in per-call or per-solver scratch. An
+// unreachable tol keeps every solve going to its budget. fcg is left out:
+// it keeps every search direction by design.
+func TestWarmSolveAllocsIndependentOfBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	spd := workload.RandomSPD(96, 6, 1.5, 17)
+	ls := workload.RandomOverdetermined(192, 48, 6, 17)
+	for _, name := range []string{"gs", "jacobi", "cg", "kaczmarz", "lsqcd", "lsqcd-weighted"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := method.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := spd
+			if m.Kind() == method.LeastSquares {
+				a = ls
+			}
+			b := workload.RandomRHS(a.Rows, 18)
+			allocs := func(sweeps int) float64 {
+				opts := method.Opts{Tol: 1e-300, MaxSweeps: sweeps, Workers: 1, Seed: 9}
+				ps, err := method.Prepare(context.Background(), m, a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := make([]float64, a.Cols)
+				solve := func() {
+					clear(x)
+					res, err := ps.Solve(context.Background(), b, x, opts)
+					if err != nil && !errors.Is(err, method.ErrNotConverged) {
+						t.Fatal(err)
+					}
+					if res.Sweeps != sweeps {
+						t.Fatalf("ran %d sweeps, want the budget %d", res.Sweeps, sweeps)
+					}
+				}
+				solve()
+				return testing.AllocsPerRun(10, solve)
+			}
+			if few, many := allocs(8), allocs(64); few != many {
+				t.Fatalf("warm Solve allocated %.1f times at max_sweeps 8 and %.1f at 64, want the same", few, many)
 			}
 		})
 	}

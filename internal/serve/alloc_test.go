@@ -95,10 +95,10 @@ func TestWarmRequestGarbageIndependentOfDimension(t *testing.T) {
 		allocsSmall, bytesSmall, allocsBig, bytesBig)
 
 	// Fixed per-request overhead (decode, encode, handler bookkeeping):
-	// ~43 allocations today, with the pooled deadline context in place of
-	// a per-solve context.WithTimeout. The budget leaves headroom without
-	// letting more than a few stray per-request allocations regress
-	// silently.
+	// ~47 allocations today, 4 of them the solve's context.WithTimeout,
+	// whose Done closes at the deadline. The budget leaves headroom
+	// without letting more than a few stray per-request allocations
+	// regress silently.
 	if allocsBig > 62 {
 		t.Fatalf("warm request made %.1f allocations, want the pooled fixed overhead (≤ 62)", allocsBig)
 	}

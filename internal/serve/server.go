@@ -303,18 +303,6 @@ type SolveRequest struct {
 	IncludeSolution bool `json:"include_solution,omitempty"`
 }
 
-// prepKey is the matrix × method part of the prepared-system LRU key.
-// For a method implementing method.PrepKeyer, handleSolve appends its
-// PrepKey, which names the options its Prepare consumes: among the
-// built-ins only asyrgs-distmem does, with its deployment shape (workers,
-// queue budget, β, seed). Knobs that only configure the iteration stay
-// out of the key, so traffic varying only those shares one prepared
-// entry. A new prepare-time option belongs in PrepKey, not here, or it
-// is keyed twice.
-func (r SolveRequest) prepKey(matrixKey string) string {
-	return matrixKey + "|" + r.Method
-}
-
 // opts maps the request knobs onto method.Opts. FixedWork zeroes the
 // tolerance, which is the registry's fixed-sweep convention.
 func (r SolveRequest) opts() method.Opts {
@@ -450,40 +438,40 @@ var errAtCapacity = errors.New("serve: at capacity")
 // and every other in-flight request keep running.
 var errPanic = errors.New("serve: worker panic")
 
-// acquireGateCtx claims an admission slot, waiting at most QueueTimeout
-// and aborting when parent ends. It returns nil on success (the caller
-// must releaseGate), errAtCapacity on timeout, or the parent's error.
-// An uncontended acquire takes the non-blocking fast path, so the warm
-// request path pays no timer setup; a parent already cancelled is shed
-// before claiming a slot.
-func (s *Server) acquireGateCtx(parent context.Context) error {
-	if err := parent.Err(); err != nil {
+// gated runs fn behind an admission slot. It waits at most QueueTimeout
+// for one (errAtCapacity) and gives up when ctx ends (ctx's error); an
+// uncontended acquire takes the non-blocking fast path, so the warm path
+// pays no timer setup, and a ctx already done is shed before claiming a
+// slot. A panic in fn is counted and returned as errPanic, with the slot
+// released: the daemon survives it, and a cache build resolves its
+// entry's once-latch instead of wedging the key for every later request.
+func (s *Server) gated(ctx context.Context, fn func() error) (err error) {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	select {
 	case s.gate <- struct{}{}:
-		return nil
 	default:
+		admit := time.NewTimer(s.cfg.QueueTimeout)
+		select {
+		case s.gate <- struct{}{}:
+			admit.Stop()
+		case <-admit.C:
+			return errAtCapacity
+		case <-ctx.Done():
+			admit.Stop()
+			return ctx.Err()
+		}
 	}
-	admit := time.NewTimer(s.cfg.QueueTimeout)
-	defer admit.Stop()
-	select {
-	case s.gate <- struct{}{}:
-		return nil
-	case <-admit.C:
-		return errAtCapacity
-	case <-parent.Done():
-		return parent.Err()
-	}
+	defer func() {
+		<-s.gate
+		if rec := recover(); rec != nil {
+			s.panics.Add(1)
+			err = fmt.Errorf("%w: %v", errPanic, rec)
+		}
+	}()
+	return fn()
 }
-
-// acquireGate is acquireGateCtx without a client to abort for (the
-// cache-build paths). Callers that receive true must releaseGate.
-func (s *Server) acquireGate() bool {
-	return s.acquireGateCtx(context.Background()) == nil
-}
-
-func (s *Server) releaseGate() { <-s.gate }
 
 // solveItem is one right-hand side of a request's solve. Items are
 // pooled: the sized float64 buffers survive reuse, so a warm request
@@ -491,7 +479,6 @@ func (s *Server) releaseGate() { <-s.gate }
 type solveItem struct {
 	b, x []float64
 	res  method.Result
-	err  error
 	// Pooled backing storage: the iterate, a generated right-hand side,
 	// its known solution, and the A-norm-error difference vector. b/x
 	// above point into these on the pooled path (but to request-owned or
@@ -499,10 +486,6 @@ type solveItem struct {
 	xBuf, bBuf, xsBuf, dBuf []float64
 	// self avoids a slice allocation for a single right-hand side.
 	self [1]*solveItem
-	// dctx is the solve's pooled deadline context (see deadline.go); the
-	// request's first item hosts it, sparing the context.WithTimeout
-	// allocations per solve.
-	dctx deadlineCtx
 }
 
 // getItem returns a recycled solve item.
@@ -519,14 +502,12 @@ func (s *Server) getItem() *solveItem {
 // putItem recycles an item once its solve has completed and the response
 // no longer references its buffers.
 // Request-scoped references are dropped here, not at getItem, so an
-// idle pool does not pin a finished request's context or a client's
-// decoded right-hand side.
+// idle pool does not pin a client's decoded right-hand side.
 //
 //asyrgs:noalloc
 func (s *Server) putItem(it *solveItem) {
 	it.b, it.x = nil, nil
-	it.dctx.parent = nil
-	it.res, it.err = method.Result{}, nil
+	it.res = method.Result{}
 	it.self[0] = nil
 	s.itemPool.Put(it)
 }
@@ -653,21 +634,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	s.errs.Add(1)
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// reject sheds a request at the admission gate: counted as rejected, not
-// as an error, so the errors counter keeps its alerting signal. The 503
-// carries a Retry-After derived from the queue timeout — the server's
-// own shedding horizon is the honest backoff hint.
-func (s *Server) reject(w http.ResponseWriter, format string, args ...any) {
-	s.rejected.Add(1)
-	w.Header().Set("Retry-After", s.retryAfter)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -737,85 +703,112 @@ func (s *Server) snapshot() Stats {
 	return st
 }
 
-// runBatch runs one request's solve behind the admission gate: a lone
-// right-hand side through Solve, an explicit bs batch through
-// SolveBatch. It is the only place solves run. Each item's outcome lands
-// in its res and err; start and end bracket the solve, and both are zero
-// when the gate shed the request.
-//
-// The solve context is the request's context capped by the server's
-// per-solve budget, so an abandoned request stops burning its admission
-// slot.
-func (s *Server) runBatch(parent context.Context, ps method.PreparedSystem, opts method.Opts, items []*solveItem) (start, end time.Time) {
-	// Admission gate: bound concurrent solves, waiting at most
-	// QueueTimeout for a slot and shedding the request if its client goes
-	// away (or already went away) while queued.
-	if err := s.acquireGateCtx(parent); err != nil {
-		for _, it := range items {
-			it.err = err
-		}
-		return
-	}
-	defer s.releaseGate()
-	s.inFlight.Add(int64(len(items)))
-	defer s.inFlight.Add(-int64(len(items)))
-	s.batches.Add(1)
-	if len(items) > 1 {
-		s.coalesced.Add(uint64(len(items)))
-	}
-
-	// Stamp the end on every way out, and contain solver panics: every
-	// item gets errPanic. The gate-release and in-flight defers above
-	// still run, so a panicking method cannot leak an admission slot.
-	start = time.Now()
-	defer func() {
-		end = time.Now()
-		if rec := recover(); rec != nil {
-			s.panics.Add(1)
-			for _, it := range items {
-				it.err = fmt.Errorf("%w: %v", errPanic, rec)
-			}
-		}
-	}()
-
-	// The solve budget rides the first item's pooled deadline context
-	// instead of context.WithTimeout: every solver polls Err() between
-	// chunks of work, and the pooled form sheds the timer, cancel closure
-	// and context allocations per solve (see deadline.go).
-	items[0].dctx.reset(parent, s.cfg.SolveTimeout)
-	ctx := &items[0].dctx
-
-	if len(items) == 1 {
-		it := items[0]
-		it.res, it.err = ps.Solve(ctx, it.b, it.x, opts)
-		return
-	}
-	bs := make([][]float64, len(items))
-	xs := make([][]float64, len(items))
-	for i, it := range items {
-		bs[i] = it.b
-		xs[i] = it.x
-	}
-	results, err := ps.SolveBatch(ctx, bs, xs, opts)
-	for i, it := range items {
-		if i < len(results) {
-			it.res = results[i]
-		}
-		it.err = err
-	}
-	return
+// solveCall carries one /solve request through the stages of
+// handleSolve; each stage fills in its own fields.
+type solveCall struct {
+	// decode
+	req  SolveRequest
+	m    method.Method
+	opts method.Opts
+	key  string // the matrix cache key
+	// build
+	a   *sparse.CSR
+	hit bool
+	// prepare
+	ps       method.PreparedSystem
+	prepHit  bool
+	prepWall time.Duration
+	// right-hand sides; xstar is the known solution of a generated b.
+	items []*solveItem
+	xstar []float64
 }
 
+// handleSolve runs a /solve request through its stages: decode → build →
+// prepare → right-hand sides → queue and solve → respond. Each stage but
+// respond returns an error, which answer turns into the reply's status;
+// build, prepare, queue, solve and respond record their own spans
+// (stages.go).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
+	var c solveCall
+	if err := s.decode(w, r, &c); err != nil {
+		s.answer(w, err)
+		return
+	}
+	// Per-method latency covers the whole request — cache lookups,
+	// queueing at the gate, and the solve itself — which is what a client
+	// of that method experiences.
+	if hist := s.methodLat[c.req.Method]; hist != nil {
+		defer func() { hist.Observe(uint64(time.Since(start).Microseconds())) }()
+	}
+	// Recycle the items on every way out, so pool churn does not spike
+	// exactly when the server is shedding load. By then the solve has
+	// finished and the response is written, so nothing references the
+	// pooled buffers (escaping iterates are allocated fresh, see
+	// itemIterate).
+	defer func() {
+		for _, it := range c.items {
+			s.putItem(it)
+		}
+	}()
+	err := s.build(&c)
+	if err == nil {
+		err = s.prepare(&c)
+	}
+	if err == nil {
+		err = s.rhs(&c)
+	}
+	if err == nil {
+		err = s.solve(r.Context(), &c)
+	}
+	if err != nil {
+		s.answer(w, err)
+		return
+	}
+	s.solved.Add(1)
+	s.observeBand(c.a.Rows, time.Since(start))
+	s.methodMu.Lock()
+	s.byMethod[c.req.Method]++
+	s.methodMu.Unlock()
+	s.respond(w, &c)
+}
 
-	var req SolveRequest
+// answer writes a failed /solve's reply; its status follows from err
+// alone. A request shed at the admission gate (503 with Retry-After) or
+// abandoned by its client (503) counts as rejected, not as an error, so
+// the errors counter keeps its alerting signal. Retry-After is derived
+// from the queue timeout: the server's own shedding horizon is the
+// honest backoff hint. A timed-out build, prepare or solve answers 504, a
+// contained panic 500 (the input may be fine; the method is not), and
+// anything else is the client's error, 400.
+func (s *Server) answer(w http.ResponseWriter, err error) {
+	code, count := http.StatusBadRequest, &s.errs
+	switch {
+	case errors.Is(err, errAtCapacity):
+		code, count = http.StatusServiceUnavailable, &s.rejected
+		w.Header().Set("Retry-After", s.retryAfter)
+		err = fmt.Errorf("server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
+	case errors.Is(err, context.Canceled):
+		code, count = http.StatusServiceUnavailable, &s.rejected
+	case errors.Is(err, context.DeadlineExceeded):
+		code = http.StatusGatewayTimeout
+	case errors.Is(err, errPanic):
+		code = http.StatusInternalServerError
+	}
+	count.Add(1)
+	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// decode reads the request body into c.req, applies its defaults,
+// validates it, and resolves its method, options and matrix key. It
+// records no span: decode stays in the unstaged remainder.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *solveCall) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+	req := &c.req
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
 	}
 	if req.Method == "" {
 		req.Method = "asyrgs"
@@ -825,250 +818,214 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.Tol <= 0 && !req.FixedWork {
 		req.Tol = 1e-6
 	}
-	if len(req.B) > 0 && len(req.Bs) > 0 {
-		s.fail(w, http.StatusBadRequest, "b and bs are mutually exclusive")
-		return
+	switch {
+	case len(req.B) > 0 && len(req.Bs) > 0:
+		return errors.New("b and bs are mutually exclusive")
+	case req.Precision != "" && req.Precision != "f64" && req.Precision != "float64":
+		// Every method stores and iterates in float64.
+		return fmt.Errorf("unsupported precision %q (only \"f64\")", req.Precision)
+	case req.Workers > maxWorkers:
+		return fmt.Errorf("workers %d exceeds the daemon's limit of %d", req.Workers, maxWorkers)
 	}
-	// Every method stores and iterates in float64; any other precision is
-	// a client error, answered before any matrix work.
-	switch req.Precision {
-	case "", "f64", "float64":
-	default:
-		s.fail(w, http.StatusBadRequest, "unsupported precision %q (only \"f64\")", req.Precision)
-		return
+	var err error
+	if c.m, err = method.Get(req.Method); err != nil {
+		return err
 	}
-	if req.Workers > maxWorkers {
-		s.fail(w, http.StatusBadRequest, "workers %d exceeds the daemon's limit of %d", req.Workers, maxWorkers)
-		return
+	c.opts, c.key = req.opts(), req.Matrix.key()
+	return nil
+}
+
+// build fetches the matrix from the matrix cache or builds it (stage
+// "build"), then checks that its shape suits the method. Concurrent
+// requests for one key share a single build, and a build holds an
+// admission slot, so a burst of distinct systems cannot drive setup
+// concurrency past MaxConcurrent (cache hits skip the gate).
+func (s *Server) build(c *solveCall) (err error) {
+	start := time.Now()
+	c.a, c.hit, err = s.matrixCache.getOrBuild(c.key, func() (a *sparse.CSR, err error) {
+		err = s.gated(context.Background(), func() (err error) {
+			a, err = c.req.Matrix.build(s.cfg.MaxDim)
+			return err
+		})
+		return a, err
+	})
+	s.observeStage("build", start)
+	switch {
+	case err != nil:
+		return fmt.Errorf("building matrix: %w", err)
+	case c.m.Kind() == method.SPD && c.a.Rows != c.a.Cols:
+		return fmt.Errorf("method %q needs a square system, matrix is %dx%d", c.req.Method, c.a.Rows, c.a.Cols)
+	case c.m.Kind() == method.LeastSquares && c.a.Rows < c.a.Cols:
+		return fmt.Errorf("method %q needs rows >= cols, matrix is %dx%d", c.req.Method, c.a.Rows, c.a.Cols)
 	}
-	m, err := method.Get(req.Method)
+	return nil
+}
+
+// prepare fetches the prepared system from the prep cache or runs the
+// method's Prepare (stage "prepare"), shared and gated as build is.
+//
+// The cache key is the matrix key and the method name. A method
+// implementing method.PrepKeyer appends its PrepKey, which names the
+// options its Prepare consumes: among the built-ins only asyrgs-distmem
+// does, with its deployment shape (workers, queue budget, β, seed). Knobs
+// that only configure the iteration stay out of the key, so traffic
+// varying only those shares one prepared entry. A new prepare-time option
+// belongs in PrepKey, not here, or it is keyed twice.
+func (s *Server) prepare(c *solveCall) (err error) {
+	start := time.Now()
+	key := c.key + "|" + c.req.Method
+	if pk, ok := c.m.(method.PrepKeyer); ok {
+		key += "|" + pk.PrepKey(c.opts)
+	}
+	c.ps, c.prepHit, err = s.prepCache.getOrBuild(key, func() (ps method.PreparedSystem, err error) {
+		err = s.gated(context.Background(), func() (err error) {
+			// The prepared system is shared by every request waiting on
+			// this once-latch and by all future cache hits, so the build
+			// must not ride the first arrival's request context: its
+			// client disconnecting mid-Prepare would fail every waiter
+			// with context.Canceled. Detach to the server's lifetime,
+			// capped by the per-solve budget.
+			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.SolveTimeout)
+			defer cancel()
+			ps, err = method.Prepare(ctx, c.m, c.a, c.opts)
+			return err
+		})
+		return ps, err
+	})
+	c.prepWall = s.observeStage("prepare", start)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+		return fmt.Errorf("preparing system: %w", err)
 	}
-	// Per-method latency covers the whole request — cache lookups,
-	// queueing at the gate, and the solve itself — which is what a client
-	// of that method experiences.
-	if hist := s.methodLat[req.Method]; hist != nil {
-		defer func() { hist.Observe(uint64(time.Since(start).Microseconds())) }()
-	}
+	return nil
+}
 
-	// Phase 1 — prepare (or fetch) the per-matrix state. Both caches use
-	// a shared once-latch per key, so a thundering herd for one system
-	// builds and prepares it exactly once; the build/prepare closures run
-	// under the admission gate, so a burst of *distinct* systems cannot
-	// drive setup concurrency past MaxConcurrent either (cache hits skip
-	// the gate entirely).
-	key := req.Matrix.key()
-	buildStart := time.Now()
-	a, hit, err := s.matrixCache.getOrBuild(key, func() (a *sparse.CSR, err error) {
-		// Recover inside the build closure: a panic here would consume
-		// the cache entry's once-latch without resolving it, wedging the
-		// key for every future request. Converted to an error, the entry
-		// resolves as a failed build and is dropped normally.
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				err = fmt.Errorf("%w: %v", errPanic, rec)
-			}
-		}()
-		if !s.acquireGate() {
-			return nil, errAtCapacity
-		}
-		defer s.releaseGate()
-		return req.Matrix.build(s.cfg.MaxDim)
-	})
-	s.observeStage("build", time.Since(buildStart))
-	switch {
-	case errors.Is(err, errAtCapacity):
-		s.reject(w, "server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
-		return
-	case errors.Is(err, errPanic):
-		s.fail(w, http.StatusInternalServerError, "building matrix: %v", err)
-		return
-	case err != nil:
-		s.fail(w, http.StatusBadRequest, "building matrix: %v", err)
-		return
-	}
-	if m.Kind() == method.SPD && a.Rows != a.Cols {
-		s.fail(w, http.StatusBadRequest, "method %q needs a square system, matrix is %dx%d", req.Method, a.Rows, a.Cols)
-		return
-	}
-	if m.Kind() == method.LeastSquares && a.Rows < a.Cols {
-		s.fail(w, http.StatusBadRequest, "method %q needs rows >= cols, matrix is %dx%d", req.Method, a.Rows, a.Cols)
-		return
-	}
-	opts := req.opts()
-	prepKey := req.prepKey(key)
-	if pk, ok := m.(method.PrepKeyer); ok {
-		// A method whose Prepare consumes options contributes exactly
-		// those fields to the cache key, so differently-prepared systems
-		// never share an entry.
-		prepKey += "|" + pk.PrepKey(opts)
-	}
-	prepStart := time.Now()
-	ps, prepHit, err := s.prepCache.getOrBuild(prepKey, func() (ps method.PreparedSystem, err error) {
-		// Same once-latch poisoning hazard as the matrix build above: a
-		// panicking Prepare must resolve the entry with an error, not
-		// wedge the key.
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				err = fmt.Errorf("%w: %v", errPanic, rec)
-			}
-		}()
-		if !s.acquireGate() {
-			return nil, errAtCapacity
-		}
-		defer s.releaseGate()
-		// The prepared system is shared by every request waiting on this
-		// once-latch and by all future cache hits, so the build must not
-		// ride the first arrival's request context: its client
-		// disconnecting mid-Prepare would fail every waiter with
-		// context.Canceled. Detach to the server's lifetime, capped by the
-		// per-solve budget.
-		pctx, cancel := context.WithTimeout(context.Background(), s.cfg.SolveTimeout)
-		defer cancel()
-		return method.Prepare(pctx, m, a, opts)
-	})
-	prepWall := time.Since(prepStart)
-	s.observeStage("prepare", prepWall)
-	switch {
-	case errors.Is(err, errAtCapacity):
-		s.reject(w, "server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
-		return
-	case errors.Is(err, errPanic):
-		s.fail(w, http.StatusInternalServerError, "preparing system: %v", err)
-		return
-	case err != nil:
-		s.fail(w, http.StatusBadRequest, "preparing system: %v", err)
-		return
-	}
-
-	// Right-hand sides: explicit batch, explicit single, or generated
-	// (with a known solution for SPD systems so the response can report
-	// the A-norm error). Items come from the pool: on the warm path the
-	// iterate and any generated right-hand side land in recycled buffers,
-	// so per-request garbage stays O(1) in the matrix dimension.
-	var items []*solveItem
-	// Recycle on every exit path — success, rejection, or error — so
-	// pool churn does not spike exactly when the server is shedding
-	// load. By the time the handler returns, the solve (if any) has
-	// finished and the response has been written, so nothing references
-	// the pooled buffers (escaping iterates are allocated fresh, see
-	// itemIterate).
-	defer func() {
-		for _, bi := range items {
-			s.putItem(bi)
-		}
-	}()
-	var xstar []float64
-	explicitBatch := len(req.Bs) > 0
-	switch {
-	case explicitBatch:
+// rhs readies the right-hand sides and zero iterates in pooled solve
+// items: an explicit bs batch, an explicit b, or a generated b — from a
+// known solution x* for SPD methods, so the reply can report the A-norm
+// error, or uniformly for least squares. On the warm path the iterate and
+// a generated b land in recycled buffers, so per-request garbage stays
+// O(1) in the matrix dimension. Like decode, it records no span.
+func (s *Server) rhs(c *solveCall) error {
+	a, req := c.a, &c.req
+	if len(req.Bs) > 0 {
 		for i, b := range req.Bs {
 			if len(b) != a.Rows {
-				s.fail(w, http.StatusBadRequest, "bs[%d] has %d entries, matrix has %d rows", i, len(b), a.Rows)
-				return
+				return fmt.Errorf("bs[%d] has %d entries, matrix has %d rows", i, len(b), a.Rows)
 			}
 			it := s.getItem()
 			it.b = b
 			it.x = s.itemIterate(it, a.Cols, req.IncludeSolution)
-			items = append(items, it)
+			c.items = append(c.items, it)
 		}
-	default:
-		it := s.getItem()
-		it.self[0] = it
-		items = it.self[:]
-		b := req.B
-		if len(b) == 0 {
-			it.bBuf = sized(it.bBuf, a.Rows)
-			b = it.bBuf
-			if m.Kind() == method.SPD {
-				it.xsBuf = sized(it.xsBuf, a.Cols)
-				workload.RHSForSolutionInto(a, req.RHSSeed, b, it.xsBuf)
-				xstar = it.xsBuf
-			} else {
-				workload.RandomRHSInto(req.RHSSeed, b)
-			}
-		} else if len(b) != a.Rows {
-			s.fail(w, http.StatusBadRequest, "right-hand side has %d entries, matrix has %d rows", len(b), a.Rows)
-			return
-		}
-		it.b = b
-		it.x = s.itemIterate(it, a.Cols, req.IncludeSolution)
+		return nil
 	}
-
-	// Phase 2 — solve. The queue stage is the admission-gate wait; a
-	// request shed at the gate never started solving and records neither
-	// stage.
-	queued := time.Now()
-	solveStart, solveEnd := s.runBatch(r.Context(), ps, opts, items)
-	if !solveStart.IsZero() {
-		s.observeStage("queue", solveStart.Sub(queued))
-		s.observeStage("solve", solveEnd.Sub(solveStart))
-	}
-	it := items[0]
+	it := s.getItem()
+	it.self[0] = it
+	c.items = it.self[:]
+	b := req.B
 	switch {
-	case it.err == nil || errors.Is(it.err, method.ErrNotConverged):
-		// A budget-exhausted solve is still a well-formed answer.
-	case errors.Is(it.err, errAtCapacity):
-		s.reject(w, "server at capacity (%d solves in flight); retry later", s.cfg.MaxConcurrent)
-		return
-	case errors.Is(it.err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, "solve cancelled: %v", it.err)
-		return
-	case errors.Is(it.err, context.Canceled):
-		// Only the request's own client going away cancels its solve —
-		// shed, not an error.
-		s.reject(w, "client went away during solve")
-		return
-	case errors.Is(it.err, errPanic):
-		// A contained worker panic: the daemon survives, the request
-		// reports a server fault (the input may be fine; the method is
-		// not).
-		s.fail(w, http.StatusInternalServerError, "solve failed: %v", it.err)
-		return
-	default:
-		s.fail(w, http.StatusBadRequest, "solve failed: %v", it.err)
-		return
+	case len(b) == 0:
+		it.bBuf = sized(it.bBuf, a.Rows)
+		b = it.bBuf
+		if c.m.Kind() == method.SPD {
+			it.xsBuf = sized(it.xsBuf, a.Cols)
+			workload.RHSForSolutionInto(a, req.RHSSeed, b, it.xsBuf)
+			c.xstar = it.xsBuf
+		} else {
+			workload.RandomRHSInto(req.RHSSeed, b)
+		}
+	case len(b) != a.Rows:
+		return fmt.Errorf("right-hand side has %d entries, matrix has %d rows", len(b), a.Rows)
 	}
+	it.b = b
+	it.x = s.itemIterate(it, a.Cols, req.IncludeSolution)
+	return nil
+}
 
-	s.solved.Add(1)
-	s.observeBand(a.Rows, time.Since(start))
-	s.methodMu.Lock()
-	s.byMethod[req.Method]++
-	s.methodMu.Unlock()
+// solve runs the request's solve behind the admission gate: a lone
+// right-hand side through Solve, an explicit bs batch through
+// SolveBatch. It is the only place solves run. Stage "queue" is the wait
+// for a slot and stage "solve" the solve; a request shed at the gate
+// records neither. The solve context is the request's, capped at
+// SolveTimeout from admission, so a solve whose client went away, or
+// that ran out its budget, stops and frees its slot. A budget-exhausted
+// solve (method.ErrNotConverged) is still a well-formed answer.
+func (s *Server) solve(parent context.Context, c *solveCall) error {
+	queued := time.Now()
+	err := s.gated(parent, func() error {
+		s.observeStage("queue", queued)
+		defer s.observeStage("solve", time.Now())
+		n := len(c.items)
+		s.inFlight.Add(int64(n))
+		defer s.inFlight.Add(-int64(n))
+		s.batches.Add(1)
+		if n > 1 {
+			s.coalesced.Add(uint64(n))
+		}
+		ctx, cancel := context.WithTimeout(parent, s.cfg.SolveTimeout)
+		defer cancel()
+		if n == 1 {
+			it := c.items[0]
+			var err error
+			it.res, err = c.ps.Solve(ctx, it.b, it.x, c.opts)
+			return err
+		}
+		bs := make([][]float64, n)
+		xs := make([][]float64, n)
+		for i, it := range c.items {
+			bs[i], xs[i] = it.b, it.x
+		}
+		results, err := c.ps.SolveBatch(ctx, bs, xs, c.opts)
+		for i, it := range c.items {
+			if i < len(results) {
+				it.res = results[i]
+			}
+		}
+		return err
+	})
+	if err != nil && !errors.Is(err, method.ErrNotConverged) {
+		return fmt.Errorf("solve failed: %w", err)
+	}
+	return nil
+}
 
-	respondStart := time.Now()
+// respond assembles and writes the 200 reply (stage "respond"). It
+// returns no error: once the body is being encoded the status is sent,
+// and there is nothing left to answer. For a generated
+// right-hand side it reports the A-norm error ‖x−x*‖_A/‖x*‖_A; an
+// explicit bs batch reports per-column outcomes and summarizes the worst
+// column at the top level.
+func (s *Server) respond(w http.ResponseWriter, c *solveCall) {
+	start := time.Now()
+	it := c.items[0]
 	resp := SolveResponse{
-		Method: it.res.Method, Kind: m.Kind().String(), MatrixKey: key,
-		CacheHit: hit, PrepHit: prepHit,
-		PrepMS:    float64(prepWall) / float64(time.Millisecond),
-		BatchSize: len(items),
-		Rows:      a.Rows, Cols: a.Cols,
+		Method: it.res.Method, Kind: c.m.Kind().String(), MatrixKey: c.key,
+		CacheHit: c.hit, PrepHit: c.prepHit,
+		PrepMS:    float64(c.prepWall) / float64(time.Millisecond),
+		BatchSize: len(c.items),
+		Rows:      c.a.Rows, Cols: c.a.Cols,
 		Residual: it.res.Residual, Converged: it.res.Converged,
 		Sweeps: it.res.Sweeps, Checks: it.res.Checks, Iterations: it.res.Iterations,
 		WallMS: float64(it.res.Wall) / float64(time.Millisecond), ObservedTau: it.res.ObservedTau,
 		Messages: it.res.Messages, MaxQueue: it.res.MaxQueue,
 	}
-	if xstar != nil && a.Rows == a.Cols {
-		// b = A·x*, so ‖x*‖²_A = x*ᵀb: one pass over A, for ‖x−x*‖_A.
-		if nx2 := vec.Dot(xstar, it.b); nx2 > 0 {
+	// b = A·x*, so ‖x*‖²_A = x*ᵀb: one pass over A, for ‖x−x*‖_A.
+	if c.xstar != nil {
+		if nx2 := vec.Dot(c.xstar, it.b); nx2 > 0 {
 			// ‖x−x*‖_A through the item's pooled difference buffer
 			// (sparse.ANormErr would allocate an n-vector per request).
-			it.dBuf = sized(it.dBuf, len(xstar))
+			it.dBuf = sized(it.dBuf, len(c.xstar))
 			for i := range it.dBuf {
-				it.dBuf[i] = it.x[i] - xstar[i]
+				it.dBuf[i] = it.x[i] - c.xstar[i]
 			}
-			v := a.ANorm(it.dBuf) / math.Sqrt(nx2)
+			v := c.a.ANorm(it.dBuf) / math.Sqrt(nx2)
 			resp.ANormErr = &v
 		}
 	}
-	if explicitBatch {
-		for _, bi := range items {
+	if len(c.req.Bs) > 0 {
+		for _, bi := range c.items {
 			entry := BatchEntry{Residual: bi.res.Residual, Converged: bi.res.Converged, Sweeps: bi.res.Sweeps}
-			if req.IncludeSolution {
+			if c.req.IncludeSolution {
 				entry.X = bi.x
 			}
 			resp.Batch = append(resp.Batch, entry)
@@ -1079,9 +1036,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			resp.Sweeps = max(resp.Sweeps, bi.res.Sweeps)
 			resp.Checks = max(resp.Checks, bi.res.Checks)
 		}
-	} else if req.IncludeSolution {
+	} else if c.req.IncludeSolution {
 		resp.X = it.x
 	}
 	writeJSON(w, http.StatusOK, resp)
-	s.observeStage("respond", time.Since(respondStart))
+	s.observeStage("respond", start)
 }

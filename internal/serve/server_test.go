@@ -741,6 +741,68 @@ func TestPrepareSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
+// doneWaitMethod's Solve returns only when its context's Done channel
+// closes: a solver that blocks on Done instead of polling Err.
+type doneWaitMethod struct{}
+
+func (doneWaitMethod) Name() string      { return "donewait-test" }
+func (doneWaitMethod) Kind() method.Kind { return method.SPD }
+func (doneWaitMethod) Solve(ctx context.Context, _ *sparse.CSR, _, _ []float64, _ method.Opts) (method.Result, error) {
+	<-ctx.Done()
+	return method.Result{}, ctx.Err()
+}
+
+var registerDoneWaitOnce sync.Once
+
+// TestSolveWaitingOnDoneTimesOut: the solve context closes Done at
+// SolveTimeout, so a solve that waits on Done answers 504 within 1 s of
+// a 100 ms timeout. The request goes straight into Handler().ServeHTTP
+// behind a timer, as in TestDeadlineFreesTheGate; cancelling it at the
+// end releases a handler whose Done never closes at the deadline.
+func TestSolveWaitingOnDoneTimesOut(t *testing.T) {
+	registerDoneWaitOnce.Do(func() { method.Register(doneWaitMethod{}) })
+	h := New(Config{SolveTimeout: 100 * time.Millisecond}).Handler()
+	body, _ := json.Marshal(SolveRequest{
+		Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "donewait-test", Tol: 1e-6,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	code := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)).WithContext(ctx))
+		code <- rec.Code
+	}()
+	select {
+	case c := <-code:
+		cancel()
+		if c != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504", c)
+		}
+	case <-time.After(time.Second):
+		cancel()
+		<-code
+		t.Fatal("solve waiting on Done still running 1 s after a 100 ms solve timeout")
+	}
+}
+
+// TestPrepareTimeoutIs504: a Prepare that outlives SolveTimeout is a
+// timeout, answered 504 and counted as an error, not a client error.
+func TestPrepareTimeoutIs504(t *testing.T) {
+	registerSlowPrep(t) // its Prepare takes 250 ms unless its context ends first
+	ts := newTestServer(t, Config{SolveTimeout: 50 * time.Millisecond})
+	_, resp := postSolve(t, ts, SolveRequest{
+		Matrix: MatrixSpec{Kind: "laplacian2d", N: 8}, Method: "slowprep-test", Tol: 1e-6,
+	})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	var st Stats
+	getJSON(t, ts, "/stats", &st)
+	if st.Errors != 1 || st.Rejected != 0 {
+		t.Fatalf("errors %d, rejected %d; want 1 and 0", st.Errors, st.Rejected)
+	}
+}
+
 // TestStatsStagesBlock: every stage appears in /stats with sane counts,
 // the stage totals are consistent with the /solve endpoint total, and
 // /metrics exposes the stage histograms.

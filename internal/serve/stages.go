@@ -1,9 +1,9 @@
 package serve
 
-// Per-stage request timing. Every solve request that reaches the solver
-// records how long it spent in each processing stage, into one lock-free
-// power-of-two histogram per stage (microseconds, like the endpoint and
-// per-method latencies):
+// Per-stage request timing. handleSolve (server.go) runs a request
+// through one function per stage, and each timed stage records its own
+// span, into one lock-free power-of-two histogram per stage
+// (microseconds, like the endpoint and per-method latencies):
 //
 //	build    — materializing the matrix (cache hits record ~0)
 //	prepare  — the method's Prepare phase (prep-cache hits record ~0)
@@ -25,10 +25,13 @@ import (
 // stageNames fixes the stage set and its exposition order.
 var stageNames = []string{"build", "prepare", "queue", "solve", "respond"}
 
-// observeStage records one stage duration. The histogram map is built
-// complete at construction, so the lookup needs no lock.
-func (s *Server) observeStage(stage string, d time.Duration) {
+// observeStage records the stage that began at start and returns its
+// duration. The histogram map is built complete at construction, so the
+// lookup needs no lock.
+func (s *Server) observeStage(stage string, start time.Time) time.Duration {
+	d := time.Since(start)
 	s.stageLat[stage].ObserveDuration(d)
+	return d
 }
 
 // stageSummaries builds the /stats stages block: every stage always

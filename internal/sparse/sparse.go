@@ -251,14 +251,17 @@ func (m *CSR) MulVecPar(y, x []float64, workers int, part Partition) {
 	var wg sync.WaitGroup
 	switch part {
 	case PartitionRoundRobin:
+		// The stride is an argument, not a capture: a captured workers
+		// would move to the heap and cost every call an allocation, the
+		// serial path's included.
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func(w, stride int) {
 				defer wg.Done()
-				for i := w; i < m.Rows; i += workers {
+				for i := w; i < m.Rows; i += stride {
 					y[i] = m.RowDot(i, x)
 				}
-			}(w)
+			}(w, workers)
 		}
 	default:
 		chunk := (m.Rows + workers - 1) / workers

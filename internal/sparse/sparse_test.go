@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 )
 
@@ -183,6 +184,25 @@ func TestMulVecParMatchesSerial(t *testing.T) {
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-12 {
 				t.Fatalf("partition %v row %d: got %v want %v", part, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMulVecParSerialPathAllocsNothing: with one worker, or under 256
+// rows, MulVecPar is MulVec and allocates nothing. cg, fcg and jacobi
+// call it once per iteration.
+func TestMulVecParSerialPathAllocsNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	for _, rows := range []int{96, 500} {
+		m := randomCSR(rows, rows, 0.02, 2)
+		x := make([]float64, rows)
+		y := make([]float64, rows)
+		for _, part := range []Partition{PartitionContiguous, PartitionRoundRobin} {
+			if avg := testing.AllocsPerRun(20, func() { m.MulVecPar(y, x, 1, part) }); avg != 0 {
+				t.Fatalf("rows %d, partition %v: MulVecPar at 1 worker allocated %.1f times per call, want 0", rows, part, avg)
 			}
 		}
 	}
