@@ -12,9 +12,9 @@
 // conjugate gradients and Notay's Flexible-CG (with AsyRGS as a flexible
 // preconditioner — the paper's recommended high-accuracy configuration),
 // randomized Kaczmarz, the §8 asynchronous least-squares coordinate
-// descent, spectral estimators, the paper's convergence-bound formulas, a
-// bounded-delay execution simulator, and workload generators including a
-// synthetic analogue of the paper's social-media Gram matrix.
+// descent, a Lanczos spectral estimator, the paper's convergence-bound
+// formulas, a bounded-delay execution simulator, and workload generators
+// including a synthetic analogue of the paper's social-media Gram matrix.
 //
 // # Quick start
 //
@@ -77,16 +77,8 @@ type (
 	// Scaling maps between a general SPD system and its unit-diagonal
 	// rescaling (§3 of the paper).
 	Scaling = sparse.Scaling
-	// Partition selects a parallel SpMV row-partitioning strategy.
-	Partition = sparse.Partition
 	// Dense is a row-major dense block for multi-right-hand-side solves.
 	Dense = vec.Dense
-)
-
-// Partition strategies for parallel matrix–vector products.
-const (
-	PartitionContiguous = sparse.PartitionContiguous
-	PartitionRoundRobin = sparse.PartitionRoundRobin
 )
 
 // Matrix construction and I/O.
@@ -152,9 +144,11 @@ type (
 
 // Krylov and stationary solvers.
 var (
-	// CG solves an SPD system by (preconditioned) conjugate gradients.
+	// CG solves an SPD system by conjugate gradients, with round-robin
+	// parallel SpMV.
 	CG = krylov.CG
-	// CGDense solves A·X = B for a multi-RHS block.
+	// CGDense solves A·X = B for a multi-RHS block, with contiguous-block
+	// parallel SpMM.
 	CGDense = krylov.CGDense
 	// FlexibleCG tolerates preconditioners that change per application,
 	// such as AsyRGS.
@@ -166,8 +160,6 @@ var (
 	// AsyncJacobi runs classical chaotic-relaxation Jacobi — the
 	// deterministic asynchronous baseline the paper revisits.
 	AsyncJacobi = krylov.AsyncJacobi
-	// NewDiagonalPrecond builds a Jacobi preconditioner from a diagonal.
-	NewDiagonalPrecond = krylov.NewDiagonal
 )
 
 // Least squares (§8) and Kaczmarz.
@@ -212,9 +204,6 @@ var (
 	NewBoundParams = theory.NewParams
 	// EstimateSpectrum estimates λmin, λmax and κ of an SPD matrix.
 	EstimateSpectrum = spectral.EstimateSPD
-	// EstimateCondition estimates κ with power + CG-based inverse power
-	// iteration (the style of the paper's condition-estimator reference).
-	EstimateCondition = spectral.CondEst
 )
 
 // Unified solver-method registry (internal/method): every solver family
@@ -331,17 +320,15 @@ var (
 	// DistPrepare captures the sharded per-matrix state once; fork
 	// Solvers from it for repeated runs.
 	DistPrepare = distmem.Prepare
-	// DistPartitionContiguous splits n coordinates into equal-width
-	// blocks.
-	DistPartitionContiguous = distmem.Contiguous
 	// DistPartitionNNZBalanced splits rows into blocks of roughly equal
-	// nonzero count, balancing per-round work on skewed matrices.
+	// nonzero count, balancing per-round work on skewed matrices; every
+	// sharded run uses it.
 	DistPartitionNNZBalanced = distmem.NNZBalanced
 )
 
 // Workload generators.
 type (
-	// SocialGramOptions shape the synthetic social-media Gram matrix.
+	// SocialGramOptions size the synthetic social-media Gram matrix.
 	SocialGramOptions = workload.SocialGramOptions
 )
 

@@ -174,11 +174,6 @@ func TestFacadeStationary(t *testing.T) {
 	if res := asyrgs.GaussSeidel(a, xg, b, 300, 1e-8); !res.Converged {
 		t.Fatalf("GaussSeidel: %+v", res)
 	}
-	pre := asyrgs.NewDiagonalPrecond(a.Diag())
-	xp := make([]float64, 40)
-	if res, err := asyrgs.CG(a, xp, b, asyrgs.CGOptions{Tol: 1e-10, MaxIter: 400, Precond: pre}); err != nil || !res.Converged {
-		t.Fatalf("PCG: %+v %v", res, err)
-	}
 }
 
 func TestFacadeGuaranteeAndDelayHistogram(t *testing.T) {
@@ -210,7 +205,7 @@ func TestFacadeGuaranteeAndDelayHistogram(t *testing.T) {
 	}
 }
 
-func TestFacadeAsyncJacobiAndCondEst(t *testing.T) {
+func TestFacadeAsyncJacobi(t *testing.T) {
 	a := asyrgs.RandomSPD(100, 4, 1.6, 22)
 	b := asyrgs.RandomRHS(100, 23)
 	x := make([]float64, 100)
@@ -220,10 +215,6 @@ func TestFacadeAsyncJacobiAndCondEst(t *testing.T) {
 	res := asyrgs.AsyncJacobi(a, x, b, 300, 4)
 	if res.Residual > 1e-2 {
 		t.Fatalf("async Jacobi residual %v", res.Residual)
-	}
-	est := asyrgs.EstimateCondition(a, 24)
-	if est.Cond < 1 || est.LambdaMin <= 0 {
-		t.Fatalf("bad condition estimate %+v", est)
 	}
 }
 

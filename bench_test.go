@@ -88,7 +88,7 @@ func BenchmarkFig2LeftAsyRGS(b *testing.B) {
 }
 
 // BenchmarkFig2LeftCG regenerates Figure 2 (left), CG curve: one CG
-// iteration (round-robin partitioned SpMV) at each worker count.
+// iteration (contiguous-block SpMM) at each worker count.
 func BenchmarkFig2LeftCG(b *testing.B) {
 	a, rhs, _ := workloadFor(b)
 	for _, th := range []int{1, 2, 4, 8, 16} {
@@ -97,7 +97,6 @@ func BenchmarkFig2LeftCG(b *testing.B) {
 			b.ResetTimer()
 			_, _ = asyrgs.CGDense(a, x, rhs, asyrgs.CGOptions{
 				Tol: 1e-30, MaxIter: b.N, Workers: th,
-				Partition: asyrgs.PartitionRoundRobin,
 			}, nil)
 		})
 	}
@@ -164,7 +163,6 @@ func BenchmarkTable1FCG(b *testing.B) {
 				x := make([]float64, a.Rows)
 				res, _ := asyrgs.FlexibleCG(a, x, b1, pre, asyrgs.FCGOptions{
 					Tol: 1e-8, MaxIter: 4000, Workers: runtime.GOMAXPROCS(0),
-					Partition: asyrgs.PartitionRoundRobin,
 				})
 				outer = res.Iterations
 			}
@@ -191,7 +189,6 @@ func BenchmarkFig3Left(b *testing.B) {
 					x := make([]float64, a.Rows)
 					res, _ := asyrgs.FlexibleCG(a, x, b1, pre, asyrgs.FCGOptions{
 						Tol: 1e-8, MaxIter: 4000, Workers: th,
-						Partition: asyrgs.PartitionRoundRobin,
 					})
 					outer = res.Iterations
 				}
@@ -247,25 +244,6 @@ func BenchmarkLSQAsync(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Iterations(x, rhs, 1000)
-			}
-		})
-	}
-}
-
-// BenchmarkSpMVPartition is the ablation for the parallel SpMV
-// row partitioning on the skewed matrix: contiguous blocks suffer load
-// imbalance that round-robin avoids (the paper's choice for CG).
-func BenchmarkSpMVPartition(b *testing.B) {
-	a, _, _ := workloadFor(b)
-	x := asyrgs.RandomRHS(a.Cols, 13)
-	y := make([]float64, a.Rows)
-	for _, part := range []struct {
-		name string
-		p    asyrgs.Partition
-	}{{"contiguous", asyrgs.PartitionContiguous}, {"round-robin", asyrgs.PartitionRoundRobin}} {
-		b.Run(part.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a.MulVecPar(y, x, runtime.GOMAXPROCS(0), part.p)
 			}
 		})
 	}

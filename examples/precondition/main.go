@@ -42,7 +42,6 @@ func main() {
 		start := time.Now()
 		res, err := asyrgs.FlexibleCG(gram, x, b, pre, asyrgs.FCGOptions{
 			Tol: tol, MaxIter: 4000, Workers: workers,
-			Partition: asyrgs.PartitionRoundRobin,
 		})
 		d := time.Since(start)
 		if err != nil {
@@ -62,7 +61,6 @@ func main() {
 	start := time.Now()
 	res, err := asyrgs.CG(gram, x, b, asyrgs.CGOptions{
 		Tol: tol, MaxIter: 40_000, Workers: workers,
-		Partition: asyrgs.PartitionRoundRobin,
 	})
 	if err != nil {
 		fmt.Printf("plain CG: not converged after %d iterations (residual %.1e)\n", res.Iterations, res.Residual)

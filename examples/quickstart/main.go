@@ -50,7 +50,6 @@ func main() {
 	xcg := make([]float64, n)
 	cgRes, err := asyrgs.CG(a, xcg, b, asyrgs.CGOptions{
 		Tol: 1e-6, MaxIter: 2000, Workers: workers,
-		Partition: asyrgs.PartitionRoundRobin,
 	})
 	if err != nil {
 		log.Fatalf("CG did not converge: %+v", cgRes)

@@ -70,7 +70,6 @@ func main() {
 	cgStart := time.Now()
 	_, _ = asyrgs.CGDense(gram, xc, b, asyrgs.CGOptions{
 		Tol: 1e-30, MaxIter: sweeps, Workers: workers,
-		Partition: asyrgs.PartitionRoundRobin,
 	}, &cgTraj)
 	cgTime := time.Since(cgStart)
 

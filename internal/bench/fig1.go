@@ -3,7 +3,6 @@ package bench
 import (
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/krylov"
-	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
 
@@ -44,10 +43,9 @@ func (r *Runner) Fig1(sweeps int) []Fig1Point {
 	xc := vec.NewDense(a.Rows, c)
 	var cgHist []float64
 	_, _ = krylov.CGDense(a, xc, r.B, krylov.CGOptions{
-		Tol:       1e-16, // run the full budget; Figure 1 plots the trajectory
-		MaxIter:   sweeps,
-		Workers:   1,
-		Partition: sparse.PartitionRoundRobin,
+		Tol:     1e-16, // run the full budget; Figure 1 plots the trajectory
+		MaxIter: sweeps,
+		Workers: 1,
 	}, &cgHist)
 
 	pts := make([]Fig1Point, sweeps+1)

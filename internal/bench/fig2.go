@@ -5,7 +5,6 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/krylov"
-	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
 
@@ -42,12 +41,12 @@ func (r *Runner) Fig2Left() []Fig2LeftRow {
 		x := vec.NewDense(a.Rows, r.B.Cols)
 		asyTime := timeIt(func() { solver.AsyncSweepsDense(x, r.B, sweeps) })
 
-		// CG: 10 iterations, round-robin partitioned SpMV.
+		// CG: 10 iterations; CGDense's SpMM splits rows into contiguous
+		// blocks, not the paper's round-robin.
 		xc := vec.NewDense(a.Rows, r.B.Cols)
 		cgTime := timeIt(func() {
 			_, _ = krylov.CGDense(a, xc, r.B, krylov.CGOptions{
 				Tol: 1e-16, MaxIter: sweeps, Workers: th,
-				Partition: sparse.PartitionRoundRobin,
 			}, nil)
 		})
 

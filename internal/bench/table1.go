@@ -6,7 +6,6 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/krylov"
-	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
 // Table1Row is one row of Table 1: Flexible-CG preconditioned by AsyRGS,
@@ -68,7 +67,6 @@ func (r *Runner) runFCGOnce(tol float64, workers, innerSweeps int) Table1Row {
 		d := timeIt(func() {
 			res, _ = krylov.FlexibleCG(r.Gram, x, r.b1, pre, krylov.FCGOptions{
 				Tol: tol, MaxIter: 4000, Workers: workers,
-				Partition: sparse.PartitionRoundRobin,
 			})
 		})
 		outers = append(outers, res.Iterations)
@@ -131,7 +129,6 @@ func (r *Runner) Fig3(tol float64) []Fig3Row {
 				d := timeIt(func() {
 					res, _ = krylov.FlexibleCG(r.Gram, x, r.b1, pre, krylov.FCGOptions{
 						Tol: tol, MaxIter: 4000, Workers: th,
-						Partition: sparse.PartitionRoundRobin,
 					})
 				})
 				outers = append(outers, res.Iterations)

@@ -118,7 +118,7 @@ func (s *Solver) solve(x, b []float64, tol float64, maxSweeps, checkEvery int, s
 // ResidualDense returns ‖B−AX‖_F / ‖B‖_F.
 func (s *Solver) ResidualDense(x, b *vec.Dense) float64 {
 	ax := vec.NewDense(x.Rows, x.Cols)
-	s.a.MulDensePar(ax.Data, x.Data, x.Cols, s.opts.Workers, sparse.PartitionContiguous)
+	s.a.MulDensePar(ax.Data, x.Data, x.Cols, s.opts.Workers)
 	var num, den float64
 	for i, v := range ax.Data {
 		d := b.Data[i] - v

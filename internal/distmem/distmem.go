@@ -5,10 +5,10 @@
 // subset of the entries. To allow this, a more limited form of
 // randomization should be used."
 //
-// Each worker owns a contiguous block of coordinates (equal-width, or
-// nnz-balanced via the Config.BalanceNNZ partitioner), keeps a private
-// full copy of the iterate, performs Randomized Gauss–Seidel steps
-// restricted to its block against its (stale) copy, and ships every
+// Each worker owns a contiguous block of coordinates holding about an
+// equal share of the nonzeros (NNZBalanced), keeps a private full copy
+// of the iterate, performs Randomized Gauss–Seidel steps, drawn uniformly
+// from its block, against its (stale) copy, and ships every
 // committed update to the other workers through bounded message queues.
 // Each worker has one shared inbox sized QueueCap·(w−1)+1 — room for
 // QueueCap in-flight updates from each of the other w−1 ranks plus one —
@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -51,22 +50,10 @@ type Config struct {
 	// communication budget): every inbox holds QueueCap·(workers−1)+1
 	// messages. Minimum 1.
 	QueueCap int
-	// Beta is the step size; 0 means 1.
+	// Beta is the step size, in (0, 2); 0 means 1.
 	Beta float64
 	// Seed keys the per-worker direction streams.
 	Seed uint64
-	// BalanceNNZ selects the nnz-balanced partitioner instead of
-	// equal-width contiguous blocks, so per-round work stays balanced on
-	// matrices with skewed row densities.
-	BalanceNNZ bool
-	// DiagonalWeighted draws each rank's coordinates with probability
-	// proportional to A_rr within its owned block (the Leventhal–Lewis
-	// distribution restricted to the block) instead of uniformly, through
-	// one O(1) Walker/Vose alias table per rank built once by Prepare.
-	// The draw stays a pure function of (rank stream, iteration index),
-	// so direction sequences remain deterministic and replay-free across
-	// rounds. Requires a positive diagonal.
-	DiagonalWeighted bool
 }
 
 // update is one committed coordinate delta, the only message type on the
@@ -99,12 +86,10 @@ type Prepared struct {
 	streams  []rng.Stream
 	beta     float64
 	queueCap int
-	// tabs holds one alias table per rank over its owned diagonal slice;
-	// nil when sampling is uniform (Config.DiagonalWeighted unset).
-	tabs []*alias.Table
 }
 
-// Prepare validates the system and captures the sharded per-matrix state.
+// Prepare validates the system and the step size and captures the
+// sharded per-matrix state.
 func Prepare(a *sparse.CSR, cfg Config) (*Prepared, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -125,44 +110,21 @@ func Prepare(a *sparse.CSR, cfg Config) (*Prepared, error) {
 	if beta == 0 {
 		beta = 1
 	}
+	if !(beta > 0 && beta < 2) {
+		return nil, fmt.Errorf("distmem: step size %g outside (0,2)", beta)
+	}
 	diag := a.Diag()
 	for i, d := range diag {
 		if d == 0 {
 			return nil, fmt.Errorf("distmem: zero diagonal at row %d", i)
 		}
 	}
-	part := Contiguous(n, w)
-	if cfg.BalanceNNZ {
-		part = NNZBalanced(a, w)
-	}
 	streams := make([]rng.Stream, w)
 	for i := range streams {
 		streams[i] = rng.NewStream(cfg.Seed ^ (uint64(i) * 0x9E3779B97F4A7C15))
 	}
-	var tabs []*alias.Table
-	if cfg.DiagonalWeighted {
-		// One table per rank over its owned diagonal slice, built once
-		// here so every round (and every forked Solver) pays O(1) per
-		// draw. The alias builder rejects negative weights; zero entries
-		// were rejected above, so each block's distribution is valid.
-		tabs = make([]*alias.Table, w)
-		for id := 0; id < w; id++ {
-			lo, hi := part.Block(id)
-			tab, err := alias.New(diag[lo:hi])
-			if err != nil {
-				return nil, fmt.Errorf("distmem: diagonal-weighted sampling on rank %d block [%d,%d): %w", id, lo, hi, err)
-			}
-			tabs[id] = tab
-		}
-	}
-	return &Prepared{a: a, part: part, diag: diag, streams: streams, beta: beta, queueCap: queueCap, tabs: tabs}, nil
+	return &Prepared{a: a, part: NNZBalanced(a, w), diag: diag, streams: streams, beta: beta, queueCap: queueCap}, nil
 }
-
-// Workers returns the rank count of the prepared deployment.
-func (p *Prepared) Workers() int { return p.part.Workers() }
-
-// Partition returns the ownership map (shared, do not mutate).
-func (p *Prepared) Partition() Partition { return p.part }
 
 // roundCmd is one round's work order, delivered to every pool worker.
 type roundCmd struct {
@@ -224,10 +186,6 @@ func (s *Solver) worker(id int) {
 	w := p.part.Workers()
 	local := make([]float64, p.a.Rows)
 	stream := p.streams[id]
-	var tab *alias.Table // non-nil: diagonal-weighted draw within the block
-	if p.tabs != nil {
-		tab = p.tabs[id]
-	}
 	for cmd := range s.cmds[id] {
 		copy(local, cmd.x)
 		inbox := cmd.inboxes[id]
@@ -271,12 +229,7 @@ func (s *Solver) worker(id int) {
 				break
 			}
 			applyAll()
-			var r int
-			if tab != nil {
-				r = lo + tab.Pick(stream, cmd.base+uint64(j))
-			} else {
-				r = lo + stream.IntnAt(cmd.base+uint64(j), hi-lo)
-			}
+			r := lo + stream.IntnAt(cmd.base+uint64(j), hi-lo)
 			if cmd.pick != nil {
 				cmd.pick(id, r)
 			}

@@ -17,34 +17,6 @@ func (p Partition) Workers() int { return len(p.Bounds) - 1 }
 // Block returns worker i's half-open coordinate range [lo, hi).
 func (p Partition) Block(i int) (lo, hi int) { return p.Bounds[i], p.Bounds[i+1] }
 
-// Owner returns the worker owning coordinate idx (binary search).
-func (p Partition) Owner(idx int) int {
-	lo, hi := 0, p.Workers()-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx >= p.Bounds[mid+1] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Contiguous splits n coordinates into w equal-width contiguous blocks
-// (the last blocks are one shorter when w does not divide n). It panics
-// unless 1 <= w <= n.
-func Contiguous(n, w int) Partition {
-	if w < 1 || w > n {
-		panic("distmem: Contiguous needs 1 <= workers <= n")
-	}
-	b := make([]int, w+1)
-	for i := 0; i <= w; i++ {
-		b[i] = i * n / w
-	}
-	return Partition{Bounds: b}
-}
-
 // NNZBalanced splits the rows of a into w contiguous blocks of roughly
 // equal nonzero count, so ranks owning dense rows own fewer of them and
 // per-round work stays balanced on skewed matrices (each restricted

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
@@ -33,9 +32,6 @@ type Options struct {
 	Workers int
 	// Seed keys the row-selection stream.
 	Seed uint64
-	// Uniform selects rows uniformly instead of the Strohmer–Vershynin
-	// ‖A_i‖² distribution.
-	Uniform bool
 	// Chunk is the number of iteration indices an asynchronous worker
 	// claims from the shared counter at a time; zero auto-sizes from the
 	// budget and worker count. Row selection stays a pure function of
@@ -46,7 +42,7 @@ type Options struct {
 // Solver holds the matrix and the row-sampling distribution.
 type Solver struct {
 	a        *sparse.CSR
-	rowNorm2 []float64    // ‖A_i‖²: the projection divisor and the uniform path's zero-row test
+	rowNorm2 []float64    // ‖A_i‖²: the projection divisor
 	tab      *alias.Table // O(1) norm-weighted row draw
 	opts     Options
 	beta     float64
@@ -145,24 +141,6 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 	return NewFromPrep(p, opts)
 }
 
-// pickRow maps iteration index j to a row according to the configured
-// distribution; it skips zero rows under uniform sampling by rejection
-// against consecutive sub-indices. The norm-weighted draw goes through
-// the O(1) alias table (a zero-norm row has zero weight and is never
-// drawn). Either way the row is a pure function of (seed, j).
-func (s *Solver) pickRow(stream rng.Stream, j uint64) int {
-	if s.opts.Uniform {
-		//asyrgs:boundedloop rejection terminates because PrepareMatrix guarantees at least one row with positive norm
-		for sub := uint64(0); ; sub++ {
-			i := stream.IntnAt(j*31+sub, s.a.Rows)
-			if s.rowNorm2[i] > 0 {
-				return i
-			}
-		}
-	}
-	return s.tab.Pick(stream, j)
-}
-
 // step performs one Kaczmarz projection for row i on iterate x: a
 // gather-dot to form the correction, then a scatter-axpy back over the
 // row's support, both through the unrolled sparse kernels. concurrent
@@ -178,8 +156,11 @@ func (s *Solver) step(x, b []float64, i int, concurrent bool) {
 }
 
 // Iterations runs m iterations: synchronously for Workers <= 1, otherwise
-// asynchronously with atomic coordinate updates. It measures nothing;
-// call Residual for progress.
+// asynchronously with atomic coordinate updates. Iteration j projects
+// onto the row the alias table draws from the Strohmer–Vershynin ‖A_i‖²
+// distribution, a pure function of (seed, j); a zero-norm row has zero
+// weight and is never drawn. It measures nothing; call Residual for
+// progress.
 func (s *Solver) Iterations(x, b []float64, m int) {
 	if len(x) != s.a.Cols || len(b) != s.a.Rows {
 		panic("kaczmarz: shape mismatch")
@@ -189,14 +170,13 @@ func (s *Solver) Iterations(x, b []float64, m int) {
 	end := start + uint64(m)
 	if s.opts.Workers <= 1 {
 		for j := start; j < end; j++ {
-			i := s.pickRow(stream, j)
-			s.step(x, b, i, false)
+			s.step(x, b, s.tab.Pick(stream, j), false)
 		}
 	} else {
 		chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers, s.rowBytes)
 		claim.Run(start, end, s.opts.Workers, chunk, false, func(_ int, lo, hi uint64) {
 			for j := lo; j < hi; j++ {
-				s.step(x, b, s.pickRow(stream, j), true)
+				s.step(x, b, s.tab.Pick(stream, j), true)
 			}
 		})
 	}
@@ -234,18 +214,4 @@ func (s *Solver) Residual(x, b []float64) float64 {
 		nb = 1
 	}
 	return vec.Nrm2(r) / nb
-}
-
-// ExpectedRate returns the Strohmer–Vershynin per-iteration contraction
-// factor 1 − λmin(AᵀA)/‖A‖_F² on E‖x−x*‖₂² for norm-weighted sampling.
-func (s *Solver) ExpectedRate(lambdaMinATA float64) float64 {
-	var frob2 float64
-	for _, v := range s.rowNorm2 {
-		frob2 += v
-	}
-	if frob2 == 0 {
-		return 1
-	}
-	r := 1 - lambdaMinATA/frob2
-	return math.Max(0, r)
 }

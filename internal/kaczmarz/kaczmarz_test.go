@@ -54,16 +54,6 @@ func TestConvergesOnConsistentOverdetermined(t *testing.T) {
 	}
 }
 
-func TestUniformSamplingConverges(t *testing.T) {
-	a := workload.RandomSPD(30, 4, 1.5, 7)
-	b, _ := workload.RHSForSolution(a, 8)
-	s, _ := New(a, Options{Seed: 9, Uniform: true})
-	x := make([]float64, 30)
-	if _, res, err := s.Solve(x, b, 1e-8, 200_000, 3000); err != nil {
-		t.Fatalf("uniform sampling did not converge (res %v)", res)
-	}
-}
-
 func TestAsyncConverges(t *testing.T) {
 	a := workload.RandomSPD(100, 5, 1.5, 10)
 	b, xstar := workload.RHSForSolution(a, 11)
@@ -102,17 +92,9 @@ func TestRateMatchesTheoryOrder(t *testing.T) {
 	const m = 3000
 	s.Iterations(x, b, m)
 	em := normSq(x, xstar)
-	gram := sparse.Gram(a)
-	// crude λmin estimate via dense solve of smallest Rayleigh quotient is
-	// overkill; Gershgorin lower bound suffices for a loose check.
-	rate := s.ExpectedRate(1e-6) // ≈1; only sanity-check direction
-	if rate <= 0 || rate > 1 {
-		t.Fatalf("ExpectedRate = %v", rate)
-	}
 	if em > e0 {
 		t.Fatalf("error grew: %v -> %v", e0, em)
 	}
-	_ = gram
 }
 
 func normSq(x, y []float64) float64 {
@@ -184,7 +166,7 @@ func TestAliasRowMarginals(t *testing.T) {
 	const draws = 200_000
 	counts := make([]float64, a.Rows)
 	for j := uint64(0); j < draws; j++ {
-		counts[s.pickRow(stream, j)]++
+		counts[s.tab.Pick(stream, j)]++
 	}
 	for i := 0; i < a.Rows; i++ {
 		var norm2 float64

@@ -22,16 +22,6 @@ type CGOptions struct {
 	MaxIter int
 	// Workers parallelizes the SpMV; 0 or 1 is serial.
 	Workers int
-	// Partition selects the parallel SpMV row partitioning. The paper uses
-	// round-robin because its matrix has "very little to no structure".
-	Partition sparse.Partition
-	// Precond, when non-nil, runs preconditioned CG. It must represent a
-	// fixed SPD operator; for operators that change between applications
-	// use FlexibleCG.
-	Precond Preconditioner
-	// History, when non-nil, receives the relative residual after every
-	// iteration (index 0 = initial residual).
-	History *[]float64
 	// Ctx, when non-nil, is checked before every iteration; a cancelled
 	// context stops the solve and returns the context's error with the
 	// best iterate so far left in x.
@@ -46,8 +36,8 @@ type CGResult struct {
 	MatVecs    int
 }
 
-// CG solves the SPD system A·x = b by (optionally preconditioned)
-// conjugate gradients, starting from the initial guess in x.
+// CG solves the SPD system A·x = b by conjugate gradients, starting from
+// the initial guess in x. Its products are MulVecPar's round-robin ones.
 func CG(a *sparse.CSR, x, b []float64, opts CGOptions) (CGResult, error) {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n {
@@ -68,22 +58,14 @@ func CG(a *sparse.CSR, x, b []float64, opts CGOptions) (CGResult, error) {
 
 	r := make([]float64, n)
 	ap := make([]float64, n)
-	a.MulVecPar(ap, x, opts.Workers, opts.Partition)
+	a.MulVecPar(ap, x, opts.Workers)
 	matvecs := 1
 	vec.Sub(r, b, ap)
 
-	z := r
-	if opts.Precond != nil {
-		z = make([]float64, n)
-		opts.Precond.Apply(z, r)
-	}
-	p := append([]float64(nil), z...)
-	rz := vec.Dot(r, z)
+	p := append([]float64(nil), r...)
+	rr := vec.Dot(r, r)
 
 	res := vec.Nrm2(r) / normB
-	if opts.History != nil {
-		*opts.History = append(*opts.History, res)
-	}
 	if res <= tol {
 		return CGResult{Iterations: 0, Residual: res, Converged: true, MatVecs: matvecs}, nil
 	}
@@ -94,7 +76,7 @@ func CG(a *sparse.CSR, x, b []float64, opts CGOptions) (CGResult, error) {
 				return CGResult{Iterations: it - 1, Residual: res, MatVecs: matvecs}, err
 			}
 		}
-		a.MulVecPar(ap, p, opts.Workers, opts.Partition)
+		a.MulVecPar(ap, p, opts.Workers)
 		matvecs++
 		pap := vec.Dot(p, ap)
 		if pap <= 0 || math.IsNaN(pap) {
@@ -102,24 +84,18 @@ func CG(a *sparse.CSR, x, b []float64, opts CGOptions) (CGResult, error) {
 			// current iterate rather than diverging.
 			return CGResult{Iterations: it - 1, Residual: vec.Nrm2(r) / normB, MatVecs: matvecs}, ErrNotConverged
 		}
-		alpha := rz / pap
+		alpha := rr / pap
 		vec.Axpy(alpha, p, x)
 		vec.Axpy(-alpha, ap, r)
 		res = vec.Nrm2(r) / normB
-		if opts.History != nil {
-			*opts.History = append(*opts.History, res)
-		}
 		if res <= tol {
 			return CGResult{Iterations: it, Residual: res, Converged: true, MatVecs: matvecs}, nil
 		}
-		if opts.Precond != nil {
-			opts.Precond.Apply(z, r)
-		}
-		rzNew := vec.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
+		rrNew := vec.Dot(r, r)
+		beta := rrNew / rr
+		rr = rrNew
 		for i := range p {
-			p[i] = z[i] + beta*p[i]
+			p[i] = r[i] + beta*p[i]
 		}
 	}
 	return CGResult{Iterations: maxIter, Residual: res, MatVecs: matvecs}, ErrNotConverged
@@ -129,7 +105,8 @@ func CG(a *sparse.CSR, x, b []float64, opts CGOptions) (CGResult, error) {
 // of the row-major block X for A·X = B, sharing the (parallel) sparse
 // matrix product across columns — the "SIMD variant of CG" of the paper's
 // §9 where the 51 systems are solved together and the blocks are stored
-// row-major for locality. Columns that converge early are frozen.
+// row-major for locality. Columns that converge early are frozen. Its
+// products are MulDensePar's contiguous row blocks.
 //
 // history, when non-nil, receives ‖B−AX‖_F/‖B‖_F after every iteration.
 func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64) (CGResult, error) {
@@ -154,7 +131,7 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 	r := vec.NewDense(n, c)
 	p := vec.NewDense(n, c)
 	ap := vec.NewDense(n, c)
-	a.MulDensePar(ap.Data, x.Data, c, opts.Workers, sparse.PartitionContiguous)
+	a.MulDensePar(ap.Data, x.Data, c, opts.Workers)
 	matvecs := 1
 	vec.Sub(r.Data, b.Data, ap.Data)
 	copy(p.Data, r.Data)
@@ -189,7 +166,7 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 	}
 
 	for it := 1; it <= maxIter; it++ {
-		a.MulDensePar(ap.Data, p.Data, c, opts.Workers, sparse.PartitionContiguous)
+		a.MulDensePar(ap.Data, p.Data, c, opts.Workers)
 		matvecs++
 		colDot(p, ap, pap)
 		for j := 0; j < c; j++ {

@@ -17,14 +17,6 @@ type FCGOptions struct {
 	MaxIter int
 	// Workers parallelizes the SpMV.
 	Workers int
-	// Partition selects the SpMV row partitioning.
-	Partition sparse.Partition
-	// Truncate keeps only the last Truncate direction vectors for the
-	// A-orthogonalization. 0 keeps all of them — the paper's
-	// configuration ("we do not use truncation or restarts").
-	Truncate int
-	// History, when non-nil, receives the relative residual per iteration.
-	History *[]float64
 	// Ctx, when non-nil, is checked before every outer iteration; a
 	// cancelled context stops the solve and returns the context's error.
 	Ctx context.Context
@@ -45,7 +37,9 @@ type FCGResult struct {
 // gradient method: the preconditioner may change arbitrarily between
 // iterations (AsyRGS does — it is randomized and asynchronous), and
 // robustness is restored by explicitly A-orthogonalizing each new search
-// direction against the retained previous directions.
+// direction against every previous direction, the paper's configuration
+// ("we do not use truncation or restarts"). Its products are MulVecPar's
+// round-robin ones.
 func FlexibleCG(a *sparse.CSR, x, b []float64, precond Preconditioner, opts FCGOptions) (FCGResult, error) {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n {
@@ -69,14 +63,11 @@ func FlexibleCG(a *sparse.CSR, x, b []float64, precond Preconditioner, opts FCGO
 
 	r := make([]float64, n)
 	tmp := make([]float64, n)
-	a.MulVecPar(tmp, x, opts.Workers, opts.Partition)
+	a.MulVecPar(tmp, x, opts.Workers)
 	matvecs := 1
 	vec.Sub(r, b, tmp)
 
 	res := vec.Nrm2(r) / normB
-	if opts.History != nil {
-		*opts.History = append(*opts.History, res)
-	}
 	if res <= tol {
 		return FCGResult{Iterations: 0, Residual: res, Converged: true, MatVecs: matvecs}, nil
 	}
@@ -101,7 +92,7 @@ func FlexibleCG(a *sparse.CSR, x, b []float64, precond Preconditioner, opts FCGO
 			vec.Axpy(-coef, ps[j], p)
 		}
 		q := make([]float64, n)
-		a.MulVecPar(q, p, opts.Workers, opts.Partition)
+		a.MulVecPar(q, p, opts.Workers)
 		matvecs++
 		den := vec.Dot(p, q)
 		if den <= 0 || math.IsNaN(den) {
@@ -112,9 +103,6 @@ func FlexibleCG(a *sparse.CSR, x, b []float64, precond Preconditioner, opts FCGO
 		vec.Axpy(-alpha, q, r)
 
 		res = vec.Nrm2(r) / normB
-		if opts.History != nil {
-			*opts.History = append(*opts.History, res)
-		}
 		if res <= tol {
 			return FCGResult{Iterations: it, Residual: res, Converged: true, MatVecs: matvecs}, nil
 		}
@@ -122,11 +110,6 @@ func FlexibleCG(a *sparse.CSR, x, b []float64, precond Preconditioner, opts FCGO
 		ps = append(ps, p)
 		qs = append(qs, q)
 		pq = append(pq, den)
-		if opts.Truncate > 0 && len(ps) > opts.Truncate {
-			ps = ps[len(ps)-opts.Truncate:]
-			qs = qs[len(qs)-opts.Truncate:]
-			pq = pq[len(pq)-opts.Truncate:]
-		}
 	}
 	return FCGResult{Iterations: maxIter, Residual: res, MatVecs: matvecs}, ErrNotConverged
 }

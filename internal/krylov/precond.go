@@ -1,15 +1,15 @@
 // Package krylov implements the Krylov-subspace and stationary baselines
-// the paper compares against: conjugate gradients (single and multi-RHS,
-// with the round-robin parallel SpMV the paper uses for its skewed test
-// matrix), Notay's Flexible-CG for preconditioners that change between
-// applications (such as AsyRGS), Jacobi, and classical Gauss–Seidel.
+// the paper compares against: conjugate gradients (single-RHS, with the
+// round-robin parallel SpMV the paper uses for its skewed test matrix,
+// and multi-RHS), Notay's Flexible-CG for preconditioners that change
+// between applications (such as AsyRGS), Jacobi, and classical
+// Gauss–Seidel.
 package krylov
 
-// Preconditioner approximates z ≈ M⁻¹·r for a fixed preconditioning
-// operator M. A FlexiblePreconditioner (e.g. a randomized asynchronous
-// solver) may apply a *different* operator on every call; plain CG is not
-// guaranteed to converge with such preconditioners, which is why the paper
-// pairs AsyRGS with Flexible-CG.
+// Preconditioner approximates z ≈ M⁻¹·r for FlexibleCG. The operator M
+// may differ on every call (e.g. a randomized asynchronous solver); plain
+// CG is not guaranteed to converge with such preconditioners, which is
+// why the paper pairs AsyRGS with Flexible-CG.
 type Preconditioner interface {
 	Apply(z, r []float64)
 }
@@ -19,32 +19,6 @@ type Identity struct{}
 
 // Apply implements Preconditioner.
 func (Identity) Apply(z, r []float64) { copy(z, r) }
-
-// Diagonal is the Jacobi preconditioner z = D⁻¹·r.
-type Diagonal struct {
-	InvDiag []float64
-}
-
-// NewDiagonal builds a Jacobi preconditioner from the matrix diagonal;
-// zero diagonal entries pass r through unscaled.
-func NewDiagonal(diag []float64) *Diagonal {
-	inv := make([]float64, len(diag))
-	for i, d := range diag {
-		if d != 0 {
-			inv[i] = 1 / d
-		} else {
-			inv[i] = 1
-		}
-	}
-	return &Diagonal{InvDiag: inv}
-}
-
-// Apply implements Preconditioner.
-func (p *Diagonal) Apply(z, r []float64) {
-	for i := range z {
-		z[i] = p.InvDiag[i] * r[i]
-	}
-}
 
 // PrecondFunc adapts a function to the Preconditioner interface.
 type PrecondFunc func(z, r []float64)

@@ -56,7 +56,7 @@ func JacobiWithInv(ctx context.Context, a *sparse.CSR, inv, x, b []float64, swee
 	}
 	r := make([]float64, n)
 	for done := 0; ; done++ {
-		a.MulVecPar(r, x, workers, sparse.PartitionRoundRobin)
+		a.MulVecPar(r, x, workers)
 		var rn float64
 		for i := range r {
 			r[i] = b[i] - r[i]

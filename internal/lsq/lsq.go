@@ -257,11 +257,19 @@ func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) 
 // ResidualNorm it works in the solver's own scratch, so checks allocate
 // nothing after the first, and it is not reentrant.
 func (s *Solver) LSQResidual(x, b []float64) float64 {
+	return s.NormAT(s.residual(x, b))
+}
+
+// NormAT returns ‖Aᵀv‖₂ for a Rows-vector v, formed with the CSC
+// transpose product in the solver's scratch; it is not reentrant.
+// NormAT(b) is the optimality residual at x = 0, the scale of a relative
+// least-squares residual.
+func (s *Solver) NormAT(v []float64) float64 {
 	if cap(s.atrScratch) < s.a.Cols {
 		s.atrScratch = make([]float64, s.a.Cols)
 	}
 	atr := s.atrScratch[:s.a.Cols]
-	s.csc.MulTransVec(atr, s.residual(x, b))
+	s.csc.MulTransVec(atr, v)
 	return vec.Nrm2(atr)
 }
 

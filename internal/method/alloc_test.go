@@ -135,3 +135,43 @@ func TestChunkOptFlowsThroughRegistry(t *testing.T) {
 		t.Fatal("negative chunk must be rejected")
 	}
 }
+
+// TestWarmLSQSolveAllocs pins what a warm 1-worker least-squares solve
+// allocates: the solver, its two residual scratch vectors and, for the
+// sequential variants, the running residual of iteration (20). ‖Aᵀb‖,
+// the scale of the relative residual, is formed in the solver's scratch,
+// with no zero iterate and no A·0 product.
+func TestWarmLSQSolveAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	a := workload.RandomOverdetermined(192, 48, 6, 17)
+	b := workload.RandomRHS(a.Rows, 18)
+	for _, tc := range []struct {
+		name string
+		want float64
+	}{{"lsqcd", 4}, {"lsqcd-weighted", 4}, {"lsqcd-async", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := method.Get(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := method.Opts{Tol: 1e-300, MaxSweeps: 8, Workers: 1, Seed: 9}
+			ps, err := method.Prepare(context.Background(), m, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, a.Cols)
+			solve := func() {
+				clear(x)
+				if _, err := ps.Solve(context.Background(), b, x, opts); err != nil && !errors.Is(err, method.ErrNotConverged) {
+					t.Fatal(err)
+				}
+			}
+			solve()
+			if got := testing.AllocsPerRun(10, solve); got > tc.want {
+				t.Fatalf("warm Solve allocated %.1f times, want at most %.0f", got, tc.want)
+			}
+		})
+	}
+}

@@ -232,8 +232,7 @@ func (p *cgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Resu
 	opts = opts.withDefaults(1)
 	start := time.Now()
 	cgRes, err := krylov.CG(p.a, x, b, krylov.CGOptions{
-		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers,
-		Partition: sparse.PartitionRoundRobin, Ctx: ctx,
+		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers, Ctx: ctx,
 	})
 	res := Result{
 		Method:   p.name,
@@ -287,8 +286,7 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 	})
 	start := time.Now()
 	fcgRes, err := krylov.FlexibleCG(p.a, x, b, pre, krylov.FCGOptions{
-		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers,
-		Partition: sparse.PartitionRoundRobin, Ctx: ctx,
+		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers, Ctx: ctx,
 	})
 	res := Result{
 		Method:   p.name,
@@ -472,7 +470,7 @@ func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 	}
 	// ‖Aᵀb‖₂ is the optimality residual at x = 0; reuse the solver's
 	// CSC view instead of building another transpose.
-	normATb := s.LSQResidual(make([]float64, p.a.Cols), b)
+	normATb := s.NormAT(b)
 	if normATb == 0 {
 		normATb = 1
 	}

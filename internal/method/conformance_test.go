@@ -6,6 +6,7 @@ package method_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -167,6 +168,64 @@ func TestFixedWorkMode(t *testing.T) {
 		}
 		if !(res.Residual > 0 && res.Residual < 1) {
 			t.Fatalf("%s: made no progress: %v", name, res.Residual)
+		}
+	}
+}
+
+// TestReportedResidualMatchesReturnedIterate: every registered method
+// reports the residual of the x it returns — ‖b−Ax‖/‖b‖ for SPD methods,
+// ‖Aᵀ(b−Ax)‖/‖Aᵀb‖ for least squares — recomputed here from x, whether
+// or not the solve converged. Methods whose residual leaves the floats
+// (jacobi on the social Gram matrix) are skipped.
+func TestReportedResidualMatchesReturnedIterate(t *testing.T) {
+	type system struct {
+		name string
+		a    *sparse.CSR
+	}
+	gram, _ := workload.SocialGram(workload.DefaultSocialGram(100, 3))
+	spd := []system{
+		{"laplacian2d", workload.Laplacian2D(8, 8)},
+		{"randomspd", workload.RandomSPD(150, 6, 1.5, 7)},
+		{"socialgram", gram},
+	}
+	ls := []system{{"overdetermined", workload.RandomOverdetermined(120, 40, 5, 9)}}
+	for _, m := range method.All() {
+		systems := spd
+		if m.Kind() == method.LeastSquares {
+			systems = ls
+		}
+		for _, sys := range systems {
+			t.Run(sys.name+"/"+m.Name(), func(t *testing.T) {
+				skipNonAtomicUnderRace(t, m.Name())
+				a := sys.a
+				b := workload.RandomRHS(a.Rows, 31)
+				x := make([]float64, a.Cols)
+				res, err := m.Solve(context.Background(), a, b, x, method.Opts{
+					Tol: 1e-6, MaxSweeps: 300, Workers: 2, Seed: 3,
+				})
+				if err != nil && !errors.Is(err, method.ErrNotConverged) {
+					t.Fatalf("solve: %v", err)
+				}
+				if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
+					t.Skipf("non-finite residual %v", res.Residual)
+				}
+				r := make([]float64, a.Rows)
+				a.MulVec(r, x)
+				vec.Sub(r, b, r)
+				want := vec.Nrm2(r) / vec.Nrm2(b)
+				if m.Kind() == method.LeastSquares {
+					csc := a.ToCSC()
+					atr := make([]float64, a.Cols)
+					csc.MulTransVec(atr, r)
+					atb := make([]float64, a.Cols)
+					csc.MulTransVec(atb, b)
+					want = vec.Nrm2(atr) / vec.Nrm2(atb)
+				}
+				if math.Abs(res.Residual-want) > 1e-6*want {
+					t.Fatalf("reported residual %.9e, recomputed from the returned x %.9e (converged %v after %d sweeps)",
+						res.Residual, want, res.Converged, res.Sweeps)
+				}
+			})
 		}
 	}
 }

@@ -49,7 +49,6 @@ func distmemConfig(opts Opts) distmem.Config {
 	return distmem.Config{
 		Workers: opts.Workers, QueueCap: queueCap,
 		Beta: beta, Seed: opts.Seed,
-		BalanceNNZ: true,
 	}
 }
 

@@ -160,6 +160,14 @@ func TestDistmemRejectsBadSystems(t *testing.T) {
 	if _, err := Prepare(context.Background(), m, tall, Opts{}); err == nil {
 		t.Fatal("Prepare must reject rectangular systems")
 	}
+	// A step size outside (0, 2) diverges; Prepare rejects it, as the
+	// core, kaczmarz and lsq families do.
+	sq := workload.Laplacian2D(4, 4)
+	for _, beta := range []float64{117, -1} {
+		if _, err := Prepare(context.Background(), m, sq, Opts{Beta: beta}); err == nil {
+			t.Fatalf("Prepare must reject step size %g", beta)
+		}
+	}
 }
 
 // TestDistmemBatchStickyNotConverged mirrors the solveColumns contract:

@@ -62,7 +62,7 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			if rec := recover(); rec != nil {
 				s.panics.Add(1)
 				s.errs.Add(1)
-				writeJSON(w, http.StatusInternalServerError,
+				_ = writeJSON(w, http.StatusInternalServerError,
 					map[string]string{"error": fmt.Sprintf("internal panic: %v", rec)})
 			}
 			hist.Observe(uint64(time.Since(start).Microseconds()))

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -438,6 +439,11 @@ var errAtCapacity = errors.New("serve: at capacity")
 // and every other in-flight request keep running.
 var errPanic = errors.New("serve: worker panic")
 
+// errEncode marks a reply that JSON cannot encode, such as a solve whose
+// residual or A-norm error is NaN or ±Inf; the request fails with HTTP
+// 500.
+var errEncode = errors.New("serve: reply not encodable")
+
 // gated runs fn behind an admission slot. It waits at most QueueTimeout
 // for one (errAtCapacity) and gives up when ctx ends (ctx's error); an
 // uncontended acquire takes the non-blocking fast path, so the warm path
@@ -628,14 +634,32 @@ func New(cfg Config) *Server {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// replyBufs recycles the buffers writeJSON encodes replies into; a reply
+// with a solution carries the whole x (~400 KB on a 20,000-row upload).
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON sends v as a JSON reply with status code. It encodes v in
+// full before it sends any header, so a value JSON cannot encode (a NaN
+// or ±Inf) sends nothing and returns an error wrapping errEncode, and the
+// caller can still answer with an error status. Only a solve's reply can
+// fail: the other replies hold strings, counters and finite latency
+// summaries, so their callers drop the error.
+func writeJSON(w http.ResponseWriter, code int, v any) error {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer replyBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return fmt.Errorf("%w: %v", errEncode, err)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client has gone: there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	_ = writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, _ *http.Request) {
@@ -647,11 +671,11 @@ func (s *Server) handleMethods(w http.ResponseWriter, _ *http.Request) {
 	for _, m := range method.All() {
 		out = append(out, entry{Name: m.Name(), Kind: m.Kind().String()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	_ = writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshot())
+	_ = writeJSON(w, http.StatusOK, s.snapshot())
 }
 
 // counterSnapshot assembles the counter fields shared by GET /stats and
@@ -724,10 +748,10 @@ type solveCall struct {
 }
 
 // handleSolve runs a /solve request through its stages: decode → build →
-// prepare → right-hand sides → queue and solve → respond. Each stage but
-// respond returns an error, which answer turns into the reply's status;
-// build, prepare, queue, solve and respond record their own spans
-// (stages.go).
+// prepare → right-hand sides → queue and solve → respond. Each stage
+// returns an error, which answer turns into the reply's status; build,
+// prepare, queue, solve and respond record their own spans (stages.go).
+// A request counts as solved only once its reply is sent.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
@@ -762,16 +786,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = s.solve(r.Context(), &c)
 	}
+	solvedIn := time.Since(start)
+	if err == nil {
+		err = s.respond(w, &c)
+	}
 	if err != nil {
 		s.answer(w, err)
 		return
 	}
 	s.solved.Add(1)
-	s.observeBand(c.a.Rows, time.Since(start))
+	s.observeBand(c.a.Rows, solvedIn)
 	s.methodMu.Lock()
 	s.byMethod[c.req.Method]++
 	s.methodMu.Unlock()
-	s.respond(w, &c)
 }
 
 // answer writes a failed /solve's reply; its status follows from err
@@ -780,8 +807,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // the errors counter keeps its alerting signal. Retry-After is derived
 // from the queue timeout: the server's own shedding horizon is the
 // honest backoff hint. A timed-out build, prepare or solve answers 504, a
-// contained panic 500 (the input may be fine; the method is not), and
-// anything else is the client's error, 400.
+// contained panic or an unencodable reply 500 (the input may be fine; the
+// method is not), and anything else is the client's error, 400.
 func (s *Server) answer(w http.ResponseWriter, err error) {
 	code, count := http.StatusBadRequest, &s.errs
 	switch {
@@ -793,11 +820,11 @@ func (s *Server) answer(w http.ResponseWriter, err error) {
 		code, count = http.StatusServiceUnavailable, &s.rejected
 	case errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
-	case errors.Is(err, errPanic):
+	case errors.Is(err, errPanic), errors.Is(err, errEncode):
 		code = http.StatusInternalServerError
 	}
 	count.Add(1)
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	_ = writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // decode reads the request body into c.req, applies its defaults,
@@ -989,13 +1016,12 @@ func (s *Server) solve(parent context.Context, c *solveCall) error {
 	return nil
 }
 
-// respond assembles and writes the 200 reply (stage "respond"). It
-// returns no error: once the body is being encoded the status is sent,
-// and there is nothing left to answer. For a generated
-// right-hand side it reports the A-norm error ‖x−x*‖_A/‖x*‖_A; an
-// explicit bs batch reports per-column outcomes and summarizes the worst
-// column at the top level.
-func (s *Server) respond(w http.ResponseWriter, c *solveCall) {
+// respond assembles and writes the 200 reply (stage "respond"). A reply
+// JSON cannot encode is not sent: respond returns writeJSON's error for
+// answer. For a generated right-hand side it reports the A-norm error
+// ‖x−x*‖_A/‖x*‖_A; an explicit bs batch reports per-column outcomes and
+// summarizes the worst column at the top level.
+func (s *Server) respond(w http.ResponseWriter, c *solveCall) error {
 	start := time.Now()
 	it := c.items[0]
 	resp := SolveResponse{
@@ -1039,6 +1065,9 @@ func (s *Server) respond(w http.ResponseWriter, c *solveCall) {
 	} else if c.req.IncludeSolution {
 		resp.X = it.x
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if err := writeJSON(w, http.StatusOK, resp); err != nil {
+		return err
+	}
 	s.observeStage("respond", start)
+	return nil
 }

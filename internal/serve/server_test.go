@@ -234,6 +234,7 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 		{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "cg", B: []float64{1, 2}},
 		{Matrix: MatrixSpec{Kind: "overdetermined", Rows: 40, Cols: 10, Seed: 1}, Method: "cg"},
 		{Matrix: MatrixSpec{Kind: "mm", MM: "not a matrix"}, Method: "cg"},
+		{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "asyrgs-distmem", Beta: 117},
 	}
 	for i, req := range cases {
 		_, resp := postSolve(t, ts, req)
@@ -859,6 +860,32 @@ func TestStatsStagesBlock(t *testing.T) {
 	for _, stage := range stageNames {
 		if !strings.Contains(body, `asyrgsd_stage_duration_seconds_count{stage="`+stage+`"}`) {
 			t.Fatalf("/metrics missing stage %q histogram", stage)
+		}
+	}
+}
+
+// TestUnencodableReplyIs500: jacobi diverges on the social Gram matrix,
+// and within the default 1000 sweeps its residual leaves the floats. JSON
+// cannot encode a NaN or ±Inf, so the reply is a 500 with a JSON error
+// body, counted as an error: not as solved, not per method and not in a
+// size band.
+func TestUnencodableReplyIs500(t *testing.T) {
+	srv := New(Config{})
+	req := httptest.NewRequest(http.MethodPost, "/solve",
+		strings.NewReader(`{"matrix":{"kind":"socialgram","n":300,"seed":1},"method":"jacobi"}`))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+		t.Fatalf("status %d, %d-byte body %q; want 500 with a JSON error", rec.Code, rec.Body.Len(), rec.Body.String())
+	}
+	st := srv.snapshot()
+	if st.Errors != 1 || st.Solved != 0 || len(st.PerMethod) != 0 {
+		t.Fatalf("errors %d, solved %d, per method %v; want 1, 0 and none", st.Errors, st.Solved, st.PerMethod)
+	}
+	for band, sum := range st.SizeBands {
+		if sum.Count != 0 {
+			t.Fatalf("size band %s counted %d requests, want 0", band, sum.Count)
 		}
 	}
 }

@@ -67,13 +67,3 @@ func (s *Scaling) SolutionFromUnit(x []float64) []float64 {
 	}
 	return out
 }
-
-// SolutionToUnit maps a solution y of the original system to the
-// unit-diagonal coordinates x = D^{-1} y.
-func (s *Scaling) SolutionToUnit(y []float64) []float64 {
-	out := make([]float64, len(y))
-	for i, v := range y {
-		out[i] = v / s.D[i]
-	}
-	return out
-}

@@ -78,13 +78,6 @@ func TestUnitDiagonalScaleSolutionEquivalence(t *testing.T) {
 			t.Fatalf("solution mapping broken: y=%v back=%v", y, back)
 		}
 	}
-	// Round trip to unit coordinates.
-	again := sc.SolutionToUnit(back)
-	for i := range x {
-		if math.Abs(again[i]-x[i]) > 1e-12 {
-			t.Fatal("SolutionToUnit is not the inverse of SolutionFromUnit")
-		}
-	}
 }
 
 func TestUnitDiagonalScaleErrors(t *testing.T) {

@@ -41,8 +41,7 @@ func NewCOO(rows, cols int) *COO {
 }
 
 // Add appends entry (i,j) += v. Zero values are kept so that explicit
-// structural zeros survive a round trip; callers that want them dropped can
-// use CSR.Prune.
+// structural zeros survive a round trip.
 func (c *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= c.rows || j < 0 || j >= c.cols {
 		panic(fmt.Sprintf("sparse: COO.Add index (%d,%d) out of range %dx%d", i, j, c.rows, c.cols))
@@ -162,22 +161,6 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// Prune returns a copy with entries of magnitude <= tol removed.
-func (m *CSR) Prune(tol float64) *CSR {
-	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			if math.Abs(vals[k]) > tol {
-				out.ColIdx = append(out.ColIdx, c)
-				out.Vals = append(out.Vals, vals[k])
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *CSR) Clone() *CSR {
 	c := &CSR{Rows: m.Rows, Cols: m.Cols,
@@ -218,23 +201,12 @@ func (m *CSR) RowAxpyAtomic(i int, x []float64, g float64) {
 	scatter64Atomic(x, m.Vals[lo:hi], m.ColIdx[lo:hi], g)
 }
 
-// Partition selects how rows are assigned to workers in MulVecPar.
-type Partition int
-
-const (
-	// PartitionContiguous splits rows into equal contiguous blocks. It is
-	// cache friendly but load-imbalanced for skewed row sizes.
-	PartitionContiguous Partition = iota
-	// PartitionRoundRobin assigns row i to worker i mod P. The paper uses
-	// round-robin for its CG runs because the social-media Gram matrix has
-	// "very little to no structure", making contiguous blocking useless
-	// while heavy rows cluster arbitrarily.
-	PartitionRoundRobin
-)
-
-// MulVecPar computes y ← A·x with the given number of workers and row
-// partitioning strategy. workers <= 1 runs serially.
-func (m *CSR) MulVecPar(y, x []float64, workers int, part Partition) {
+// MulVecPar computes y ← A·x with the given number of workers; workers
+// <= 1 runs serially. Rows are dealt round-robin: worker w computes rows
+// w, w+P, w+2P, …. The paper partitions its CG products this way because
+// the social-media Gram matrix has "very little to no structure", so
+// contiguous blocks would be load-imbalanced wherever heavy rows cluster.
+func (m *CSR) MulVecPar(y, x []float64, workers int) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic("sparse: MulVecPar shape mismatch")
 	}
@@ -249,35 +221,17 @@ func (m *CSR) MulVecPar(y, x []float64, workers int, part Partition) {
 		workers = m.Rows
 	}
 	var wg sync.WaitGroup
-	switch part {
-	case PartitionRoundRobin:
-		// The stride is an argument, not a capture: a captured workers
-		// would move to the heap and cost every call an allocation, the
-		// serial path's included.
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w, stride int) {
-				defer wg.Done()
-				for i := w; i < m.Rows; i += stride {
-					y[i] = m.RowDot(i, x)
-				}
-			}(w, workers)
-		}
-	default:
-		chunk := (m.Rows + workers - 1) / workers
-		for lo := 0; lo < m.Rows; lo += chunk {
-			hi := lo + chunk
-			if hi > m.Rows {
-				hi = m.Rows
+	// The stride is an argument, not a capture: a captured workers would
+	// move to the heap and cost every call an allocation, the serial
+	// path's included.
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w, stride int) {
+			defer wg.Done()
+			for i := w; i < m.Rows; i += stride {
+				y[i] = m.RowDot(i, x)
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					y[i] = m.RowDot(i, x)
-				}
-			}(lo, hi)
-		}
+		}(w, workers)
 	}
 	wg.Wait()
 }

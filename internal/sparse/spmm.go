@@ -6,28 +6,26 @@ import (
 )
 
 // This file is the batched (multi-vector) SpMV kernel of the Prepare/Solve
-// pipeline: Y ← A·X for row-major dense blocks with the same worker and
-// row-partitioning controls as MulVecPar. One SpMM streaming the matrix
-// once replaces c independent SpMV passes, which is what makes batched
-// residual evaluation over many right-hand sides O(nnz + n·c) instead of
-// O(c·nnz) row-pointer traffic.
+// pipeline: Y ← A·X for row-major dense blocks. One SpMM streaming the
+// matrix once replaces c independent SpMV passes, which is what makes
+// batched residual evaluation over many right-hand sides O(nnz + n·c)
+// instead of O(c·nnz) row-pointer traffic.
 
 // MulDensePar computes Y ← A·X for row-major dense blocks (Y is Rows×c,
-// X is Cols×c) with the given number of workers and row partitioning
-// strategy. It is MulVecPar generalized to c right-hand sides: each
-// sparse entry update streams a contiguous c-vector of X and Y.
-// workers <= 1 (or a small row count) runs serially.
-func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int, part Partition) {
+// X is Cols×c) with the given number of workers, each computing one
+// contiguous block of rows. It is MulVecPar generalized to c right-hand
+// sides: each sparse entry update streams a contiguous c-vector of X and
+// Y. workers <= 1 (or a small row count) runs serially.
+func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int) {
 	if c < 0 || len(xdata) != m.Cols*c || len(ydata) != m.Rows*c {
 		panic("sparse: MulDensePar shape mismatch")
 	}
 	if c == 0 {
 		return
 	}
-	// rowLoop is the one kernel body, shared by every partition: rows
-	// start, start+stride, … below limit.
-	rowLoop := func(start, stride, limit int) {
-		for i := start; i < limit; i += stride {
+	// rowLoop is the one kernel body: rows [lo, hi).
+	rowLoop := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			yrow := ydata[i*c : (i+1)*c]
 			for j := range yrow {
 				yrow[j] = 0
@@ -40,35 +38,24 @@ func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int, part Partition
 	}
 	rows := m.Rows
 	if workers <= 1 || rows < 128 {
-		rowLoop(0, 1, rows)
+		rowLoop(0, rows)
 		return
 	}
 	if workers > rows {
 		workers = rows
 	}
 	var wg sync.WaitGroup
-	switch part {
-	case PartitionRoundRobin:
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rowLoop(w, workers, rows)
-			}(w)
+	for w := 0; w < workers; w++ {
+		lo := w * rows / workers
+		hi := (w + 1) * rows / workers
+		if lo == hi {
+			continue
 		}
-	default:
-		for w := 0; w < workers; w++ {
-			lo := w * rows / workers
-			hi := (w + 1) * rows / workers
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				rowLoop(lo, 1, hi)
-			}(lo, hi)
-		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			rowLoop(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }
@@ -84,7 +71,7 @@ func (m *CSR) BatchRelResiduals(bdata, xdata []float64, c, workers int) []float6
 		panic("sparse: BatchRelResiduals shape mismatch")
 	}
 	ax := make([]float64, m.Rows*c)
-	m.MulDensePar(ax, xdata, c, workers, PartitionContiguous)
+	m.MulDensePar(ax, xdata, c, workers)
 	num := make([]float64, c)
 	den := make([]float64, c)
 	for i := 0; i < m.Rows; i++ {

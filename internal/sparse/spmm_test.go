@@ -32,21 +32,13 @@ func TestMulDenseParMatchesColumnwiseMulVec(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(float64(i))
 	}
-	for _, tc := range []struct {
-		workers int
-		part    Partition
-	}{
-		{1, PartitionContiguous},
-		{4, PartitionContiguous},
-		{4, PartitionRoundRobin},
-		{64, PartitionRoundRobin}, // more workers than useful
-	} {
+	for _, workers := range []int{1, 4, 64} { // 64: more workers than useful
 		y := make([]float64, rows*c)
 		// Poison the output: the kernel must overwrite, not accumulate.
 		for i := range y {
 			y[i] = 1e9
 		}
-		a.MulDensePar(y, x, c, tc.workers, tc.part)
+		a.MulDensePar(y, x, c, workers)
 		xcol := make([]float64, cols)
 		ycol := make([]float64, rows)
 		for j := 0; j < c; j++ {
@@ -56,8 +48,8 @@ func TestMulDenseParMatchesColumnwiseMulVec(t *testing.T) {
 			a.MulVec(ycol, xcol)
 			for i := 0; i < rows; i++ {
 				if d := math.Abs(y[i*c+j] - ycol[i]); d > 1e-12 {
-					t.Fatalf("workers=%d part=%v: y[%d,%d] = %g, want %g",
-						tc.workers, tc.part, i, j, y[i*c+j], ycol[i])
+					t.Fatalf("workers=%d: y[%d,%d] = %g, want %g",
+						workers, i, j, y[i*c+j], ycol[i])
 				}
 			}
 		}
@@ -66,7 +58,7 @@ func TestMulDenseParMatchesColumnwiseMulVec(t *testing.T) {
 
 func TestMulDenseParZeroColumns(t *testing.T) {
 	a := randomishCSR(10, 10, 2)
-	a.MulDensePar(nil, nil, 0, 4, PartitionContiguous) // must not panic
+	a.MulDensePar(nil, nil, 0, 4) // must not panic
 }
 
 func TestBatchRelResiduals(t *testing.T) {
@@ -77,7 +69,7 @@ func TestBatchRelResiduals(t *testing.T) {
 		x[i] = math.Cos(float64(i) / 3)
 	}
 	b := make([]float64, n*c)
-	a.MulDensePar(b, x, c, 1, PartitionContiguous)
+	a.MulDensePar(b, x, c, 1)
 	// Column 0: exact solution (residual 0). Column 2: perturbed b.
 	for i := 0; i < n; i++ {
 		b[i*c+2] += 0.5
@@ -137,7 +129,7 @@ func BenchmarkSpMM(b *testing.B) {
 	y := make([]float64, rows*c)
 	b.Run("MulDensePar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a.MulDensePar(y, x, c, 4, PartitionContiguous)
+			a.MulDensePar(y, x, c, 4)
 		}
 	})
 	b.Run("ColumnwiseMulVec", func(b *testing.B) {

@@ -2,10 +2,9 @@
 // of large sparse symmetric matrices. The paper's convergence bounds are
 // expressed in λmax, λmin and κ = λmax/λmin; its experiments used an
 // iterative condition-number estimator (Avron, Druinsky & Toledo).
-// This package provides the equivalent machinery: power iteration for
-// λmax, a Lanczos process whose tridiagonal Ritz values bracket the
-// spectrum (extracted by bisection on Sturm sequences), and Gershgorin
-// interval bounds as a cheap sanity check.
+// This package provides a Lanczos process whose tridiagonal Ritz values
+// bracket the spectrum (extracted by bisection on Sturm sequences), with
+// Gershgorin interval bounds as the fallback when Lanczos breaks down.
 package spectral
 
 import (
@@ -15,42 +14,6 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
-
-// PowerIteration estimates the dominant eigenvalue |λ| of the symmetric
-// matrix A together with the number of iterations performed. It stops when
-// two successive Rayleigh quotients agree to relative tol or after maxIter
-// steps.
-func PowerIteration(a *sparse.CSR, tol float64, maxIter int, seed uint64) (lambda float64, iters int) {
-	n := a.Rows
-	g := rng.NewSequential(seed)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = g.Float64() - 0.5
-	}
-	if nrm := vec.Nrm2(x); nrm > 0 {
-		vec.Scal(1/nrm, x)
-	} else {
-		x[0] = 1
-	}
-	y := make([]float64, n)
-	prev := 0.0
-	for it := 1; it <= maxIter; it++ {
-		a.MulVec(y, x)
-		lambda = vec.Dot(x, y)
-		nrm := vec.Nrm2(y)
-		if nrm == 0 {
-			return 0, it
-		}
-		for i := range x {
-			x[i] = y[i] / nrm
-		}
-		if it > 1 && math.Abs(lambda-prev) <= tol*math.Abs(lambda) {
-			return lambda, it
-		}
-		prev = lambda
-	}
-	return lambda, maxIter
-}
 
 // Gershgorin returns an interval [lo,hi] containing every eigenvalue of
 // the symmetric matrix A, from the union of Gershgorin discs.

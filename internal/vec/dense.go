@@ -58,24 +58,5 @@ func (d *Dense) Clone() *Dense {
 	return c
 }
 
-// Zero resets every entry to zero.
-func (d *Dense) Zero() { Fill(d.Data, 0) }
-
 // FrobNorm returns the Frobenius norm of the block.
 func (d *Dense) FrobNorm() float64 { return Nrm2(d.Data) }
-
-// AddScaled computes d ← d + alpha·o entrywise.
-func (d *Dense) AddScaled(alpha float64, o *Dense) {
-	if d.Rows != o.Rows || d.Cols != o.Cols {
-		panic("vec: Dense.AddScaled shape mismatch")
-	}
-	Axpy(alpha, o.Data, d.Data)
-}
-
-// SubInto computes dst ← d − o entrywise.
-func (d *Dense) SubInto(dst, o *Dense) {
-	if d.Rows != o.Rows || d.Cols != o.Cols || dst.Rows != d.Rows || dst.Cols != d.Cols {
-		panic("vec: Dense.SubInto shape mismatch")
-	}
-	Sub(dst.Data, d.Data, o.Data)
-}

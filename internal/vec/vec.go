@@ -69,13 +69,6 @@ func Scal(alpha float64, x []float64) {
 	}
 }
 
-// Fill sets every entry of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Sub computes dst ← x − y.
 func Sub(dst, x, y []float64) {
 	if len(dst) != len(x) || len(x) != len(y) {

@@ -79,10 +79,6 @@ func TestScalCopyFill(t *testing.T) {
 	if dst[0] != 3 || dst[1] != 6 {
 		t.Fatalf("copy = %v", dst)
 	}
-	Fill(dst, -1)
-	if dst[0] != -1 || dst[1] != -1 {
-		t.Fatalf("Fill = %v", dst)
-	}
 }
 
 func TestSubAddMaxAbsSum(t *testing.T) {
@@ -191,20 +187,6 @@ func TestDense(t *testing.T) {
 	}
 	if got := d.FrobNorm(); got == 0 {
 		t.Fatal("FrobNorm should be non-zero")
-	}
-	e := NewDense(3, 2)
-	e.AddScaled(2, d)
-	if e.At(1, 0) != 14 {
-		t.Fatalf("AddScaled = %v", e.At(1, 0))
-	}
-	diff := NewDense(3, 2)
-	e.SubInto(diff, d)
-	if diff.At(1, 0) != 7 {
-		t.Fatalf("SubInto = %v", diff.At(1, 0))
-	}
-	d.Zero()
-	if d.FrobNorm() != 0 {
-		t.Fatal("Zero failed")
 	}
 }
 

@@ -24,70 +24,62 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
 
-// SocialGramOptions shape the synthetic social-media Gram matrix.
+// The shape of the synthetic social-media Gram matrix.
+const (
+	// socialDocTerms is the mean number of distinct terms per document.
+	socialDocTerms = 10
+	// socialZipfExp is the exponent of the term-popularity distribution (≈1
+	// matches natural language).
+	socialZipfExp = 1.2
+	// socialRidge, relative to the diagonal mean, is added to the diagonal
+	// to make the Gram matrix strictly positive definite (it also models
+	// the regression regularizer that a real training task applies).
+	socialRidge = 0.01
+	// socialTopicShare is the probability that a word is drawn from the
+	// document's topic block rather than the global distribution. Each
+	// document is drawn mostly from one of max(8, Terms/100) latent term
+	// blocks: topical correlation makes the Gram matrix nearly low-rank —
+	// the ridge floors the small eigenvalues — reproducing the severe
+	// ill-conditioning the paper reports for its real text data.
+	socialTopicShare = 0.8
+)
+
+// SocialGramOptions size the synthetic social-media Gram matrix.
 type SocialGramOptions struct {
 	// Terms is the Gram dimension n (the paper's 120,147, scaled down).
 	Terms int
 	// Docs is the number of documents (rows of the term–document matrix).
 	Docs int
-	// MeanDocLen is the mean number of distinct terms per document.
-	MeanDocLen int
-	// ZipfS is the exponent of the term-popularity distribution (≈1
-	// matches natural language).
-	ZipfS float64
-	// Ridge is added to the diagonal to make the Gram matrix strictly
-	// positive definite (it also models the regression regularizer that a
-	// real training task applies). Relative to the diagonal mean.
-	Ridge float64
-	// Binary stores term incidence (0/1) instead of term frequency.
-	// Binary incidence strengthens the relative off-diagonal coupling
-	// (popular term pairs co-occur in almost every document), matching
-	// the severe ill-conditioning of the paper's matrix; frequency
-	// weighting inflates the diagonal and makes the system easier.
-	Binary bool
-	// Topics, when positive, draws each document mostly from one of
-	// Topics latent term blocks instead of the flat Zipf distribution.
-	// Topical correlation makes the Gram matrix nearly low-rank — the
-	// ridge floors the small eigenvalues — reproducing the severe
-	// ill-conditioning the paper reports for its real text data.
-	Topics int
-	// TopicMix is the probability that a word is drawn from the
-	// document's topic block rather than the global distribution
-	// (default 0.8 when Topics > 0).
-	TopicMix float64
 	// Seed keys all randomness.
 	Seed uint64
 }
 
 // DefaultSocialGram returns the options used by the experiment harness: a
-// laptop-scale analogue of the paper's matrix.
+// laptop-scale analogue of the paper's matrix with three documents per
+// term.
 func DefaultSocialGram(terms int, seed uint64) SocialGramOptions {
-	return SocialGramOptions{
-		Terms:      terms,
-		Docs:       3 * terms,
-		MeanDocLen: 10,
-		ZipfS:      1.2,
-		Ridge:      0.01,
-		Binary:     true,
-		Topics:     max(8, terms/100),
-		TopicMix:   0.8,
-		Seed:       seed,
-	}
+	return SocialGramOptions{Terms: terms, Docs: 3 * terms, Seed: seed}
 }
 
 // SocialGram builds the synthetic term–document matrix G and returns its
 // Gram matrix A = GᵀG + ridge·mean(diag)·I (SPD, skewed rows) together
-// with G itself (useful for the least-squares experiments).
+// with G itself (useful for the least-squares experiments). G stores term
+// incidence (0/1), not term frequency: binary incidence strengthens the
+// relative off-diagonal coupling (popular term pairs co-occur in almost
+// every document), matching the severe ill-conditioning of the paper's
+// matrix, where frequency weighting would inflate the diagonal and make
+// the system easier.
 func SocialGram(o SocialGramOptions) (gram, termDoc *sparse.CSR) {
 	if o.Terms <= 1 || o.Docs <= 0 {
 		panic(fmt.Sprintf("workload: SocialGram bad sizes terms=%d docs=%d", o.Terms, o.Docs))
 	}
+	topics := max(8, o.Terms/100)
 	g := rng.NewSequential(o.Seed)
 	// Zipf CDF over terms: p(t) ∝ (t+1)^{-s}.
 	cdf := make([]float64, o.Terms)
 	var total float64
 	for t := 0; t < o.Terms; t++ {
-		total += math.Pow(float64(t+1), -o.ZipfS)
+		total += math.Pow(float64(t+1), -socialZipfExp)
 		cdf[t] = total
 	}
 	for t := range cdf {
@@ -107,14 +99,10 @@ func SocialGram(o SocialGramOptions) (gram, termDoc *sparse.CSR) {
 		return lo
 	}
 
-	mix := o.TopicMix
-	if mix == 0 {
-		mix = 0.8
-	}
 	// Topic blocks partition the term ids; a document's topical words are
 	// Zipf-distributed within its block.
 	sampleTopicTerm := func(topic int) int {
-		blockSize := (o.Terms + o.Topics - 1) / o.Topics
+		blockSize := (o.Terms + topics - 1) / topics
 		lo := topic * blockSize
 		hi := lo + blockSize
 		if hi > o.Terms {
@@ -135,31 +123,24 @@ func SocialGram(o SocialGramOptions) (gram, termDoc *sparse.CSR) {
 	}
 
 	coo := sparse.NewCOO(o.Docs, o.Terms)
-	seen := make(map[int]int, o.MeanDocLen*4)
+	seen := make(map[int]bool, socialDocTerms*4)
 	for d := 0; d < o.Docs; d++ {
 		// Document length: geometric-ish around the mean, at least 1.
-		length := 1 + int(float64(o.MeanDocLen)*(-math.Log(1-g.Float64())))
+		length := 1 + int(float64(socialDocTerms)*(-math.Log(1-g.Float64())))
 		if length > o.Terms {
 			length = o.Terms
 		}
-		topic := 0
-		if o.Topics > 0 {
-			topic = g.Intn(o.Topics)
-		}
+		topic := g.Intn(topics)
 		clear(seen)
 		for w := 0; w < length; w++ {
-			if o.Topics > 0 && g.Float64() < mix {
-				seen[sampleTopicTerm(topic)]++
+			if g.Float64() < socialTopicShare {
+				seen[sampleTopicTerm(topic)] = true
 			} else {
-				seen[sampleTerm()]++ // term frequency accumulates
+				seen[sampleTerm()] = true
 			}
 		}
-		for t, f := range seen {
-			if o.Binary {
-				coo.Add(d, t, 1)
-			} else {
-				coo.Add(d, t, float64(f))
-			}
+		for t := range seen {
+			coo.Add(d, t, 1)
 		}
 	}
 	termDoc = coo.ToCSR()
@@ -183,10 +164,7 @@ func SocialGram(o SocialGramOptions) (gram, termDoc *sparse.CSR) {
 	} else {
 		mean = 1
 	}
-	ridge := o.Ridge * mean
-	if ridge <= 0 {
-		ridge = 1e-8 * mean
-	}
+	ridge := socialRidge * mean
 	add := sparse.NewCOO(o.Terms, o.Terms)
 	for i := 0; i < o.Terms; i++ {
 		add.Add(i, i, ridge)
