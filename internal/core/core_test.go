@@ -34,6 +34,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(ok, Options{Beta: 2.5}); err == nil {
 		t.Fatal("β outside (0,2) must be rejected")
 	}
+	if _, err := New(ok, Options{Beta: math.NaN()}); err == nil {
+		t.Fatal("β = NaN must be rejected")
+	}
 	if _, err := New(ok, Options{Workers: -1}); err == nil {
 		t.Fatal("negative workers must be rejected")
 	}

@@ -94,7 +94,7 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 	if beta == 0 {
 		beta = 1
 	}
-	if beta <= 0 || beta >= 2 {
+	if !(beta > 0 && beta < 2) { // NaN fails too
 		return fmt.Errorf("core: step size β=%g outside (0,2)", beta)
 	}
 	if opts.Workers < 0 {

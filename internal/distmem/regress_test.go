@@ -6,6 +6,7 @@ package distmem
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -190,36 +191,40 @@ func TestSolveHonoursContext(t *testing.T) {
 
 // TestNNZBalancedPartition: the balanced partitioner must produce a
 // valid ownership map whose worst block holds at most its share of the
-// nonzeros plus one row, on a matrix with strongly skewed row densities.
+// nonzeros plus one row, on a matrix with strongly skewed row densities,
+// from one block up to one row per block.
 func TestNNZBalancedPartition(t *testing.T) {
 	// A Gram-style matrix: social workloads concentrate nnz in few rows.
 	gram, _ := workload.SocialGram(workload.DefaultSocialGram(400, 81))
-	const w = 8
-	part := NNZBalanced(gram, w)
-	if part.Workers() != w {
-		t.Fatalf("want %d blocks, got %d", w, part.Workers())
-	}
-	if part.Bounds[0] != 0 || part.Bounds[w] != gram.Rows {
-		t.Fatalf("bounds must cover [0,n): %v", part.Bounds)
-	}
 	longest := 0
 	for i := 0; i < gram.Rows; i++ {
 		longest = max(longest, gram.RowPtr[i+1]-gram.RowPtr[i])
 	}
-	limit := gram.NNZ()/w + longest
-	for i := 0; i < w; i++ {
-		lo, hi := part.Block(i)
-		if hi <= lo {
-			t.Fatalf("empty block %d: %v", i, part.Bounds)
-		}
-		if nz := gram.RowPtr[hi] - gram.RowPtr[lo]; nz > limit {
-			t.Fatalf("block %d holds %d nnz, above nnz/w + the longest row = %d", i, nz, limit)
-		}
+	for _, w := range []int{1, 2, 3, 8, 16, 64, gram.Rows} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			part := NNZBalanced(gram, w)
+			if part.Workers() != w {
+				t.Fatalf("want %d blocks, got %d", w, part.Workers())
+			}
+			if part.Bounds[0] != 0 || part.Bounds[w] != gram.Rows {
+				t.Fatalf("bounds must cover [0,n): %v", part.Bounds)
+			}
+			limit := gram.NNZ()/w + longest
+			for i := 0; i < w; i++ {
+				lo, hi := part.Block(i)
+				if hi <= lo {
+					t.Fatalf("empty block %d: %v", i, part.Bounds)
+				}
+				if nz := gram.RowPtr[hi] - gram.RowPtr[lo]; nz > limit {
+					t.Fatalf("block %d holds %d nnz, above nnz/w + the longest row = %d", i, nz, limit)
+				}
+			}
+		})
 	}
 	// A balanced solve must still converge.
 	b := workload.RandomRHS(gram.Rows, 82)
 	x := make([]float64, gram.Rows)
-	if _, _, err := SolveToTol(gram, x, b, 1e-6, 10, 200, Config{Workers: w, QueueCap: 4, Seed: 83}); err != nil {
+	if _, _, err := SolveToTol(gram, x, b, 1e-6, 10, 200, Config{Workers: 8, QueueCap: 4, Seed: 83}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -113,7 +113,7 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if beta == 0 {
 		beta = 1
 	}
-	if beta <= 0 || beta >= 2 {
+	if !(beta > 0 && beta < 2) { // NaN fails too
 		return nil, errors.New("kaczmarz: step size outside (0,2)")
 	}
 	if opts.Chunk < 0 {

@@ -21,6 +21,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(sparse.Identity(2), Options{Beta: 2}); err == nil {
 		t.Fatal("β=2 must be rejected")
 	}
+	if _, err := New(sparse.Identity(2), Options{Beta: math.NaN()}); err == nil {
+		t.Fatal("β=NaN must be rejected")
+	}
 }
 
 func TestConvergesOnSquareSystem(t *testing.T) {

@@ -144,7 +144,7 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 			beta = 1
 		}
 	}
-	if beta <= 0 || beta >= 2 {
+	if !(beta > 0 && beta < 2) { // NaN fails too
 		return nil, errors.New("lsq: step size outside (0,2)")
 	}
 	if opts.Chunk < 0 {

@@ -1,6 +1,7 @@
 package lsq
 
 import (
+	"math"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/core"
@@ -36,6 +37,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(workload.RandomOverdetermined(6, 3, 2, 1), Options{Beta: -1}); err == nil {
 		t.Fatal("negative β must be rejected")
+	}
+	if _, err := New(workload.RandomOverdetermined(6, 3, 2, 1), Options{Beta: math.NaN()}); err == nil {
+		t.Fatal("β = NaN must be rejected")
 	}
 }
 
@@ -236,17 +240,19 @@ func TestNormWeightedConverges(t *testing.T) {
 		{"async-chunk1", 4, 1},
 		{"async-chunk128", 4, 128},
 	} {
-		s, err := New(a, Options{Seed: 72, Workers: tc.workers, Chunk: tc.chunk, NormWeighted: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, a.Cols)
-		if _, res, err := s.Solve(x, b, 1e-9, 300000, 3000); err != nil {
-			t.Fatalf("%s: did not converge: residual %g", tc.name, res)
-		}
-		if e := vec.RelErr(x, xref); e > 1e-5 {
-			t.Fatalf("%s: solution error %g vs normal equations", tc.name, e)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(a, Options{Seed: 72, Workers: tc.workers, Chunk: tc.chunk, NormWeighted: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, a.Cols)
+			if _, res, err := s.Solve(x, b, 1e-9, 300000, 3000); err != nil {
+				t.Fatalf("did not converge: residual %g", res)
+			}
+			if e := vec.RelErr(x, xref); e > 1e-5 {
+				t.Fatalf("solution error %g vs normal equations", e)
+			}
+		})
 	}
 }
 
@@ -271,5 +277,45 @@ func TestNormWeightedAliasBuiltOncePerPrep(t *testing.T) {
 	}
 	if _, err := NewFromPrep(p, Options{Chunk: -1}); err == nil {
 		t.Fatal("negative chunk must be rejected")
+	}
+}
+
+// TestNormATIsTheResidualAtZero: NormAT(b) is ‖Aᵀb‖₂, the optimality
+// residual at x = 0 that scales every relative least-squares residual.
+// It must equal LSQResidual at a zero iterate bit for bit (A·0 is exactly
+// zero, so b − A·0 is b) and agree with Aᵀb formed from the transpose.
+func TestNormATIsTheResidualAtZero(t *testing.T) {
+	coo := sparse.NewCOO(3, 3)
+	coo.Add(0, 0, 3)
+	coo.Add(0, 1, -1)
+	coo.Add(1, 1, 2)
+	coo.Add(2, 0, -1)
+	coo.Add(2, 2, 4)
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		b    []float64
+	}{
+		{"overdetermined", workload.RandomOverdetermined(192, 48, 5, 3), workload.RandomRHS(192, 4)},
+		{"tall-and-thin", workload.RandomOverdetermined(400, 4, 3, 5), workload.RandomRHS(400, 6)},
+		{"square-unsymmetric", coo.ToCSR(), []float64{1, -2, 0.5}},
+		{"zero-rhs", workload.RandomOverdetermined(60, 20, 4, 7), make([]float64, 60)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.a, Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.NormAT(tc.b)
+			if want := s.LSQResidual(make([]float64, tc.a.Cols), tc.b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("NormAT(b) = %v, LSQResidual(0, b) = %v; want the same bits", got, want)
+			}
+			atb := make([]float64, tc.a.Cols)
+			tc.a.Transpose().MulVec(atb, tc.b)
+			if want := vec.Nrm2(atb); math.Abs(got-want) > 1e-12*max(want, 1) {
+				t.Fatalf("NormAT(b) = %v, ‖Aᵀb‖ from the transpose = %v", got, want)
+			}
+		})
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/race"
 )
 
-// fuzzMethods is the built-in roster, captured at package initialization,
-// before any test registers a method of its own, so a fuzz input names
-// the same method in every run.
-var fuzzMethods = method.Names()
+// builtinMethods is the built-in roster, captured at package
+// initialization, before any test registers a method of its own, so a
+// fuzz input names the same method in every run.
+var builtinMethods = method.Names()
 
 // fuzzKinds are the generator kinds a fuzzed request draws from.
 var fuzzKinds = []string{"laplacian2d", "laplacian3d", "randomspd", "socialgram", "overdetermined"}
@@ -28,7 +28,7 @@ var fuzzKinds = []string{"laplacian2d", "laplacian3d", "randomspd", "socialgram"
 // Whatever the request, the reply carries a status from answer's table
 // and a JSON body, and a 200 reports finite numbers.
 func FuzzSolveRequest(f *testing.F) {
-	idx := func(name string) uint8 { return uint8(slices.Index(fuzzMethods, name)) }
+	idx := func(name string) uint8 { return uint8(slices.Index(builtinMethods, name)) }
 	kind := func(k string) uint8 { return uint8(slices.Index(fuzzKinds, k)) }
 	// jacobi diverges on the social Gram matrix: within the default 1000
 	// sweeps its residual is no longer finite, which JSON cannot encode.
@@ -41,6 +41,16 @@ func FuzzSolveRequest(f *testing.F) {
 		uint8(2), uint16(200), uint8(0), 0.5, 1e-8, int16(0), int16(64), uint8(0), false, true)
 	f.Add(idx("fcg"), kind("randomspd"), uint16(200), uint16(5), uint64(4),
 		uint8(4), uint16(50), uint8(3), 0.0, 1e-9, int16(2), int16(0), uint8(3), true, false)
+	// A generated system past MaxDim, refused before it is built.
+	f.Add(idx("asyrgs"), kind("socialgram"), uint16(599), uint16(0), uint64(2),
+		uint8(2), uint16(0), uint8(0), 0.0, 0.0, int16(0), int16(0), uint8(0), false, false)
+	// A grid side below the generator's minimum.
+	f.Add(idx("cg"), kind("laplacian3d"), uint16(0), uint16(0), uint64(0),
+		uint8(1), uint16(0), uint8(0), 0.0, 0.0, int16(0), int16(0), uint8(0), false, false)
+	// A fixed-work asynchronous solve claiming one index at a time and
+	// returning its iterate.
+	f.Add(idx("asyrgs-partitioned"), kind("laplacian2d"), uint16(12), uint16(0), uint64(5),
+		uint8(4), uint16(20), uint8(0), 0.0, 0.0, int16(3), int16(1), uint8(0), true, true)
 
 	srv := New(Config{MaxDim: 512, SolveTimeout: 200 * time.Millisecond})
 	h := srv.Handler()
@@ -64,7 +74,7 @@ func FuzzSolveRequest(f *testing.F) {
 			spec.Rows, spec.Cols = int(n%600), int(m%600)
 		}
 		req := SolveRequest{
-			Matrix: spec, Method: fuzzMethods[int(mi)%len(fuzzMethods)],
+			Matrix: spec, Method: builtinMethods[int(mi)%len(builtinMethods)],
 			Workers: int(workers % 5), MaxSweeps: int(maxSweeps % 1001), Inner: int(inner % 5),
 			Beta: beta, Tol: tol, CheckEvery: int(checkEvery), Chunk: int(chunk),
 			QueueCap: int(queueCap), FixedWork: fixedWork, IncludeSolution: includeSolution,

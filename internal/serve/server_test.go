@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/method"
+	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
@@ -226,31 +227,103 @@ func TestSolveLeastSquares(t *testing.T) {
 	}
 }
 
-func TestSolveRejectsBadRequests(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	cases := []SolveRequest{
-		{Matrix: MatrixSpec{Kind: "nope", N: 10}, Method: "cg"},
-		{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "no-such-method"},
-		{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "cg", B: []float64{1, 2}},
-		{Matrix: MatrixSpec{Kind: "overdetermined", Rows: 40, Cols: 10, Seed: 1}, Method: "cg"},
-		{Matrix: MatrixSpec{Kind: "mm", MM: "not a matrix"}, Method: "cg"},
-		{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "asyrgs-distmem", Beta: 117},
+// TestEveryMethodServes: every built-in method answers /solve by name,
+// the SPD methods on a generated diagonally dominant system and the
+// least-squares methods on an overdetermined one. Each reply is a 200
+// that names the method and its kind and reports a finite residual within
+// the tolerance, and /stats counts one solve for each method.
+func TestEveryMethodServes(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	served := map[string]uint64{}
+	for _, name := range builtinMethods {
+		t.Run(name, func(t *testing.T) {
+			if race.Enabled && name == "asyrgs-nonatomic" {
+				t.Skip("the NonAtomic ablation is deliberately racy")
+			}
+			m, err := method.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := SolveRequest{
+				Matrix: MatrixSpec{Kind: "randomspd", N: 200, NNZ: 5, Seed: 4},
+				Method: name, Tol: 1e-6, MaxSweeps: 5000, Workers: 2,
+			}
+			if m.Kind() == method.LeastSquares {
+				req.Matrix = MatrixSpec{Kind: "overdetermined", Rows: 80, Cols: 30, NNZ: 4, Seed: 2}
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)))
+			var out SolveResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
+			}
+			if out.Method != name || out.Kind != m.Kind().String() {
+				t.Fatalf("reply names method %q of kind %q, want %q of kind %q", out.Method, out.Kind, name, m.Kind())
+			}
+			if !out.Converged || !(out.Residual <= req.Tol) {
+				t.Fatalf("converged %v with residual %v after %d sweeps, want at most %v", out.Converged, out.Residual, out.Sweeps, req.Tol)
+			}
+			if m.Kind() == method.SPD && (out.ANormErr == nil || math.IsNaN(*out.ANormErr) || math.IsInf(*out.ANormErr, 0)) {
+				t.Fatalf("a generated SPD system must report a finite A-norm error: %v", out.ANormErr)
+			}
+			served[name]++
+		})
 	}
-	for i, req := range cases {
-		_, resp := postSolve(t, ts, req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("case %d: status %d, want 400", i, resp.StatusCode)
+	st := srv.snapshot()
+	if st.Solved != uint64(len(served)) || st.Errors != 0 {
+		t.Fatalf("solved %d, errors %d; want %d and 0", st.Solved, st.Errors, len(served))
+	}
+	for name, n := range served {
+		if st.PerMethod[name] != n {
+			t.Fatalf("per_method[%q] = %d, want %d", name, st.PerMethod[name], n)
 		}
 	}
-	// Unknown JSON fields are rejected too (catches client typos).
-	resp, err := http.Post(ts.URL+"/solve", "application/json",
-		strings.NewReader(`{"matrix":{"kind":"laplacian2d","n":4},"metod":"cg"}`))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSolveRejectsBadRequests: each malformed request is a 400 whose
+// JSON body names what is wrong.
+func TestSolveRejectsBadRequests(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := func(req SolveRequest) string {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	cases := []struct {
+		name, body, mentions string
+	}{
+		{"unknown-kind", body(SolveRequest{Matrix: MatrixSpec{Kind: "nope", N: 10}, Method: "cg"}), "nope"},
+		{"unknown-method", body(SolveRequest{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "no-such-method"}), "no-such-method"},
+		{"rhs-length", body(SolveRequest{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "cg", B: []float64{1, 2}}), "16 rows"},
+		{"rectangular-for-spd", body(SolveRequest{Matrix: MatrixSpec{Kind: "overdetermined", Rows: 40, Cols: 10, Seed: 1}, Method: "cg"}), "square"},
+		{"bad-matrix-market", body(SolveRequest{Matrix: MatrixSpec{Kind: "mm", MM: "not a matrix"}, Method: "cg"}), "MatrixMarket"},
+		{"distmem-step-size", body(SolveRequest{Matrix: MatrixSpec{Kind: "laplacian2d", N: 4}, Method: "asyrgs-distmem", Beta: 117}), "117"},
+		// Unknown JSON fields are rejected too (catches client typos).
+		{"unknown-field", `{"matrix":{"kind":"laplacian2d","n":4},"metod":"cg"}`, "metod"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply map[string]string
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &reply) != nil || !strings.Contains(reply["error"], tc.mentions) {
+				t.Fatalf("%s: status %d, body %q; want 400 with a JSON error mentioning %q", tc.body, resp.StatusCode, raw, tc.mentions)
+			}
+		})
 	}
 }
 
@@ -560,36 +633,43 @@ func TestClientCancelShedsWithoutError(t *testing.T) {
 func TestOversizedGeneratorSpecRejected(t *testing.T) {
 	ts := newTestServer(t, Config{MaxDim: 1100})
 	// 34² = 1156 > 1100: over the limit even though the side is tiny.
-	_, resp := postSolve(t, ts, SolveRequest{
-		Matrix: MatrixSpec{Kind: "laplacian2d", N: 34}, Method: "cg", Tol: 1e-6,
+	t.Run("laplacian2d-over", func(t *testing.T) {
+		_, resp := postSolve(t, ts, SolveRequest{
+			Matrix: MatrixSpec{Kind: "laplacian2d", N: 34}, Method: "cg", Tol: 1e-6,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("laplacian2d 34² unknowns: status %d, want 400", resp.StatusCode)
+		}
 	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("laplacian2d 34² unknowns: status %d, want 400", resp.StatusCode)
-	}
 	// 11³ = 1331 > 1100.
-	_, resp = postSolve(t, ts, SolveRequest{
-		Matrix: MatrixSpec{Kind: "laplacian3d", N: 11}, Method: "cg", Tol: 1e-6,
+	t.Run("laplacian3d-over", func(t *testing.T) {
+		_, resp := postSolve(t, ts, SolveRequest{
+			Matrix: MatrixSpec{Kind: "laplacian3d", N: 11}, Method: "cg", Tol: 1e-6,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("laplacian3d 11³ unknowns: status %d, want 400", resp.StatusCode)
+		}
 	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("laplacian3d 11³ unknowns: status %d, want 400", resp.StatusCode)
-	}
 	// 33² = 1089 ≤ 1100: just under the limit must still work.
-	out, resp := postSolve(t, ts, SolveRequest{
-		Matrix: MatrixSpec{Kind: "laplacian2d", N: 33}, Method: "cg", Tol: 1e-6, MaxSweeps: 2000,
+	t.Run("laplacian2d-under", func(t *testing.T) {
+		out, resp := postSolve(t, ts, SolveRequest{
+			Matrix: MatrixSpec{Kind: "laplacian2d", N: 33}, Method: "cg", Tol: 1e-6, MaxSweeps: 2000,
+		})
+		if resp.StatusCode != http.StatusOK || !out.Converged {
+			t.Fatalf("laplacian2d 33² unknowns: status %d, out %+v", resp.StatusCode, out)
+		}
 	})
-	if resp.StatusCode != http.StatusOK || !out.Converged {
-		t.Fatalf("laplacian2d 33² unknowns: status %d, out %+v", resp.StatusCode, out)
-	}
-
 	// A side so large n³ overflows int64 must saturate, not wrap into an
 	// "acceptable" dimension.
-	ts2 := newTestServer(t, Config{})
-	_, resp = postSolve(t, ts2, SolveRequest{
-		Matrix: MatrixSpec{Kind: "laplacian3d", N: 3_000_000}, Method: "cg", Tol: 1e-6,
+	t.Run("laplacian3d-overflow", func(t *testing.T) {
+		ts := newTestServer(t, Config{})
+		_, resp := postSolve(t, ts, SolveRequest{
+			Matrix: MatrixSpec{Kind: "laplacian3d", N: 3_000_000}, Method: "cg", Tol: 1e-6,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("overflowing laplacian3d spec: status %d, want 400", resp.StatusCode)
+		}
 	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("overflowing laplacian3d spec: status %d, want 400", resp.StatusCode)
-	}
 }
 
 // TestMatrixSpecKeyCanonicalization: a spec relying on generator

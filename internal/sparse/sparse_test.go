@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -170,6 +171,9 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
+// TestMulVecParMatchesSerial: the round-robin parallel product computes
+// every row with the same kernel as MulVec, so it matches it bit for bit
+// at any worker count, including more workers than the clamp allows.
 func TestMulVecParMatchesSerial(t *testing.T) {
 	m := randomCSR(500, 500, 0.02, 2)
 	x := make([]float64, 500)
@@ -178,12 +182,19 @@ func TestMulVecParMatchesSerial(t *testing.T) {
 	}
 	want := make([]float64, 500)
 	m.MulVec(want, x)
-	got := make([]float64, 500)
-	m.MulVecPar(got, x, 8)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("row %d: got %v want %v", i, got[i], want[i])
-		}
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got := make([]float64, 500)
+			for i := range got {
+				got[i] = math.NaN() // every row must be written
+			}
+			m.MulVecPar(got, x, workers)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("row %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

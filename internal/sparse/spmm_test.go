@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -33,26 +34,27 @@ func TestMulDenseParMatchesColumnwiseMulVec(t *testing.T) {
 		x[i] = math.Sin(float64(i))
 	}
 	for _, workers := range []int{1, 4, 64} { // 64: more workers than useful
-		y := make([]float64, rows*c)
-		// Poison the output: the kernel must overwrite, not accumulate.
-		for i := range y {
-			y[i] = 1e9
-		}
-		a.MulDensePar(y, x, c, workers)
-		xcol := make([]float64, cols)
-		ycol := make([]float64, rows)
-		for j := 0; j < c; j++ {
-			for i := 0; i < cols; i++ {
-				xcol[i] = x[i*c+j]
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			y := make([]float64, rows*c)
+			// Poison the output: the kernel must overwrite, not accumulate.
+			for i := range y {
+				y[i] = 1e9
 			}
-			a.MulVec(ycol, xcol)
-			for i := 0; i < rows; i++ {
-				if d := math.Abs(y[i*c+j] - ycol[i]); d > 1e-12 {
-					t.Fatalf("workers=%d: y[%d,%d] = %g, want %g",
-						workers, i, j, y[i*c+j], ycol[i])
+			a.MulDensePar(y, x, c, workers)
+			xcol := make([]float64, cols)
+			ycol := make([]float64, rows)
+			for j := 0; j < c; j++ {
+				for i := 0; i < cols; i++ {
+					xcol[i] = x[i*c+j]
+				}
+				a.MulVec(ycol, xcol)
+				for i := 0; i < rows; i++ {
+					if d := math.Abs(y[i*c+j] - ycol[i]); d > 1e-12 {
+						t.Fatalf("y[%d,%d] = %g, want %g", i, j, y[i*c+j], ycol[i])
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,15 +52,17 @@ func TestSocialGramPinnedDigests(t *testing.T) {
 			"41b454cc57d5bc39197ec501e147fbc390596fd62e812c2afd07c852148fc9e6",
 			"67d7e7a18a5d56f5cc4e8c809b5f309b14f4ae5e2e4c52d525c1d743975f3eec"},
 	} {
-		gram, termDoc := SocialGram(DefaultSocialGram(c.terms, c.seed))
-		if gram.NNZ() != c.gramNNZ {
-			t.Errorf("(%d, %d): Gram nnz %d, want %d", c.terms, c.seed, gram.NNZ(), c.gramNNZ)
-		}
-		if got := csrDigest(gram); got != c.gram {
-			t.Errorf("(%d, %d): Gram digest %s, want %s", c.terms, c.seed, got, c.gram)
-		}
-		if got := csrDigest(termDoc); got != c.termDoc {
-			t.Errorf("(%d, %d): term-document digest %s, want %s", c.terms, c.seed, got, c.termDoc)
-		}
+		t.Run(fmt.Sprintf("terms=%d,seed=%d", c.terms, c.seed), func(t *testing.T) {
+			gram, termDoc := SocialGram(DefaultSocialGram(c.terms, c.seed))
+			if gram.NNZ() != c.gramNNZ {
+				t.Errorf("Gram nnz %d, want %d", gram.NNZ(), c.gramNNZ)
+			}
+			if got := csrDigest(gram); got != c.gram {
+				t.Errorf("Gram digest %s, want %s", got, c.gram)
+			}
+			if got := csrDigest(termDoc); got != c.termDoc {
+				t.Errorf("term-document digest %s, want %s", got, c.termDoc)
+			}
+		})
 	}
 }
