@@ -18,28 +18,34 @@
 //
 // # Quick start
 //
+// Every solve to a tolerance goes through the method registry (see
+// SolveMethod, GetMethod, MethodNames): one context-cancellable Solve
+// entry point with normalized options and results.
+//
 //	a := asyrgs.RandomSPD(10_000, 8, 1.5, 1)   // or read MatrixMarket
 //	b := asyrgs.RandomRHS(10_000, 2)
-//	s, err := asyrgs.NewSolver(a, asyrgs.Options{Workers: runtime.GOMAXPROCS(0)})
+//	m, err := asyrgs.GetMethod("asyrgs")
 //	if err != nil { ... }
 //	x := make([]float64, 10_000)
-//	res, err := s.SolveAsync(x, b, 1e-6, 500, 5)
+//	res, err := m.Solve(ctx, a, b, x, asyrgs.MethodOpts{Tol: 1e-6, MaxSweeps: 500})
 //
-// For high accuracy, wrap AsyRGS in Flexible-CG:
+// For high accuracy, "fcg" wraps AsyRGS in Flexible-CG, with
+// MethodOpts.Inner AsyRGS sweeps per preconditioner application:
 //
-//	pre := asyrgs.PrecondFunc(func(z, r []float64) { s.Precondition(z, r, 2) })
-//	res, err := asyrgs.FlexibleCG(a, x, b, pre, asyrgs.FCGOptions{Tol: 1e-8})
+//	m, err := asyrgs.GetMethod("fcg")
+//	res, err := m.Solve(ctx, a, b, x, asyrgs.MethodOpts{Tol: 1e-8, Inner: 2})
 //
-// # Unified method registry and serving layer
+// A Solver (NewSolver) runs fixed numbers of AsyRGS sweeps (Sweeps,
+// AsyncSweeps) and has no stopping rule of its own.
 //
-// Every solver family is also registered in a unified method registry
-// (see SolveMethod, GetMethod, MethodNames): one context-cancellable
-// Solve entry point with normalized options and results, which
-// cmd/asysolve and the bench ablation tables dispatch through. The
-// cmd/asyrgsd daemon serves the registry over HTTP JSON — generator-spec
-// or MatrixMarket solve requests, an LRU of prepared systems keyed by
-// matrix hash, a worker-pool admission gate, and /healthz and /stats
-// endpoints. The roster includes "asyrgs-distmem", the sharded
+// # Method registry and serving layer
+//
+// Every registered method stops in one outer loop that owns the
+// tolerance, the sweep budget and the context; cmd/asysolve and the bench
+// ablation tables dispatch through the registry. The cmd/asyrgsd daemon
+// serves it over HTTP JSON — generator-spec or MatrixMarket solve
+// requests, an LRU of prepared systems keyed by matrix hash, a worker-pool
+// admission gate, and /healthz and /stats endpoints. The roster includes "asyrgs-distmem", the sharded
 // distributed-memory backend: each rank sole-updates its own coordinate
 // block and communicates only through bounded message queues — the
 // paper's named future-work deployment, served like any other method.
@@ -108,58 +114,29 @@ type (
 	// Solver runs synchronous Randomized Gauss–Seidel and asynchronous
 	// AsyRGS iterations over a fixed matrix.
 	Solver = core.Solver
-	// Result reports a Solve/SolveAsync outcome.
-	Result = core.Result
 )
 
 // Solver construction and sentinel errors.
 var (
 	// NewSolver validates the matrix and builds a Solver.
 	NewSolver = core.New
-	// ErrNotConverged is returned when an iteration budget is exhausted.
-	ErrNotConverged = core.ErrNotConverged
+	// ErrNotConverged is returned by a registry solve whose sweep budget
+	// is exhausted before its tolerance.
+	ErrNotConverged = method.ErrNotConverged
+	// ErrNonFinite is returned by a registry solve whose measured residual
+	// is NaN or ±Inf; the error names the method and the sweep.
+	ErrNonFinite = method.ErrNonFinite
 	// ErrNotSquare rejects rectangular matrices.
 	ErrNotSquare = core.ErrNotSquare
 	// ErrZeroDiagonal rejects matrices with a zero diagonal entry.
 	ErrZeroDiagonal = core.ErrZeroDiagonal
 )
 
-// Krylov methods and preconditioning.
-type (
-	// Preconditioner approximates z ≈ M⁻¹r for a fixed operator M.
-	Preconditioner = krylov.Preconditioner
-	// PrecondFunc adapts a function to the Preconditioner interface.
-	PrecondFunc = krylov.PrecondFunc
-	// CGOptions configure conjugate gradients.
-	CGOptions = krylov.CGOptions
-	// CGResult reports a CG run.
-	CGResult = krylov.CGResult
-	// FCGOptions configure Notay's Flexible-CG.
-	FCGOptions = krylov.FCGOptions
-	// FCGResult reports a Flexible-CG run.
-	FCGResult = krylov.FCGResult
-	// StationaryResult reports a Jacobi or Gauss–Seidel run.
-	StationaryResult = krylov.StationaryResult
-)
-
-// Krylov and stationary solvers.
+// Block conjugate gradients, the CG trajectory of the paper's Figures 1–2.
 var (
-	// CG solves an SPD system by conjugate gradients, with round-robin
-	// parallel SpMV.
-	CG = krylov.CG
-	// CGDense solves A·X = B for a multi-RHS block, with contiguous-block
-	// parallel SpMM.
+	// CGDense runs a fixed number of CG iterations on every column of a
+	// multi-RHS block A·X = B, with contiguous-block parallel SpMM.
 	CGDense = krylov.CGDense
-	// FlexibleCG tolerates preconditioners that change per application,
-	// such as AsyRGS.
-	FlexibleCG = krylov.FlexibleCG
-	// Jacobi runs the classical Jacobi iteration.
-	Jacobi = krylov.Jacobi
-	// GaussSeidel runs deterministic forward Gauss–Seidel sweeps.
-	GaussSeidel = krylov.GaussSeidel
-	// AsyncJacobi runs classical chaotic-relaxation Jacobi — the
-	// deterministic asynchronous baseline the paper revisits.
-	AsyncJacobi = krylov.AsyncJacobi
 )
 
 // Least squares (§8) and Kaczmarz.
@@ -298,7 +275,7 @@ type (
 	// DistConfig configures the message-passing sharded backend of the
 	// restricted-randomization solver.
 	DistConfig = distmem.Config
-	// DistResult reports a distributed run (residual, traffic, backlog).
+	// DistResult reports one round (residual, traffic, backlog).
 	DistResult = distmem.Result
 	// DistPrepared is the sharded per-matrix state (ownership partition,
 	// diagonal, per-rank streams) captured once by DistPrepare.
@@ -310,13 +287,9 @@ type (
 	DistPartition = distmem.Partition
 )
 
-// Distributed solver entry points.
+// Distributed solver entry points. A solve to a tolerance runs the
+// "asyrgs-distmem" method, whose rounds are DistSolver.Solve calls.
 var (
-	// DistSolve runs a fixed sweep budget on every emulated rank.
-	DistSolve = distmem.Solve
-	// DistSolveToTol iterates rounds of DistSolve to a tolerance,
-	// accumulating message and backlog accounting across rounds.
-	DistSolveToTol = distmem.SolveToTol
 	// DistPrepare captures the sharded per-matrix state once; fork
 	// Solvers from it for repeated runs.
 	DistPrepare = distmem.Prepare

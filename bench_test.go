@@ -8,6 +8,7 @@
 package asyrgs_test
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -62,9 +63,9 @@ func BenchmarkFig1RGSvsCG(b *testing.B) {
 		x := asyrgs.NewDense(a.Rows, rhs.Cols)
 		var hist []float64
 		b.ResetTimer()
-		res, _ := asyrgs.CGDense(a, x, rhs, asyrgs.CGOptions{Tol: 1e-30, MaxIter: b.N}, &hist)
+		asyrgs.CGDense(a, x, rhs, b.N, 1, &hist)
 		b.StopTimer()
-		b.ReportMetric(res.Residual, "rel-residual")
+		b.ReportMetric(hist[len(hist)-1], "rel-residual")
 	})
 }
 
@@ -95,9 +96,7 @@ func BenchmarkFig2LeftCG(b *testing.B) {
 		b.Run(threadName(th), func(b *testing.B) {
 			x := asyrgs.NewDense(a.Rows, rhs.Cols)
 			b.ResetTimer()
-			_, _ = asyrgs.CGDense(a, x, rhs, asyrgs.CGOptions{
-				Tol: 1e-30, MaxIter: b.N, Workers: th,
-			}, nil)
+			asyrgs.CGDense(a, x, rhs, b.N, th, nil)
 		})
 	}
 }
@@ -151,20 +150,16 @@ func BenchmarkFig2Right(b *testing.B) {
 // reporting outer iterations and mat-ops as metrics.
 func BenchmarkTable1FCG(b *testing.B) {
 	a, _, b1 := workloadFor(b)
+	fcg := prepareFor(b, "fcg", a)
 	for _, inner := range []int{30, 20, 10, 5, 3, 2, 1} {
 		b.Run(innerName(inner), func(b *testing.B) {
 			var outer int
 			for i := 0; i < b.N; i++ {
-				s, err := asyrgs.NewSolver(a, asyrgs.Options{Workers: runtime.GOMAXPROCS(0), Seed: 5})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pre := asyrgs.PrecondFunc(func(z, r []float64) { s.Precondition(z, r, inner) })
 				x := make([]float64, a.Rows)
-				res, _ := asyrgs.FlexibleCG(a, x, b1, pre, asyrgs.FCGOptions{
-					Tol: 1e-8, MaxIter: 4000, Workers: runtime.GOMAXPROCS(0),
+				res, _ := fcg.Solve(context.Background(), b1, x, asyrgs.MethodOpts{
+					Tol: 1e-8, MaxSweeps: 4000, Workers: runtime.GOMAXPROCS(0), Seed: 5, Inner: inner,
 				})
-				outer = res.Iterations
+				outer = res.Sweeps
 			}
 			b.ReportMetric(float64(outer), "outer-iters")
 			b.ReportMetric(float64(outer*(inner+1)), "mat-ops")
@@ -176,21 +171,17 @@ func BenchmarkTable1FCG(b *testing.B) {
 // 1e-8 at each thread count for 2 and 10 inner sweeps.
 func BenchmarkFig3Left(b *testing.B) {
 	a, _, b1 := workloadFor(b)
+	fcg := prepareFor(b, "fcg", a)
 	for _, inner := range []int{2, 10} {
 		for _, th := range []int{1, 2, 4, 8} {
 			b.Run(innerName(inner)+"/"+threadName(th), func(b *testing.B) {
 				var outer int
 				for i := 0; i < b.N; i++ {
-					s, err := asyrgs.NewSolver(a, asyrgs.Options{Workers: th, Seed: 6})
-					if err != nil {
-						b.Fatal(err)
-					}
-					pre := asyrgs.PrecondFunc(func(z, r []float64) { s.Precondition(z, r, inner) })
 					x := make([]float64, a.Rows)
-					res, _ := asyrgs.FlexibleCG(a, x, b1, pre, asyrgs.FCGOptions{
-						Tol: 1e-8, MaxIter: 4000, Workers: th,
+					res, _ := fcg.Solve(context.Background(), b1, x, asyrgs.MethodOpts{
+						Tol: 1e-8, MaxSweeps: 4000, Workers: th, Seed: 6, Inner: inner,
 					})
-					outer = res.Iterations
+					outer = res.Sweeps
 				}
 				// Figure 3 (right): the outer-iteration count per thread.
 				b.ReportMetric(float64(outer), "outer-iters")
@@ -301,6 +292,20 @@ func BenchmarkRhoComputation(b *testing.B) {
 	_ = acc
 }
 
+// prepareFor prepares a registry method on a once, outside the timed loop.
+func prepareFor(b *testing.B, name string, a *asyrgs.Matrix) asyrgs.PreparedSystem {
+	b.Helper()
+	m, err := asyrgs.GetMethod(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps, err := asyrgs.PrepareMethod(context.Background(), m, a, asyrgs.MethodOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ps
+}
+
 func threadName(th int) string {
 	switch th {
 	case 1:
@@ -323,27 +328,33 @@ func innerName(inner int) string {
 }
 
 // BenchmarkDistMem regenerates the distributed-memory emulation experiment:
-// one fixed-budget solve per queue capacity, with residual and backlog as
-// metrics.
+// one fixed-budget solve of 10 sweeps in one round per queue capacity,
+// with residual and backlog as metrics.
 func BenchmarkDistMem(b *testing.B) {
 	a, _, b1 := workloadFor(b)
+	m, err := asyrgs.GetMethod("asyrgs-distmem")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, cap := range []int{1, 16} {
 		name := "queue-1"
 		if cap == 16 {
 			name = "queue-16"
 		}
 		b.Run(name, func(b *testing.B) {
-			var res asyrgs.DistResult
+			var res asyrgs.MethodResult
 			for i := 0; i < b.N; i++ {
 				x := make([]float64, a.Rows)
 				var err error
-				res, err = asyrgs.DistSolve(a, x, b1, 10, asyrgs.DistConfig{Workers: 8, QueueCap: cap, Seed: 9})
+				res, err = m.Solve(context.Background(), a, b1, x, asyrgs.MethodOpts{
+					MaxSweeps: 10, CheckEvery: 10, Workers: 8, QueueCap: cap, Seed: 9,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(res.Residual, "rel-residual")
-			b.ReportMetric(float64(res.MaxQueueLen), "max-backlog")
+			b.ReportMetric(float64(res.MaxQueue), "max-backlog")
 		})
 	}
 }
@@ -353,10 +364,14 @@ func BenchmarkDistMem(b *testing.B) {
 func BenchmarkClassicVsRandomized(b *testing.B) {
 	a, _, b1 := workloadFor(b)
 	b.Run("async-jacobi", func(b *testing.B) {
-		var res asyrgs.StationaryResult
+		aj := prepareFor(b, "asyncjacobi", a)
+		var res asyrgs.MethodResult
 		for i := 0; i < b.N; i++ {
 			x := make([]float64, a.Rows)
-			res = asyrgs.AsyncJacobi(a, x, b1, 10, 8)
+			var err error
+			if res, err = aj.Solve(context.Background(), b1, x, asyrgs.MethodOpts{MaxSweeps: 10, Workers: 8}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportMetric(res.Residual, "rel-residual")
 	})

@@ -9,6 +9,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"runtime"
@@ -55,17 +57,23 @@ func main() {
 	fmt.Printf("\nmax |x_seq − x_async| = %.2e (both approach the same minimiser)\n", maxDiff)
 
 	// Kaczmarz baseline needs a consistent system; build one.
+	// One Kaczmarz sweep is rows projections: at most 40 sweeps, with a
+	// residual check every 4.
 	bc, xstar := asyrgs.RHSForSolution(a, 24)
-	kz, err := asyrgs.NewKaczmarz(a, asyrgs.KaczmarzOptions{Seed: 25, Workers: workers, Beta: 0.9})
+	kz, err := asyrgs.GetMethod("kaczmarz")
 	if err != nil {
 		log.Fatal(err)
 	}
 	xk := make([]float64, cols)
 	start := time.Now()
-	iters, res, err := kz.Solve(xk, bc, 1e-6, 40*rows, 4*rows)
+	res, err := kz.Solve(context.Background(), a, bc, xk, asyrgs.MethodOpts{
+		Tol: 1e-6, MaxSweeps: 40, CheckEvery: 4, Workers: workers, Beta: 0.9, Seed: 25,
+	})
 	status := "converged"
-	if err != nil {
+	if errors.Is(err, asyrgs.ErrNotConverged) {
 		status = "budget exhausted"
+	} else if err != nil {
+		log.Fatal(err)
 	}
 	var kerr float64
 	for i := range xk {
@@ -76,5 +84,5 @@ func main() {
 		}
 	}
 	fmt.Printf("\nasync Kaczmarz on the consistent system: %s after %d projections, residual %.2e, max err %.2e (%v)\n",
-		status, iters, res, kerr, time.Since(start).Round(time.Millisecond))
+		status, res.Iterations, res.Residual, kerr, time.Since(start).Round(time.Millisecond))
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -32,26 +33,24 @@ func main() {
 		d            time.Duration
 	}
 	var best row
+	// The registry's "fcg" is Flexible-CG preconditioned by Inner AsyRGS
+	// sweeps; Prepare validates the matrix once for every run below.
+	fcg := prepare("fcg", gram)
 	for _, inner := range []int{30, 10, 5, 2, 1} {
-		s, err := asyrgs.NewSolver(gram, asyrgs.Options{Workers: workers, Seed: 7})
-		if err != nil {
-			log.Fatal(err)
-		}
-		pre := asyrgs.PrecondFunc(func(z, r []float64) { s.Precondition(z, r, inner) })
 		x := make([]float64, terms)
 		start := time.Now()
-		res, err := asyrgs.FlexibleCG(gram, x, b, pre, asyrgs.FCGOptions{
-			Tol: tol, MaxIter: 4000, Workers: workers,
+		res, err := fcg.Solve(context.Background(), b, x, asyrgs.MethodOpts{
+			Tol: tol, MaxSweeps: 4000, Workers: workers, Seed: 7, Inner: inner,
 		})
 		d := time.Since(start)
 		if err != nil {
 			log.Fatalf("inner=%d: %v (%+v)", inner, err, res)
 		}
-		matOps := res.Iterations * (inner + 1)
+		matOps := res.Sweeps * (inner + 1)
 		fmt.Printf("%-8d %-8d %-16d %-12v %-12.1f\n",
-			inner, res.Iterations, matOps, d.Round(time.Millisecond), float64(matOps)/d.Seconds())
+			inner, res.Sweeps, matOps, d.Round(time.Millisecond), float64(matOps)/d.Seconds())
 		if best.d == 0 || d < best.d {
-			best = row{inner, res.Iterations, d}
+			best = row{inner, res.Sweeps, d}
 		}
 	}
 	fmt.Printf("\nfastest: %d inner sweeps (%v, %d outer iterations)\n", best.inner, best.d.Round(time.Millisecond), best.outer)
@@ -59,12 +58,25 @@ func main() {
 	// Contrast: plain CG without preconditioning.
 	x := make([]float64, terms)
 	start := time.Now()
-	res, err := asyrgs.CG(gram, x, b, asyrgs.CGOptions{
-		Tol: tol, MaxIter: 40_000, Workers: workers,
+	res, err := prepare("cg", gram).Solve(context.Background(), b, x, asyrgs.MethodOpts{
+		Tol: tol, MaxSweeps: 40_000, Workers: workers,
 	})
 	if err != nil {
-		fmt.Printf("plain CG: not converged after %d iterations (residual %.1e)\n", res.Iterations, res.Residual)
+		fmt.Printf("plain CG: not converged after %d iterations (residual %.1e)\n", res.Sweeps, res.Residual)
 	} else {
-		fmt.Printf("plain CG: %d iterations in %v\n", res.Iterations, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("plain CG: %d iterations in %v\n", res.Sweeps, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// prepare readies a registry method on a.
+func prepare(name string, a *asyrgs.Matrix) asyrgs.PreparedSystem {
+	m, err := asyrgs.GetMethod(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ps, err := asyrgs.PrepareMethod(context.Background(), m, a, asyrgs.MethodOpts{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ps
 }

@@ -68,22 +68,16 @@ func main() {
 	xc := asyrgs.NewDense(terms, labels)
 	var cgTraj []float64
 	cgStart := time.Now()
-	_, _ = asyrgs.CGDense(gram, xc, b, asyrgs.CGOptions{
-		Tol: 1e-30, MaxIter: sweeps, Workers: workers,
-	}, &cgTraj)
+	asyrgs.CGDense(gram, xc, b, sweeps, workers, &cgTraj)
 	cgTime := time.Since(cgStart)
 
 	fmt.Printf("%-8s %-14s %-14s\n", "sweep", "RGS", "CG")
 	for s := 0; s <= sweeps; s += 5 {
-		cg := cgTraj[len(cgTraj)-1]
-		if s < len(cgTraj) {
-			cg = cgTraj[s]
-		}
-		fmt.Printf("%-8d %-14.3e %-14.3e\n", s, rgsTraj[s], cg)
+		fmt.Printf("%-8d %-14.3e %-14.3e\n", s, rgsTraj[s], cgTraj[s])
 	}
 	fmt.Printf("\nafter %d sweeps:\n", sweeps)
 	fmt.Printf("  sync RGS : residual %.3e in %v (1 thread)\n", rgsTraj[sweeps], rgsTime.Round(time.Millisecond))
 	fmt.Printf("  AsyRGS   : residual %.3e in %v (%d threads, no locks, no barriers)\n", asyRes, asyTime.Round(time.Millisecond), workers)
-	fmt.Printf("  CG       : residual %.3e in %v (%d threads)\n", cgTraj[len(cgTraj)-1], cgTime.Round(time.Millisecond), workers)
+	fmt.Printf("  CG       : residual %.3e in %v (%d threads)\n", cgTraj[sweeps], cgTime.Round(time.Millisecond), workers)
 	fmt.Println("\nthe big-data regime needs ~1e-2: note where each method crosses it.")
 }

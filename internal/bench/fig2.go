@@ -44,11 +44,7 @@ func (r *Runner) Fig2Left() []Fig2LeftRow {
 		// CG: 10 iterations; CGDense's SpMM splits rows into contiguous
 		// blocks, not the paper's round-robin.
 		xc := vec.NewDense(a.Rows, r.B.Cols)
-		cgTime := timeIt(func() {
-			_, _ = krylov.CGDense(a, xc, r.B, krylov.CGOptions{
-				Tol: 1e-16, MaxIter: sweeps, Workers: th,
-			}, nil)
-		})
+		cgTime := timeIt(func() { krylov.CGDense(a, xc, r.B, sweeps, th, nil) })
 
 		row := Fig2LeftRow{Threads: th, AsyRGSTime: asyTime, CGTime: cgTime, Oversubscribed: over}
 		if len(rows) == 0 {

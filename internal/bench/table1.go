@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/krylov"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 )
 
 // Table1Row is one row of Table 1: Flexible-CG preconditioned by AsyRGS,
@@ -46,7 +48,9 @@ func (r *Runner) Table1(tol float64, workers int) []Table1Row {
 }
 
 // runFCGOnce runs the FCG+AsyRGS combination Repeats times and returns the
-// median row for the given inner sweep count.
+// median row for the given inner sweep count. Each run drives the FCG step
+// through outer.Run, checking after every outer iteration, for at most
+// 4000 iterations.
 func (r *Runner) runFCGOnce(tol float64, workers, innerSweeps int) Table1Row {
 	repeats := r.Cfg.Repeats
 	if repeats <= 0 {
@@ -63,21 +67,20 @@ func (r *Runner) runFCGOnce(tol float64, workers, innerSweeps int) Table1Row {
 			solver.Precondition(z, rr, innerSweeps)
 		})
 		x := make([]float64, r.Gram.Rows)
-		var res krylov.FCGResult
+		var p outer.Progress
 		d := timeIt(func() {
-			res, _ = krylov.FlexibleCG(r.Gram, x, r.b1, pre, krylov.FCGOptions{
-				Tol: tol, MaxIter: 4000, Workers: workers,
-			})
+			f := krylov.NewFCG(r.Gram, x, r.b1, pre, workers)
+			p, _ = outer.Run(context.Background(), tol, 4000, 1, f.Step, f.Residual)
 		})
-		outers = append(outers, res.Iterations)
+		outers = append(outers, p.Done)
 		times = append(times, d)
 	}
-	outer := medianInt(outers)
+	iters := medianInt(outers)
 	t := median(times)
-	matOps := outer * (innerSweeps + 1)
+	matOps := iters * (innerSweeps + 1)
 	return Table1Row{
 		InnerSweeps: innerSweeps,
-		OuterIters:  outer,
+		OuterIters:  iters,
 		MatOps:      matOps,
 		Time:        t,
 		MatOpsPerS:  float64(matOps) / t.Seconds(),
@@ -110,41 +113,17 @@ func (r *Runner) Fig3(tol float64) []Fig3Row {
 	for _, innerSweeps := range []int{2, 10} {
 		var base time.Duration
 		for _, th := range r.Cfg.Threads {
-			repeats := r.Cfg.Repeats
-			if repeats <= 0 {
-				repeats = 1
-			}
-			outers := make([]int, 0, repeats)
-			times := make([]time.Duration, 0, repeats)
-			for rep := 0; rep < repeats; rep++ {
-				solver, err := core.New(r.Gram, core.Options{Workers: th, Seed: r.Cfg.Seed})
-				if err != nil {
-					panic(err)
-				}
-				pre := krylov.PrecondFunc(func(z, rr []float64) {
-					solver.Precondition(z, rr, innerSweeps)
-				})
-				x := make([]float64, r.Gram.Rows)
-				var res krylov.FCGResult
-				d := timeIt(func() {
-					res, _ = krylov.FlexibleCG(r.Gram, x, r.b1, pre, krylov.FCGOptions{
-						Tol: tol, MaxIter: 4000, Workers: th,
-					})
-				})
-				outers = append(outers, res.Iterations)
-				times = append(times, d)
-			}
-			t := median(times)
+			run := r.runFCGOnce(tol, th, innerSweeps)
 			if base == 0 {
-				base = t
+				base = run.Time
 			}
 			row := Fig3Row{
-				Threads: th, Inner: innerSweeps, Time: t,
-				OuterIters: medianInt(outers),
-				Speedup:    float64(base) / float64(t),
+				Threads: th, Inner: innerSweeps, Time: run.Time,
+				OuterIters: run.OuterIters,
+				Speedup:    float64(base) / float64(run.Time),
 			}
 			rows = append(rows, row)
-			r.printf("%-8d %-8d %-12v %-8d %-8.2f\n", th, innerSweeps, t.Round(time.Millisecond), row.OuterIters, row.Speedup)
+			r.printf("%-8d %-8d %-12v %-8d %-8.2f\n", th, innerSweeps, run.Time.Round(time.Millisecond), row.OuterIters, row.Speedup)
 		}
 	}
 	return rows

@@ -147,7 +147,6 @@ func (s *Solver) runAsync(sweeps int, block func(worker int, base uint64, picks 
 		})
 	}
 	s.next = end
-	s.sweep += sweeps
 }
 
 // begin opens global iteration j on a worker. Under MeasureDelay it
@@ -191,16 +190,6 @@ func (s *Solver) observeTau(d uint64) {
 			return
 		}
 	}
-}
-
-// SolveAsync iterates asynchronously until the relative residual drops
-// below tol or maxSweeps sweeps are spent. The residual check is a
-// synchronization point (as in the paper's occasional-synchronization
-// scheme), performed every checkEvery sweeps, or for checkEvery ≤ 0 on
-// outer.Run's predicted schedule: near the sweep at which the residuals
-// measured so far cross tol. A non-positive tol runs all maxSweeps.
-func (s *Solver) SolveAsync(x, b []float64, tol float64, maxSweeps, checkEvery int) (Result, error) {
-	return s.solve(x, b, tol, maxSweeps, checkEvery, s.AsyncSweeps)
 }
 
 // Precondition approximates z ≈ A⁻¹·r by running the configured number of

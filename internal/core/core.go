@@ -33,11 +33,10 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/theory"
 )
 
-// Errors returned by solver construction and runs.
+// Errors returned by solver construction.
 var (
 	ErrNotSquare    = errors.New("core: matrix is not square")
 	ErrZeroDiagonal = errors.New("core: matrix has a zero diagonal entry")
-	ErrNotConverged = errors.New("core: solver did not reach the requested tolerance")
 )
 
 // Options configure a Solver. The zero value is usable: unit step size,
@@ -109,7 +108,7 @@ type Options struct {
 }
 
 // Solver holds an immutable matrix view plus solve options. A Solver is
-// not safe for concurrent Solve/Sweeps calls; fork one per in-flight
+// not safe for concurrent Sweeps/AsyncSweeps calls; fork one per in-flight
 // solve from a shared Prep (NewFromPrep), or recycle one with Reinit.
 type Solver struct {
 	a         *sparse.CSR
@@ -120,9 +119,8 @@ type Solver struct {
 	opts      Options
 	next      uint64 // global iteration index; advances across calls
 	tau       uint64 // max observed delay (if MeasureDelay)
-	sweep     int    // completed sweeps, for reporting
 	// Reusable scratch, lazily sized and retained across Reinit so a
-	// recycled Solver's warm Solve allocates nothing: direction-index
+	// recycled Solver's warm solve allocates nothing: direction-index
 	// buffer for the synchronous chunked fill, residual vector.
 	pickBuf    []int32
 	resScratch []float64
@@ -191,7 +189,6 @@ func (s *Solver) Iterations() uint64 { return s.next }
 func (s *Solver) Reset() {
 	s.next = 0
 	s.tau = 0
-	s.sweep = 0
 	for i := range s.delayHist {
 		s.delayHist[i] = 0
 	}
@@ -213,15 +210,6 @@ func (s *Solver) DelayHistogram() []uint64 {
 		out = append(out, c)
 	}
 	return out[:last+1]
-}
-
-// Result reports the outcome of a Solve call.
-type Result struct {
-	Sweeps      int     // sweeps performed (1 sweep = n coordinate updates)
-	Iterations  uint64  // total coordinate updates
-	Residual    float64 // final relative residual ‖b−Ax‖₂/‖b‖₂ (Frobenius for blocks)
-	Converged   bool
-	ObservedTau int // measured asynchrony (0 unless MeasureDelay)
 }
 
 // Residual returns the relative residual ‖b−Ax‖₂/‖b‖₂ (or the absolute

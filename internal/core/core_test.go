@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"github.com/asynclinalg/asyrgs/internal/dense"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -18,6 +20,20 @@ import (
 func testSPD(t *testing.T, n int, seed uint64) *sparse.CSR {
 	t.Helper()
 	return workload.RandomSPD(n, 6, 1.5, seed)
+}
+
+// solveTo drives s through outer.Run to tol within maxSweeps, measuring
+// every every sweeps (the registry's asyrgs methods run the same loop),
+// and fails the test unless the solve converged.
+func solveTo(t *testing.T, s *Solver, x, b []float64, tol float64, maxSweeps, every int) outer.Progress {
+	t.Helper()
+	p, err := outer.Run(context.Background(), tol, maxSweeps, every,
+		func(k int) int { s.AsyncSweeps(x, b, k); return k },
+		func() float64 { return s.Residual(x, b) })
+	if err != nil || !p.Converged {
+		t.Fatalf("did not converge: %+v, %v", p, err)
+	}
+	return p
 }
 
 func TestNewValidation(t *testing.T) {
@@ -88,11 +104,7 @@ func TestSweepsConvergesToDirectSolution(t *testing.T) {
 	}
 	s, _ := New(a, Options{Seed: 5})
 	x := make([]float64, 40)
-	res, err := s.Solve(x, b, 1e-10, 2000, 10)
-	if err != nil {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	if !res.Converged || res.Residual > 1e-10 {
+	if res := solveTo(t, s, x, b, 1e-10, 2000, 10); res.Residual > 1e-10 {
 		t.Fatalf("bad result %+v", res)
 	}
 	if e := vec.RelErr(x, want); e > 1e-8 {
@@ -169,12 +181,9 @@ func TestAsyncSweepsConverges(t *testing.T) {
 	b := workload.RandomRHS(300, 11)
 	s, _ := New(a, Options{Seed: 3, Workers: 8, MeasureDelay: true})
 	x := make([]float64, 300)
-	res, err := s.SolveAsync(x, b, 1e-8, 500, 5)
-	if err != nil {
-		t.Fatalf("async did not converge: %+v", res)
-	}
-	if res.ObservedTau < 0 || uint64(res.ObservedTau) > s.Iterations() {
-		t.Fatalf("nonsense τ̂ = %d", res.ObservedTau)
+	solveTo(t, s, x, b, 1e-8, 500, 5)
+	if tau := s.ObservedTau(); tau < 0 || uint64(tau) > s.Iterations() {
+		t.Fatalf("nonsense τ̂ = %d", tau)
 	}
 }
 
@@ -188,9 +197,7 @@ func TestAsyncNonAtomicConverges(t *testing.T) {
 	b := workload.RandomRHS(200, 13)
 	s, _ := New(a, Options{Seed: 4, Workers: 4, NonAtomic: true})
 	x := make([]float64, 200)
-	if _, err := s.SolveAsync(x, b, 1e-6, 500, 5); err != nil {
-		t.Fatal("non-atomic variant failed to converge")
-	}
+	solveTo(t, s, x, b, 1e-6, 500, 5)
 }
 
 func TestAsyncWithSyncPeriodConverges(t *testing.T) {
@@ -198,9 +205,7 @@ func TestAsyncWithSyncPeriodConverges(t *testing.T) {
 	b := workload.RandomRHS(200, 15)
 	s, _ := New(a, Options{Seed: 5, Workers: 4, SyncPeriod: 200})
 	x := make([]float64, 200)
-	if _, err := s.SolveAsync(x, b, 1e-6, 500, 5); err != nil {
-		t.Fatal("occasional-synchronization variant failed to converge")
-	}
+	solveTo(t, s, x, b, 1e-6, 500, 5)
 }
 
 // TestAsyncDenseConverges asserts convergence to tolerance, not within
@@ -338,20 +343,6 @@ func TestPreconditionReducesResidual(t *testing.T) {
 	vec.Sub(az, r, az)
 	if vec.Nrm2(az) > 0.5*vec.Nrm2(r) {
 		t.Fatalf("preconditioner too weak: %v vs %v", vec.Nrm2(az), vec.Nrm2(r))
-	}
-}
-
-func TestSolveReportsNonConvergence(t *testing.T) {
-	a := testSPD(t, 50, 29)
-	b := workload.RandomRHS(50, 30)
-	s, _ := New(a, Options{Seed: 31})
-	x := make([]float64, 50)
-	res, err := s.Solve(x, b, 1e-30, 2, 1)
-	if !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("want ErrNotConverged, got %v", err)
-	}
-	if res.Converged || res.Sweeps != 2 {
-		t.Fatalf("bad result %+v", res)
 	}
 }
 

@@ -40,7 +40,7 @@ type Guarantee struct {
 //
 //	Pr( ‖x − x*‖_A ≥ eps·‖x₀ − x*‖_A ) ≤ delta .
 //
-// Unlike Solve/SolveAsync it never inspects the residual to decide
+// Unlike a solve to a tolerance it never inspects the residual to decide
 // progress — the certificate is purely analytical, which is the form of
 // guarantee the paper's theory delivers. tau is the delay bound assumed
 // for the certificate (the reference-scenario guidance is τ = O(P); pass

@@ -56,6 +56,10 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 // Matrix returns the prepared matrix (shared, do not mutate).
 func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
+// InvDiag returns the reciprocal of the validated diagonal (shared, do
+// not mutate): the prepared state of the stationary baselines too.
+func (p *Prep) InvDiag() []float64 { return p.invD }
+
 // weightedAlias returns the O(1) alias table over A_rr/tr(A), building
 // and validating it on first use. Construction is O(n), paid once per
 // prepared matrix — which is what lets a serving deployment's prep cache

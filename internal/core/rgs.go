@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"math"
 
-	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -55,7 +53,6 @@ func (s *Solver) Sweeps(x, b []float64, sweeps int) {
 		base += uint64(m)
 	}
 	s.next = end
-	s.sweep += sweeps
 }
 
 // SweepsDense runs sweeps·n synchronous iterations simultaneously on every
@@ -90,29 +87,6 @@ func (s *Solver) SweepsDense(x, b *vec.Dense, sweeps int) {
 		base += uint64(m)
 	}
 	s.next = end
-	s.sweep += sweeps
-}
-
-// Solve iterates synchronously until the relative residual drops below tol
-// or maxSweeps sweeps have been spent, checking the residual every
-// checkEvery sweeps, or for checkEvery ≤ 0 on outer.Run's predicted
-// schedule: near the sweep at which the residuals measured so far cross
-// tol. A non-positive tol runs all maxSweeps.
-func (s *Solver) Solve(x, b []float64, tol float64, maxSweeps, checkEvery int) (Result, error) {
-	return s.solve(x, b, tol, maxSweeps, checkEvery, s.Sweeps)
-}
-
-// solve drives sweep through outer.Run, one round per call and one
-// residual per round.
-func (s *Solver) solve(x, b []float64, tol float64, maxSweeps, checkEvery int, sweep func(x, b []float64, sweeps int)) (Result, error) {
-	p, _ := outer.Run(context.Background(), tol, maxSweeps, checkEvery,
-		func(k int) int { sweep(x, b, k); return k },
-		func() float64 { return s.Residual(x, b) })
-	res := Result{Sweeps: p.Done, Iterations: s.next, Residual: p.Residual, Converged: p.Converged, ObservedTau: s.ObservedTau()}
-	if !p.Converged {
-		return res, ErrNotConverged
-	}
-	return res, nil
 }
 
 // ResidualDense returns ‖B−AX‖_F / ‖B‖_F.

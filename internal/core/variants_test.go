@@ -110,9 +110,7 @@ func TestDiagonalWeightedSolverConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 60)
-	if res, err := s.Solve(x, b, 1e-9, 3000, 10); err != nil {
-		t.Fatalf("weighted sampling did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-9, 3000, 10)
 	if e := vec.RelErr(x, want); e > 1e-7 {
 		t.Fatalf("weighted solution error %v", e)
 	}
@@ -126,9 +124,7 @@ func TestDiagonalWeightedAsyncConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 150)
-	if res, err := s.SolveAsync(x, b, 1e-7, 1000, 10); err != nil {
-		t.Fatalf("async weighted did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-7, 1000, 10)
 }
 
 func TestDiagonalWeightedRejectsNonPositiveDiagonal(t *testing.T) {
@@ -175,9 +171,7 @@ func TestPartitionedAsyncConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 200)
-	if res, err := s.SolveAsync(x, b, 1e-7, 1000, 10); err != nil {
-		t.Fatalf("partitioned async did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-7, 1000, 10)
 }
 
 func TestPartitionedSingleWriterProperty(t *testing.T) {
@@ -194,9 +188,7 @@ func TestPartitionedSingleWriterProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 200)
-	if res, err := s.SolveAsync(x, b, 1e-6, 1000, 10); err != nil {
-		t.Fatalf("partitioned non-atomic did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-6, 1000, 10)
 }
 
 func TestPartitionedIgnoredSynchronously(t *testing.T) {
@@ -253,10 +245,7 @@ func TestSlowWorkerDoesNotPreventConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 300)
-	res, err := s.SolveAsync(x, b, 1e-7, 800, 10)
-	if err != nil {
-		t.Fatalf("solve with a slow worker did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-7, 800, 10)
 }
 
 func TestStalledWorkerDelaysButConverges(t *testing.T) {
@@ -281,9 +270,7 @@ func TestStalledWorkerDelaysButConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 200)
-	if res, err := s.SolveAsync(x, b, 1e-6, 800, 10); err != nil {
-		t.Fatalf("solve with a stalled worker did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-6, 800, 10)
 }
 
 // --- delay histogram ---
@@ -559,7 +546,5 @@ func TestPartitionedCoverageUnderSkewedScheduling(t *testing.T) {
 		}
 	}
 	// And the solve must converge from here.
-	if res, err := s.SolveAsync(x, b, 1e-6, 2000, 20); err != nil {
-		t.Fatalf("partitioned solve under past skew did not converge: %+v", res)
-	}
+	solveTo(t, s, x, b, 1e-6, 2000, 20)
 }

@@ -24,10 +24,13 @@
 // The package follows the repository's two-phase shape: Prepare captures
 // the per-matrix state (ownership partition, validated diagonal, one
 // direction-stream key per worker) once, NewSolver forks a persistent
-// pool of worker goroutines from it, and each Solve/SolveToTol round
-// reuses that pool instead of respawning goroutines. Per-worker stream
-// offsets advance across rounds, so every round samples fresh coordinates
-// and the restricted randomization stays i.i.d. over a whole run.
+// pool of worker goroutines from it, and each Solve round reuses that pool
+// instead of respawning goroutines. Per-worker stream offsets advance
+// across rounds, so every round samples fresh coordinates and the
+// restricted randomization stays i.i.d. over a whole run. A solve to a
+// tolerance runs rounds through outer.Run: the registry's asyrgs-distmem
+// method, whose round boundaries are the global synchronizations of the
+// occasional-synchronization scheme.
 package distmem
 
 import (
@@ -36,7 +39,6 @@ import (
 	"runtime"
 	"sync"
 
-	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
@@ -63,15 +65,13 @@ type update struct {
 	delta float64
 }
 
-// Result reports a distributed run.
+// Result reports one round.
 type Result struct {
 	// Residual is the relative residual of the assembled solution.
 	Residual float64
-	// MessagesSent counts total updates shipped across the network; over
-	// a multi-round run it accumulates across rounds.
+	// MessagesSent counts the updates shipped across the network.
 	MessagesSent uint64
-	// MaxQueueLen is the largest inbox backlog observed at a send; over a
-	// multi-round run it is the maximum across rounds.
+	// MaxQueueLen is the largest inbox backlog observed at a send.
 	MaxQueueLen int
 }
 
@@ -303,11 +303,8 @@ func (s *Solver) round(ctx context.Context, x, b []float64, sweeps int) (message
 // cancelled ctx stops the round early and returns the context's error
 // alongside the partial result.
 func (s *Solver) Solve(ctx context.Context, x, b []float64, sweeps int) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := s.checkShape(x, b); err != nil {
-		return Result{}, err
+	if n := s.p.a.Rows; len(x) != n || len(b) != n {
+		return Result{}, fmt.Errorf("distmem: shape mismatch n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
 	}
 	msgs, maxQ, err := s.round(ctx, x, b, sweeps)
 	return Result{
@@ -315,68 +312,6 @@ func (s *Solver) Solve(ctx context.Context, x, b []float64, sweeps int) (Result,
 		MessagesSent: msgs,
 		MaxQueueLen:  maxQ,
 	}, err
-}
-
-// SolveToTol repeats rounds of sweepsPerRound sweeps until the residual
-// drops below tol or maxRounds is exhausted; a non-positive tol runs all
-// maxRounds. Each round boundary is a global synchronization (the natural
-// restart point of the occasional-synchronization scheme in a distributed
-// deployment). The returned Result accumulates MessagesSent (sum) and
-// MaxQueueLen (max) across rounds and reports the last measured residual;
-// the int is the number of rounds run. A round that ctx cuts short is not
-// measured, and ctx's error is returned.
-func (s *Solver) SolveToTol(ctx context.Context, x, b []float64, tol float64, sweepsPerRound, maxRounds int) (Result, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := s.checkShape(x, b); err != nil {
-		return Result{}, 0, err
-	}
-	var total Result
-	p, err := outer.Run(ctx, tol, maxRounds, 1, func(int) int {
-		// round's only error is ctx's, which Run reports after the round.
-		msgs, maxQ, _ := s.round(ctx, x, b, sweepsPerRound)
-		total.MessagesSent += msgs
-		total.MaxQueueLen = max(total.MaxQueueLen, maxQ)
-		return 1
-	}, func() float64 { return relResidual(s.p.a, x, b) })
-	total.Residual = p.Residual
-	if err == nil && !p.Converged {
-		err = fmt.Errorf("distmem: residual %g above tol %g after %d rounds", p.Residual, tol, p.Done)
-	}
-	return total, p.Done, err
-}
-
-// checkShape rejects x and b whose length is not the matrix dimension.
-func (s *Solver) checkShape(x, b []float64) error {
-	if n := s.p.a.Rows; len(x) != n || len(b) != n {
-		return fmt.Errorf("distmem: shape mismatch n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
-	}
-	return nil
-}
-
-// Solve is the one-shot convenience path: Prepare plus a single round on
-// a fresh pool. x is both the initial guess and the output.
-func Solve(a *sparse.CSR, x, b []float64, sweeps int, cfg Config) (Result, error) {
-	p, err := Prepare(a, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	s := p.NewSolver()
-	defer s.Close()
-	return s.Solve(context.Background(), x, b, sweeps)
-}
-
-// SolveToTol is the one-shot convenience path for a multi-round run: one
-// Prepare, one persistent pool reused across every round.
-func SolveToTol(a *sparse.CSR, x, b []float64, tol float64, sweepsPerRound, maxRounds int, cfg Config) (Result, int, error) {
-	p, err := Prepare(a, cfg)
-	if err != nil {
-		return Result{}, 0, err
-	}
-	s := p.NewSolver()
-	defer s.Close()
-	return s.SolveToTol(context.Background(), x, b, tol, sweepsPerRound, maxRounds)
 }
 
 // relResidual is ‖b−Ax‖₂/‖b‖₂ (absolute when ‖b‖₂ = 0).

@@ -1,12 +1,63 @@
 package distmem
 
 import (
+	"context"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/dense"
+	"github.com/asynclinalg/asyrgs/internal/outer"
+	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
+
+// oneRound prepares a, runs one round of sweeps on a fresh pool and closes
+// it. x is both the initial guess and the output.
+func oneRound(a *sparse.CSR, x, b []float64, sweeps int, cfg Config) (Result, error) {
+	p, err := Prepare(a, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	s := p.NewSolver()
+	defer s.Close()
+	return s.Solve(context.Background(), x, b, sweeps)
+}
+
+// toTol runs rounds of sweeps on s through outer.Run, one residual per
+// round (the asyrgs-distmem method's loop), until tol or maxRounds, and
+// fails the test unless the solve converged. It returns the messages
+// sent over all rounds.
+func toTol(t *testing.T, s *Solver, x, b []float64, tol float64, sweeps, maxRounds int) uint64 {
+	t.Helper()
+	var round Result
+	var msgs uint64
+	p, err := outer.Run(context.Background(), tol, maxRounds, 1,
+		func(int) int {
+			var err error
+			if round, err = s.Solve(context.Background(), x, b, sweeps); err != nil {
+				t.Fatal(err)
+			}
+			msgs += round.MessagesSent
+			return 1
+		},
+		func() float64 { return round.Residual })
+	if err != nil || !p.Converged {
+		t.Fatalf("after %d rounds: %+v, %v", p.Done, p, err)
+	}
+	return msgs
+}
+
+// solveToTol is toTol on a fresh pool for a prepared with cfg.
+func solveToTol(t *testing.T, a *sparse.CSR, x, b []float64, tol float64, sweeps, maxRounds int, cfg Config) uint64 {
+	t.Helper()
+	p, err := Prepare(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.NewSolver()
+	defer s.Close()
+	return toTol(t, s, x, b, tol, sweeps, maxRounds)
+}
 
 func TestSingleWorkerMatchesSequentialRestrictedRGS(t *testing.T) {
 	// One rank owns everything: the run is plain sequential randomized
@@ -14,7 +65,7 @@ func TestSingleWorkerMatchesSequentialRestrictedRGS(t *testing.T) {
 	a := workload.RandomSPD(50, 4, 1.5, 1)
 	b := workload.RandomRHS(50, 2)
 	x := make([]float64, 50)
-	res, err := Solve(a, x, b, 20, Config{Workers: 1, QueueCap: 4, Seed: 3})
+	res, err := oneRound(a, x, b, 20, Config{Workers: 1, QueueCap: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +85,11 @@ func TestDistributedConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 200)
-	res, rounds, err := SolveToTol(a, x, b, 1e-8, 10, 100, Config{Workers: 4, QueueCap: 8, Seed: 6})
-	if err != nil {
-		t.Fatalf("after %d rounds: %v (res %v)", rounds, err, res)
-	}
+	msgs := solveToTol(t, a, x, b, 1e-8, 10, 100, Config{Workers: 4, QueueCap: 8, Seed: 6})
 	if e := vec.RelErr(x, want); e > 1e-6 {
 		t.Fatalf("solution error %v", e)
 	}
-	if res.MessagesSent == 0 {
+	if msgs == 0 {
 		t.Fatal("multi-worker run must communicate")
 	}
 }
@@ -52,9 +100,7 @@ func TestTinyQueueStillConverges(t *testing.T) {
 	a := workload.RandomSPD(120, 4, 1.5, 7)
 	b := workload.RandomRHS(120, 8)
 	x := make([]float64, 120)
-	if _, _, err := SolveToTol(a, x, b, 1e-6, 10, 100, Config{Workers: 6, QueueCap: 1, Seed: 9}); err != nil {
-		t.Fatal(err)
-	}
+	solveToTol(t, a, x, b, 1e-6, 10, 100, Config{Workers: 6, QueueCap: 1, Seed: 9})
 }
 
 func TestManyWorkersNoDeadlock(t *testing.T) {
@@ -63,7 +109,7 @@ func TestManyWorkersNoDeadlock(t *testing.T) {
 	a := workload.RandomSPD(160, 4, 1.5, 10)
 	b := workload.RandomRHS(160, 11)
 	x := make([]float64, 160)
-	res, err := Solve(a, x, b, 5, Config{Workers: 16, QueueCap: 1, Seed: 12})
+	res, err := oneRound(a, x, b, 5, Config{Workers: 16, QueueCap: 1, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +127,7 @@ func TestQueueCapacityTradesMessagesForStaleness(t *testing.T) {
 	b := workload.RandomRHS(300, 14)
 	run := func(cap int) Result {
 		x := make([]float64, 300)
-		res, err := Solve(a, x, b, 10, Config{Workers: 4, QueueCap: cap, Seed: 15})
+		res, err := oneRound(a, x, b, 10, Config{Workers: 4, QueueCap: cap, Seed: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +155,7 @@ func TestQueueCapacityTradesMessagesForStaleness(t *testing.T) {
 func TestValidation(t *testing.T) {
 	a := workload.RandomSPD(10, 3, 1.5, 16)
 	x := make([]float64, 9) // wrong length
-	if _, err := Solve(a, x, make([]float64, 10), 1, Config{Workers: 2}); err == nil {
+	if _, err := oneRound(a, x, make([]float64, 10), 1, Config{Workers: 2}); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
 	bad := workload.Laplacian2D(3, 3).Clone()
@@ -119,7 +165,7 @@ func TestValidation(t *testing.T) {
 			bad.Vals[k] = 0
 		}
 	}
-	if _, err := Solve(bad, make([]float64, 9), make([]float64, 9), 1, Config{Workers: 2}); err == nil {
+	if _, err := oneRound(bad, make([]float64, 9), make([]float64, 9), 1, Config{Workers: 2}); err == nil {
 		t.Fatal("zero diagonal must error")
 	}
 }
@@ -132,7 +178,7 @@ func TestOwnershipAssembly(t *testing.T) {
 	a := workload.RandomSPD(80, 4, 1.5, 17)
 	b := workload.RandomRHS(80, 18)
 	x := make([]float64, 80)
-	if _, err := Solve(a, x, b, 3, Config{Workers: 4, QueueCap: 4, Seed: 19}); err != nil {
+	if _, err := oneRound(a, x, b, 3, Config{Workers: 4, QueueCap: 4, Seed: 19}); err != nil {
 		t.Fatal(err)
 	}
 	changedBlocks := 0

@@ -1,7 +1,9 @@
 // Regression tests for the sharded backend's historical bugs: the
-// send-retry deadlock window (a blocking send after one drain attempt),
-// the per-round-only message/backlog accounting of SolveToTol, and the
-// per-round seed reuse that replayed identical coordinate sequences.
+// send-retry deadlock window (a blocking send after one drain attempt)
+// and the per-round seed reuse that replayed identical coordinate
+// sequences. The per-round-only message accounting of the old multi-round
+// driver is guarded in the registry (method's
+// TestDistmemMessagesAccumulateAcrossRounds).
 package distmem
 
 import (
@@ -26,7 +28,7 @@ func TestSendRetryNoDeadlock(t *testing.T) {
 	done := make(chan Result, 1)
 	go func() {
 		x := make([]float64, 256)
-		res, err := Solve(a, x, b, 8, Config{Workers: 32, QueueCap: 1, Seed: 23})
+		res, err := oneRound(a, x, b, 8, Config{Workers: 32, QueueCap: 1, Seed: 23})
 		if err != nil {
 			t.Error(err)
 		}
@@ -42,46 +44,6 @@ func TestSendRetryNoDeadlock(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("send deadlocked: full-queue cycle did not drain (old unconditional-break bug)")
-	}
-}
-
-// TestSolveToTolAccumulatesAcrossRounds: SolveToTol must report the sum
-// of messages and the max backlog over every round, not the final
-// round's numbers. The message count of one round is deterministic —
-// every worker performs sweeps·(block size) iterations and ships each
-// update to the other w−1 ranks — so R rounds must report exactly R
-// times one round's traffic.
-func TestSolveToTolAccumulatesAcrossRounds(t *testing.T) {
-	a := workload.RandomSPD(120, 4, 1.5, 31)
-	b := workload.RandomRHS(120, 32)
-	cfg := Config{Workers: 4, QueueCap: 2, Seed: 33}
-	const sweeps = 3
-
-	x1 := make([]float64, 120)
-	oneRound, err := Solve(a, x1, b, sweeps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perRound := oneRound.MessagesSent
-	if perRound != uint64(sweeps*120*(4-1)) {
-		t.Fatalf("unexpected per-round traffic: %d", perRound)
-	}
-
-	const rounds = 5
-	x := make([]float64, 120)
-	// tol = 0 is unreachable, so exactly maxRounds rounds run.
-	res, ran, err := SolveToTol(a, x, b, 0, sweeps, rounds, cfg)
-	if err == nil {
-		t.Fatal("tol 0 must exhaust the round budget with an error")
-	}
-	if ran != rounds {
-		t.Fatalf("ran %d rounds, want %d", ran, rounds)
-	}
-	if res.MessagesSent != uint64(rounds)*perRound {
-		t.Fatalf("messages not accumulated: got %d, want %d rounds x %d", res.MessagesSent, rounds, perRound)
-	}
-	if res.MaxQueueLen < oneRound.MaxQueueLen {
-		t.Fatalf("max backlog must be the max over rounds: got %d, single round saw %d", res.MaxQueueLen, oneRound.MaxQueueLen)
 	}
 }
 
@@ -153,10 +115,7 @@ func TestPersistentPoolReuse(t *testing.T) {
 	for rhs := 0; rhs < 3; rhs++ {
 		b := workload.RandomRHS(100, uint64(60+rhs))
 		x := make([]float64, 100)
-		res, _, err := s.SolveToTol(context.Background(), x, b, 1e-8, 5, 200)
-		if err != nil {
-			t.Fatalf("rhs %d: %v (res %+v)", rhs, err, res)
-		}
+		toTol(t, s, x, b, 1e-8, 5, 200)
 	}
 	for id, base := range s.base {
 		if base == 0 {
@@ -224,7 +183,5 @@ func TestNNZBalancedPartition(t *testing.T) {
 	// A balanced solve must still converge.
 	b := workload.RandomRHS(gram.Rows, 82)
 	x := make([]float64, gram.Rows)
-	if _, _, err := SolveToTol(gram, x, b, 1e-6, 10, 200, Config{Workers: 8, QueueCap: 4, Seed: 83}); err != nil {
-		t.Fatal(err)
-	}
+	solveToTol(t, gram, x, b, 1e-6, 10, 200, Config{Workers: 8, QueueCap: 4, Seed: 83})
 }

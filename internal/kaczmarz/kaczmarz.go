@@ -7,21 +7,16 @@
 package kaczmarz
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/claim"
-	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
-
-// ErrNotConverged mirrors the solver packages' sentinel.
-var ErrNotConverged = errors.New("kaczmarz: did not reach the requested tolerance")
 
 // Options configure a Kaczmarz run.
 type Options struct {
@@ -181,22 +176,6 @@ func (s *Solver) Iterations(x, b []float64, m int) {
 		})
 	}
 	s.next = end
-}
-
-// Solve iterates until the relative residual reaches tol or maxIter
-// iterations are spent, checking every checkEvery iterations (n if zero).
-// A non-positive tol runs all maxIter.
-func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (int, float64, error) {
-	if checkEvery <= 0 {
-		checkEvery = s.a.Cols
-	}
-	p, _ := outer.Run(context.Background(), tol, maxIter, checkEvery,
-		func(k int) int { s.Iterations(x, b, k); return k },
-		func() float64 { return s.Residual(x, b) })
-	if !p.Converged {
-		return p.Done, p.Residual, ErrNotConverged
-	}
-	return p.Done, p.Residual, nil
 }
 
 // Residual returns ‖b−Ax‖₂/‖b‖₂. It forms b−Ax in the solver's own

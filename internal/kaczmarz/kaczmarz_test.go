@@ -1,15 +1,31 @@
 package kaczmarz
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/dense"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
+
+// solveTo drives s through outer.Run to tol within maxIter projections,
+// measuring every every projections, and fails the test unless the solve
+// converged. It returns the projections run.
+func solveTo(t *testing.T, s *Solver, x, b []float64, tol float64, maxIter, every int) int {
+	t.Helper()
+	p, err := outer.Run(context.Background(), tol, maxIter, every,
+		func(k int) int { s.Iterations(x, b, k); return k },
+		func() float64 { return s.Residual(x, b) })
+	if err != nil || !p.Converged {
+		t.Fatalf("did not converge: %+v, %v", p, err)
+	}
+	return p.Done
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(sparse.NewCOO(0, 0).ToCSR(), Options{}); err == nil {
@@ -34,10 +50,7 @@ func TestConvergesOnSquareSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 40)
-	iters, res, err := s.Solve(x, b, 1e-9, 200_000, 4000)
-	if err != nil {
-		t.Fatalf("Kaczmarz did not converge after %d iterations (res %v)", iters, res)
-	}
+	solveTo(t, s, x, b, 1e-9, 200_000, 4000)
 	if e := vec.RelErr(x, xstar); e > 1e-7 {
 		t.Fatalf("solution error %v", e)
 	}
@@ -48,10 +61,7 @@ func TestConvergesOnConsistentOverdetermined(t *testing.T) {
 	b, xstar := workload.RHSForSolution(a, 5) // consistent: b = A·x*
 	s, _ := New(a, Options{Seed: 6})
 	x := make([]float64, 30)
-	_, res, err := s.Solve(x, b, 1e-9, 500_000, 5000)
-	if err != nil {
-		t.Fatalf("res %v: %v", res, err)
-	}
+	solveTo(t, s, x, b, 1e-9, 500_000, 5000)
 	if e := vec.RelErr(x, xstar); e > 1e-6 {
 		t.Fatalf("solution error %v", e)
 	}
@@ -62,9 +72,7 @@ func TestAsyncConverges(t *testing.T) {
 	b, xstar := workload.RHSForSolution(a, 11)
 	s, _ := New(a, Options{Seed: 12, Workers: 4, Beta: 0.8})
 	x := make([]float64, 100)
-	if _, res, err := s.Solve(x, b, 1e-7, 2_000_000, 20_000); err != nil {
-		t.Fatalf("async Kaczmarz did not converge (res %v)", res)
-	}
+	solveTo(t, s, x, b, 1e-7, 2_000_000, 20_000)
 	if e := vec.RelErr(x, xstar); e > 1e-4 {
 		t.Fatalf("async solution error %v", e)
 	}
@@ -144,9 +152,7 @@ func TestDirectSolveAgreement(t *testing.T) {
 	}
 	s, _ := New(a, Options{Seed: 22})
 	x := make([]float64, 25)
-	if _, res, err := s.Solve(x, b, 1e-10, 500_000, 5000); err != nil {
-		t.Fatalf("res %v: %v", res, err)
-	}
+	solveTo(t, s, x, b, 1e-10, 500_000, 5000)
 	if e := vec.RelErr(x, want); e > 1e-8 {
 		t.Fatalf("Kaczmarz vs direct: %v", e)
 	}
@@ -194,9 +200,7 @@ func TestChunkedAsyncConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, 60)
-		if _, res, err := s.Solve(x, b, 1e-8, 400000, 5000); err != nil {
-			t.Fatalf("chunk=%d did not converge: residual %g", chunk, res)
-		}
+		solveTo(t, s, x, b, 1e-8, 400000, 5000)
 		if e := vec.RelErr(x, xstar); e > 1e-6 {
 			t.Fatalf("chunk=%d solution error %g", chunk, e)
 		}

@@ -1,142 +1,91 @@
 package krylov
 
 import (
-	"context"
-	"errors"
 	"math"
 
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
 
-// ErrNotConverged is returned when an iteration budget is exhausted before
-// the requested tolerance is met. The iterate still holds the best
-// approximation computed.
-var ErrNotConverged = errors.New("krylov: did not reach the requested tolerance")
-
-// CGOptions configure a conjugate-gradient run.
-type CGOptions struct {
-	// Tol is the relative-residual convergence threshold ‖b−Ax‖/‖b‖.
-	Tol float64
-	// MaxIter caps the number of iterations; 0 means 10·n.
-	MaxIter int
-	// Workers parallelizes the SpMV; 0 or 1 is serial.
-	Workers int
-	// Ctx, when non-nil, is checked before every iteration; a cancelled
-	// context stops the solve and returns the context's error with the
-	// best iterate so far left in x.
-	Ctx context.Context
+// CG is a conjugate-gradient solve of the SPD system A·x = b, one
+// iteration per Step. Its products are MulVecPar's round-robin ones.
+type CG struct {
+	a              *sparse.CSR
+	x, r, p, ap    []float64
+	rr, normB, res float64
+	workers        int
 }
 
-// CGResult reports a conjugate-gradient run.
-type CGResult struct {
-	Iterations int
-	Residual   float64 // final relative residual
-	Converged  bool
-	MatVecs    int
-}
-
-// CG solves the SPD system A·x = b by conjugate gradients, starting from
-// the initial guess in x. Its products are MulVecPar's round-robin ones.
-func CG(a *sparse.CSR, x, b []float64, opts CGOptions) (CGResult, error) {
+// NewCG starts conjugate gradients from the initial guess in x, which
+// every Step updates in place: it forms r = b − A·x with one product.
+// workers parallelizes the SpMV; 0 or 1 is serial.
+func NewCG(a *sparse.CSR, x, b []float64, workers int) *CG {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n {
 		panic("krylov: CG shape mismatch")
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	normB := vec.Nrm2(b)
-	if normB == 0 {
-		normB = 1
-	}
-
-	r := make([]float64, n)
-	ap := make([]float64, n)
-	a.MulVecPar(ap, x, opts.Workers)
-	matvecs := 1
-	vec.Sub(r, b, ap)
-
-	p := append([]float64(nil), r...)
-	rr := vec.Dot(r, r)
-
-	res := vec.Nrm2(r) / normB
-	if res <= tol {
-		return CGResult{Iterations: 0, Residual: res, Converged: true, MatVecs: matvecs}, nil
-	}
-
-	for it := 1; it <= maxIter; it++ {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return CGResult{Iterations: it - 1, Residual: res, MatVecs: matvecs}, err
-			}
-		}
-		a.MulVecPar(ap, p, opts.Workers)
-		matvecs++
-		pap := vec.Dot(p, ap)
-		if pap <= 0 || math.IsNaN(pap) {
-			// Loss of positive definiteness (numerically); stop with the
-			// current iterate rather than diverging.
-			return CGResult{Iterations: it - 1, Residual: vec.Nrm2(r) / normB, MatVecs: matvecs}, ErrNotConverged
-		}
-		alpha := rr / pap
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, ap, r)
-		res = vec.Nrm2(r) / normB
-		if res <= tol {
-			return CGResult{Iterations: it, Residual: res, Converged: true, MatVecs: matvecs}, nil
-		}
-		rrNew := vec.Dot(r, r)
-		beta := rrNew / rr
-		rr = rrNew
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-	}
-	return CGResult{Iterations: maxIter, Residual: res, MatVecs: matvecs}, ErrNotConverged
+	c := &CG{a: a, x: x, r: make([]float64, n), ap: make([]float64, n), normB: normOrOne(b), workers: workers}
+	a.MulVecPar(c.ap, x, workers)
+	vec.Sub(c.r, b, c.ap)
+	c.p = append([]float64(nil), c.r...)
+	c.rr = vec.Dot(c.r, c.r)
+	c.res = vec.Nrm2(c.r) / c.normB
+	return c
 }
 
-// CGDense runs independent conjugate-gradient recurrences on every column
-// of the row-major block X for A·X = B, sharing the (parallel) sparse
-// matrix product across columns — the "SIMD variant of CG" of the paper's
-// §9 where the 51 systems are solved together and the blocks are stored
-// row-major for locality. Columns that converge early are frozen. Its
-// products are MulDensePar's contiguous row blocks.
+// Step runs one iteration and returns 1. When pᵀAp is not positive (the
+// matrix is not numerically positive definite, or the residual is already
+// exactly zero) the recurrence has broken down: Step returns 0 and leaves
+// x as it was, and no later Step can advance.
+func (c *CG) Step(int) int {
+	c.a.MulVecPar(c.ap, c.p, c.workers)
+	pap := vec.Dot(c.p, c.ap)
+	if pap <= 0 || math.IsNaN(pap) {
+		return 0
+	}
+	alpha := c.rr / pap
+	vec.Axpy(alpha, c.p, c.x)
+	vec.Axpy(-alpha, c.ap, c.r)
+	c.res = vec.Nrm2(c.r) / c.normB
+	rrNew := vec.Dot(c.r, c.r)
+	beta := rrNew / c.rr
+	c.rr = rrNew
+	for i := range c.p {
+		c.p[i] = c.r[i] + beta*c.p[i]
+	}
+	return 1
+}
+
+// Residual returns ‖r‖₂/‖b‖₂ for the recurrence residual r of the current
+// x (the absolute norm when b = 0).
+func (c *CG) Residual() float64 { return c.res }
+
+// CGDense runs iters conjugate-gradient iterations on every column of the
+// row-major block X for A·X = B, sharing the (parallel) sparse matrix
+// product across columns — the "SIMD variant of CG" of the paper's §9
+// where the 51 systems are solved together and the blocks are stored
+// row-major for locality. A column whose recurrence breaks down is
+// frozen. Its products are MulDensePar's contiguous row blocks.
 //
-// history, when non-nil, receives ‖B−AX‖_F/‖B‖_F after every iteration.
-func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64) (CGResult, error) {
+// history, when non-nil, receives ‖B−AX‖_F/‖B‖_F before the first
+// iteration and after every iteration.
+func CGDense(a *sparse.CSR, x, b *vec.Dense, iters, workers int, history *[]float64) {
 	n := a.Rows
 	c := x.Cols
 	if a.Cols != n || x.Rows != n || b.Rows != n || b.Cols != c {
 		panic("krylov: CGDense shape mismatch")
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	normB := vec.Nrm2(b.Data)
-	if normB == 0 {
-		normB = 1
-	}
+	normB := normOrOne(b.Data)
 
 	r := vec.NewDense(n, c)
 	p := vec.NewDense(n, c)
 	ap := vec.NewDense(n, c)
-	a.MulDensePar(ap.Data, x.Data, c, opts.Workers)
-	matvecs := 1
+	a.MulDensePar(ap.Data, x.Data, c, workers)
 	vec.Sub(r.Data, b.Data, ap.Data)
 	copy(p.Data, r.Data)
 
 	rz := make([]float64, c)    // per-column (r,r)
+	rzOld := make([]float64, c) // the previous iteration's (r,r)
 	active := make([]bool, c)   // per-column convergence state
 	alpha := make([]float64, c) // per-column step
 	pap := make([]float64, c)   // per-column (p,Ap)
@@ -156,18 +105,12 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 	for j := range active {
 		active[j] = true
 	}
-
-	res := vec.Nrm2(r.Data) / normB
 	if history != nil {
-		*history = append(*history, res)
-	}
-	if res <= tol {
-		return CGResult{Iterations: 0, Residual: res, Converged: true, MatVecs: matvecs}, nil
+		*history = append(*history, vec.Nrm2(r.Data)/normB)
 	}
 
-	for it := 1; it <= maxIter; it++ {
-		a.MulDensePar(ap.Data, p.Data, c, opts.Workers)
-		matvecs++
+	for it := 1; it <= iters; it++ {
+		a.MulDensePar(ap.Data, p.Data, c, workers)
 		colDot(p, ap, pap)
 		for j := 0; j < c; j++ {
 			if active[j] && pap[j] > 0 {
@@ -183,14 +126,10 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 				rr[j] -= alpha[j] * apr[j]
 			}
 		}
-		res = vec.Nrm2(r.Data) / normB
 		if history != nil {
-			*history = append(*history, res)
+			*history = append(*history, vec.Nrm2(r.Data)/normB)
 		}
-		if res <= tol {
-			return CGResult{Iterations: it, Residual: res, Converged: true, MatVecs: matvecs}, nil
-		}
-		rzOld := append([]float64(nil), rz...)
+		copy(rzOld, rz)
 		colDot(r, r, rz)
 		for j := 0; j < c; j++ {
 			if active[j] && rzOld[j] > 0 {
@@ -207,5 +146,13 @@ func CGDense(a *sparse.CSR, x, b *vec.Dense, opts CGOptions, history *[]float64)
 			}
 		}
 	}
-	return CGResult{Iterations: maxIter, Residual: res, MatVecs: matvecs}, ErrNotConverged
+}
+
+// normOrOne returns ‖v‖₂, or 1 when v = 0, so a relative residual against
+// a zero right-hand side is the absolute one.
+func normOrOne(v []float64) float64 {
+	if nv := vec.Nrm2(v); nv != 0 {
+		return nv
+	}
+	return 1
 }

@@ -2,11 +2,11 @@ package krylov
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/dense"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
@@ -17,6 +17,32 @@ func spd(t *testing.T, n int, seed uint64) *sparse.CSR {
 	return workload.RandomSPD(n, 5, 1.4, seed)
 }
 
+// step is the shape every solver here shares and outer.Run drives.
+type step interface {
+	Step(k int) int
+	Residual() float64
+}
+
+// solve drives st through outer.Run to tol within budget units, measuring
+// after every unit, as the registry does by default.
+func solve(t *testing.T, st step, tol float64, budget int) outer.Progress {
+	t.Helper()
+	p, err := outer.Run(context.Background(), tol, budget, 1, st.Step, st.Residual)
+	if err != nil {
+		t.Fatalf("outer.Run: %v (%+v)", err, p)
+	}
+	return p
+}
+
+// invDiag returns the reciprocal of a's diagonal, every entry non-zero.
+func invDiag(a *sparse.CSR) []float64 {
+	inv := a.Diag()
+	for i, d := range inv {
+		inv[i] = 1 / d
+	}
+	return inv
+}
+
 func TestCGMatchesDirectSolve(t *testing.T) {
 	a := spd(t, 60, 1)
 	b := workload.RandomRHS(60, 2)
@@ -25,10 +51,7 @@ func TestCGMatchesDirectSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 60)
-	res, err := CG(a, x, b, CGOptions{Tol: 1e-12, MaxIter: 600})
-	if err != nil {
-		t.Fatalf("CG: %v (%+v)", err, res)
-	}
+	res := solve(t, NewCG(a, x, b, 0), 1e-12, 600)
 	if !res.Converged || res.Residual > 1e-12 {
 		t.Fatalf("bad result %+v", res)
 	}
@@ -43,20 +66,25 @@ func TestCGExactInNIterations(t *testing.T) {
 	a := spd(t, 25, 3)
 	b := workload.RandomRHS(25, 4)
 	x := make([]float64, 25)
-	res, err := CG(a, x, b, CGOptions{Tol: 1e-10, MaxIter: 50})
-	if err != nil || res.Iterations > 50 {
-		t.Fatalf("CG took %d iterations: %v", res.Iterations, err)
+	if res := solve(t, NewCG(a, x, b, 0), 1e-10, 50); !res.Converged {
+		t.Fatalf("CG did not converge in 50 iterations: %+v", res)
 	}
 }
 
+// TestCGHonorsInitialGuess: CG starts from the x it is given; from the
+// exact solution its first residual is at rounding level, and one step
+// keeps it there.
 func TestCGHonorsInitialGuess(t *testing.T) {
 	a := spd(t, 30, 7)
 	b := workload.RandomRHS(30, 8)
 	want, _ := dense.SolveCSR(a, b)
 	x := append([]float64(nil), want...) // exact guess
-	res, err := CG(a, x, b, CGOptions{Tol: 1e-10, MaxIter: 10})
-	if err != nil || res.Iterations != 0 {
-		t.Fatalf("exact initial guess should converge immediately: %+v %v", res, err)
+	c := NewCG(a, x, b, 0)
+	if c.Residual() > 1e-10 {
+		t.Fatalf("exact initial guess has residual %v", c.Residual())
+	}
+	if res := solve(t, c, 1e-10, 10); !res.Converged || res.Done != 1 {
+		t.Fatalf("exact initial guess should converge at the first check: %+v", res)
 	}
 }
 
@@ -65,8 +93,8 @@ func TestCGParallelMatchesSerial(t *testing.T) {
 	b := workload.RandomRHS(400, 10)
 	x1 := make([]float64, 400)
 	x2 := make([]float64, 400)
-	_, _ = CG(a, x1, b, CGOptions{Tol: 1e-10, MaxIter: 2000, Workers: 1})
-	_, _ = CG(a, x2, b, CGOptions{Tol: 1e-10, MaxIter: 2000, Workers: 8})
+	solve(t, NewCG(a, x1, b, 1), 1e-10, 2000)
+	solve(t, NewCG(a, x2, b, 8), 1e-10, 2000)
 	if e := vec.RelErr(x1, x2); e > 1e-7 {
 		t.Fatalf("parallel CG diverged from serial: %v", e)
 	}
@@ -76,9 +104,8 @@ func TestCGNotConverged(t *testing.T) {
 	a := spd(t, 40, 11)
 	b := workload.RandomRHS(40, 12)
 	x := make([]float64, 40)
-	_, err := CG(a, x, b, CGOptions{Tol: 1e-30, MaxIter: 2})
-	if !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("want ErrNotConverged, got %v", err)
+	if res := solve(t, NewCG(a, x, b, 0), 1e-30, 2); res.Converged || res.Done != 2 {
+		t.Fatalf("want 2 iterations, not converged; got %+v", res)
 	}
 }
 
@@ -87,10 +114,7 @@ func TestCGDenseMatchesPerColumnCG(t *testing.T) {
 	const c = 4
 	b := workload.MultiRHS(50, c, 14)
 	x := vec.NewDense(50, c)
-	res, err := CGDense(a, x, b, CGOptions{Tol: 1e-11, MaxIter: 400}, nil)
-	if err != nil {
-		t.Fatalf("CGDense: %v (%+v)", err, res)
-	}
+	CGDense(a, x, b, 100, 0, nil)
 	for j := 0; j < c; j++ {
 		bj := make([]float64, 50)
 		b.Col(bj, j)
@@ -108,9 +132,9 @@ func TestCGDenseHistoryDecreases(t *testing.T) {
 	b := workload.MultiRHS(40, 3, 16)
 	x := vec.NewDense(40, 3)
 	var hist []float64
-	_, _ = CGDense(a, x, b, CGOptions{Tol: 1e-10, MaxIter: 100}, &hist)
-	if len(hist) < 2 || hist[len(hist)-1] >= hist[0] {
-		t.Fatalf("residual history should decrease: %v", hist)
+	CGDense(a, x, b, 30, 0, &hist)
+	if len(hist) != 31 || hist[len(hist)-1] >= hist[0] {
+		t.Fatalf("residual history should hold 31 decreasing values: %v", hist)
 	}
 }
 
@@ -119,9 +143,8 @@ func TestFlexibleCGWithIdentityBehavesLikeCG(t *testing.T) {
 	b := workload.RandomRHS(60, 18)
 	want, _ := dense.SolveCSR(a, b)
 	x := make([]float64, 60)
-	res, err := FlexibleCG(a, x, b, Identity{}, FCGOptions{Tol: 1e-11, MaxIter: 300})
-	if err != nil {
-		t.Fatalf("FCG: %v (%+v)", err, res)
+	if res := solve(t, NewFCG(a, x, b, Identity{}, 0), 1e-11, 300); !res.Converged {
+		t.Fatalf("FCG: %+v", res)
 	}
 	if e := vec.RelErr(x, want); e > 1e-8 {
 		t.Fatalf("FCG error %v", e)
@@ -139,12 +162,8 @@ func TestFlexibleCGWithExactInverseConvergesInstantly(t *testing.T) {
 		copy(z, dense.MulVec(inv, r, len(r)))
 	})
 	x := make([]float64, 30)
-	res, err := FlexibleCG(a, x, b, pre, FCGOptions{Tol: 1e-10, MaxIter: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 2 {
-		t.Fatalf("exact preconditioner should converge in ≤2 iterations, took %d", res.Iterations)
+	if res := solve(t, NewFCG(a, x, b, pre, 0), 1e-10, 10); !res.Converged || res.Done > 2 {
+		t.Fatalf("exact preconditioner should converge in ≤2 iterations: %+v", res)
 	}
 }
 
@@ -154,7 +173,7 @@ func TestFlexibleCGToleratesNondeterministicPreconditioner(t *testing.T) {
 	// must still converge.
 	a := spd(t, 80, 23)
 	b := workload.RandomRHS(80, 24)
-	inv := InvDiag(a)
+	inv := invDiag(a)
 	calls := 0
 	pre := PrecondFunc(func(z, r []float64) {
 		for i := range z {
@@ -168,9 +187,8 @@ func TestFlexibleCGToleratesNondeterministicPreconditioner(t *testing.T) {
 		vec.Scal(scale, z)
 	})
 	x := make([]float64, 80)
-	res, err := FlexibleCG(a, x, b, pre, FCGOptions{Tol: 1e-9, MaxIter: 1000})
-	if err != nil {
-		t.Fatalf("FCG with changing preconditioner failed: %v (%+v)", err, res)
+	if res := solve(t, NewFCG(a, x, b, pre, 0), 1e-9, 1000); !res.Converged {
+		t.Fatalf("FCG with changing preconditioner failed: %+v", res)
 	}
 }
 
@@ -178,7 +196,7 @@ func TestJacobiConvergesOnDiagonallyDominant(t *testing.T) {
 	a := spd(t, 50, 25)
 	b := workload.RandomRHS(50, 26)
 	x := make([]float64, 50)
-	res := Jacobi(a, x, b, 500, 1e-8, 2)
+	res := solve(t, NewJacobi(a, invDiag(a), x, b, 2), 1e-8, 500)
 	if !res.Converged {
 		t.Fatalf("Jacobi should converge on a strictly dominant system: %+v", res)
 	}
@@ -189,14 +207,15 @@ func TestJacobiConvergesOnDiagonallyDominant(t *testing.T) {
 }
 
 // TestJacobiReportsTheIterateItReturns pins that a converged Jacobi
-// result describes the returned x: its Residual is ‖b − A·x‖/‖b‖
-// recomputed from that x, and Sweeps counts the updates applied.
+// solve describes the returned x: its residual is ‖b − A·x‖/‖b‖
+// recomputed from that x, and Done counts the updates applied.
 func TestJacobiReportsTheIterateItReturns(t *testing.T) {
 	a := workload.RandomSPD(200, 6, 1.5, 40)
 	b := workload.RandomRHS(200, 41)
+	inv := invDiag(a)
 	for _, workers := range []int{1, 2} {
 		x := make([]float64, 200)
-		res := Jacobi(a, x, b, 1000, 1e-8, workers)
+		res := solve(t, NewJacobi(a, inv, x, b, workers), 1e-8, 1000)
 		if !res.Converged {
 			t.Fatalf("workers %d: %+v", workers, res)
 		}
@@ -209,8 +228,8 @@ func TestJacobiReportsTheIterateItReturns(t *testing.T) {
 		}
 		// The same sweeps again from zero end on the same iterate.
 		y := make([]float64, 200)
-		if again := Jacobi(a, y, b, res.Sweeps, 0, workers); !vec.Equal(x, y, 0) || again.Residual != res.Residual {
-			t.Fatalf("workers %d: %d fixed sweeps give residual %.6e, the converged call %.6e", workers, res.Sweeps, again.Residual, res.Residual)
+		if again := solve(t, NewJacobi(a, inv, y, b, workers), 0, res.Done); !vec.Equal(x, y, 0) || again.Residual != res.Residual {
+			t.Fatalf("workers %d: %d fixed sweeps give residual %.6e, the converged solve %.6e", workers, res.Done, again.Residual, res.Residual)
 		}
 	}
 }
@@ -221,8 +240,8 @@ func TestGaussSeidelConvergesAndBeatsJacobi(t *testing.T) {
 	xj := make([]float64, 50)
 	xg := make([]float64, 50)
 	const sweeps = 30
-	rj := Jacobi(a, xj, b, sweeps, 0, 1)
-	rg := GaussSeidel(a, xg, b, sweeps, 0)
+	rj := solve(t, NewJacobi(a, invDiag(a), xj, b, 1), 0, sweeps)
+	rg := solve(t, NewGaussSeidel(a, invDiag(a), xg, b), 0, sweeps)
 	if rg.Residual >= rj.Residual {
 		t.Fatalf("after %d sweeps GS residual %v should beat Jacobi %v", sweeps, rg.Residual, rj.Residual)
 	}
@@ -232,8 +251,8 @@ func TestGaussSeidelEarlyStop(t *testing.T) {
 	a := spd(t, 30, 29)
 	b := workload.RandomRHS(30, 30)
 	x := make([]float64, 30)
-	res := GaussSeidel(a, x, b, 10_000, 1e-10)
-	if !res.Converged || res.Sweeps == 10_000 {
+	res := solve(t, NewGaussSeidel(a, invDiag(a), x, b), 1e-10, 10_000)
+	if !res.Converged || res.Done == 10_000 {
 		t.Fatalf("GS should stop early: %+v", res)
 	}
 }
@@ -246,32 +265,46 @@ func TestIdentityPreconditioner(t *testing.T) {
 	}
 }
 
+// TestCGZeroRHS: with b = 0 from x = 0 the residual is exactly zero, so
+// the first step breaks down (pᵀAp = 0) and advances nothing; the solve
+// stops there, converged after zero iterations, for CG and Flexible-CG.
 func TestCGZeroRHS(t *testing.T) {
 	a := spd(t, 10, 31)
-	x := make([]float64, 10)
-	res, err := CG(a, x, make([]float64, 10), CGOptions{Tol: 1e-10, MaxIter: 10})
-	if err != nil || !res.Converged {
-		t.Fatalf("zero RHS should converge immediately: %+v %v", res, err)
-	}
-	if vec.Nrm2(x) != 0 {
-		t.Fatal("solution should stay zero")
+	b := make([]float64, 10)
+	for name, start := range map[string]func(x []float64) step{
+		"cg":  func(x []float64) step { return NewCG(a, x, b, 0) },
+		"fcg": func(x []float64) step { return NewFCG(a, x, b, nil, 0) },
+	} {
+		x := make([]float64, 10)
+		if res := solve(t, start(x), 1e-10, 10); !res.Converged || res.Done != 0 || res.Residual != 0 {
+			t.Fatalf("%s: zero RHS should converge immediately: %+v", name, res)
+		}
+		if vec.Nrm2(x) != 0 {
+			t.Fatalf("%s: solution should stay zero", name)
+		}
 	}
 }
 
 func TestCGIndefiniteDetection(t *testing.T) {
-	// An indefinite matrix breaks the pAp > 0 invariant; CG must stop
-	// with ErrNotConverged rather than diverge silently.
+	// An indefinite matrix breaks the pAp > 0 invariant; CG and
+	// Flexible-CG must stop at once, not converged, rather than diverge
+	// silently.
 	coo := sparse.NewCOO(2, 2)
 	coo.Add(0, 0, 1)
 	coo.Add(1, 1, -1)
 	a := coo.ToCSR()
-	x := make([]float64, 2)
-	_, err := CG(a, x, []float64{0, 1}, CGOptions{Tol: 1e-12, MaxIter: 10})
-	if err == nil {
-		t.Fatal("indefinite system should not report convergence")
-	}
-	if math.IsNaN(x[0]) || math.IsNaN(x[1]) {
-		t.Fatal("iterate must stay finite")
+	b := []float64{0, 1}
+	for name, start := range map[string]func(x []float64) step{
+		"cg":  func(x []float64) step { return NewCG(a, x, b, 0) },
+		"fcg": func(x []float64) step { return NewFCG(a, x, b, nil, 0) },
+	} {
+		x := make([]float64, 2)
+		if res := solve(t, start(x), 1e-12, 10); res.Converged || res.Done != 0 || res.Residual != 1 {
+			t.Fatalf("%s: indefinite system should stop unconverged after no step: %+v", name, res)
+		}
+		if math.IsNaN(x[0]) || math.IsNaN(x[1]) {
+			t.Fatalf("%s: iterate must stay finite", name)
+		}
 	}
 }
 
@@ -290,13 +323,11 @@ func TestAsyncJacobiConverges(t *testing.T) {
 	b := workload.RandomRHS(200, 34)
 	want, _ := dense.SolveCSR(a, b)
 	x := make([]float64, 200)
-	const step, maxSweeps, tol = 40, 4000, 1e-3
-	res := math.Inf(1)
-	for sweeps := 0; sweeps < maxSweeps && res > tol; sweeps += step {
-		res = AsyncJacobi(a, x, b, step, 4).Residual
-	}
-	if res > tol {
-		t.Fatalf("async Jacobi residual %v after %d sweeps", res, maxSweeps)
+	const round, maxSweeps, tol = 40, 4000, 1e-3
+	aj := NewAsyncJacobi(context.Background(), a, invDiag(a), x, b, 4, nil)
+	res, err := outer.Run(context.Background(), tol, maxSweeps, round, aj.Step, aj.Residual)
+	if err != nil || !res.Converged {
+		t.Fatalf("async Jacobi: %+v, %v after up to %d sweeps", res, err, maxSweeps)
 	}
 	if e := vec.RelErr(x, want); e > 1e-2 {
 		t.Fatalf("async Jacobi error %v", e)
@@ -307,10 +338,11 @@ func TestAsyncJacobiSingleWorkerIsGaussSeidelLike(t *testing.T) {
 	// One worker, one block: the update is exactly forward Gauss–Seidel.
 	a := spd(t, 40, 35)
 	b := workload.RandomRHS(40, 36)
+	inv := invDiag(a)
 	x1 := make([]float64, 40)
-	AsyncJacobi(a, x1, b, 5, 1)
+	NewAsyncJacobi(context.Background(), a, inv, x1, b, 1, nil).Step(5)
 	x2 := make([]float64, 40)
-	GaussSeidel(a, x2, b, 5, 0)
+	solve(t, NewGaussSeidel(a, inv, x2, b), 0, 5)
 	if e := vec.RelErr(x1, x2); e > 1e-12 {
 		t.Fatalf("single-worker async Jacobi diverged from GS: %v", e)
 	}
@@ -325,15 +357,16 @@ func TestAsyncJacobiThrottledStarvation(t *testing.T) {
 	b := workload.RandomRHS(200, 38)
 	slowCalls := 0
 	x := make([]float64, 200)
-	res := AsyncJacobiWithInv(context.Background(), a, InvDiag(a), x, b, 20, 4, func(w, i int) {
+	aj := NewAsyncJacobi(context.Background(), a, invDiag(a), x, b, 4, func(w, i int) {
 		if w == 0 {
 			slowCalls++ // just count; heavy sleeps would slow the suite
 		}
 	})
+	aj.Step(20)
 	if slowCalls == 0 {
 		t.Fatal("throttle was never invoked for worker 0")
 	}
-	if res.Residual >= 1 {
-		t.Fatalf("async Jacobi made no progress: %v", res.Residual)
+	if res := aj.Residual(); res >= 1 {
+		t.Fatalf("async Jacobi made no progress: %v", res)
 	}
 }

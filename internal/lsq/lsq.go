@@ -18,7 +18,6 @@
 package lsq
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,14 +26,10 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
 	"github.com/asynclinalg/asyrgs/internal/claim"
-	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
-
-// ErrNotConverged mirrors the solver packages' sentinel.
-var ErrNotConverged = errors.New("lsq: did not reach the requested tolerance")
 
 // Options configure a least-squares coordinate-descent solver.
 type Options struct {
@@ -290,22 +285,6 @@ func (s *Solver) residual(x, b []float64) []float64 {
 	s.a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	return r
-}
-
-// Solve iterates until the normal-equation residual ‖Aᵀ(b−Ax)‖₂ drops
-// below tol or maxIter steps are spent, checking every checkEvery steps
-// (one sweep = Cols steps if zero). A non-positive tol runs all maxIter.
-func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (int, float64, error) {
-	if checkEvery <= 0 {
-		checkEvery = s.a.Cols
-	}
-	p, _ := outer.Run(context.Background(), tol, maxIter, checkEvery,
-		func(k int) int { s.Iterations(x, b, k); return k },
-		func() float64 { return s.LSQResidual(x, b) })
-	if !p.Converged {
-		return p.Done, p.Residual, ErrNotConverged
-	}
-	return p.Done, p.Residual, nil
 }
 
 // Normal returns the explicit normal-equation system (AᵀA, Aᵀb), the SPD

@@ -1,15 +1,30 @@
 package lsq
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/dense"
+	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
+
+// solveTo drives s through outer.Run until ‖Aᵀ(b−Ax)‖₂ ≤ tol within
+// maxIter steps, measuring every every steps, and fails the test unless
+// the solve converged.
+func solveTo(t *testing.T, s *Solver, x, b []float64, tol float64, maxIter, every int) {
+	t.Helper()
+	p, err := outer.Run(context.Background(), tol, maxIter, every,
+		func(k int) int { s.Iterations(x, b, k); return k },
+		func() float64 { return s.LSQResidual(x, b) })
+	if err != nil || !p.Converged {
+		t.Fatalf("did not converge: %+v, %v", p, err)
+	}
+}
 
 // lsqReference computes the least-squares minimiser via the dense normal
 // equations.
@@ -52,10 +67,7 @@ func TestSequentialConvergesToLeastSquares(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 20)
-	iters, res, err := s.Solve(x, b, 1e-9, 500_000, 2000)
-	if err != nil {
-		t.Fatalf("did not converge after %d iterations (‖Aᵀr‖ = %v)", iters, res)
-	}
+	solveTo(t, s, x, b, 1e-9, 500_000, 2000)
 	if e := vec.RelErr(x, want); e > 1e-6 {
 		t.Fatalf("minimiser error %v", e)
 	}
@@ -66,9 +78,7 @@ func TestSequentialConsistentSystemReachesExact(t *testing.T) {
 	b, xstar := workload.RHSForSolution(a, 6)
 	s, _ := New(a, Options{Seed: 7})
 	x := make([]float64, 15)
-	if _, res, err := s.Solve(x, b, 1e-10, 500_000, 2000); err != nil {
-		t.Fatalf("res %v: %v", res, err)
-	}
+	solveTo(t, s, x, b, 1e-10, 500_000, 2000)
 	if e := vec.RelErr(x, xstar); e > 1e-7 {
 		t.Fatalf("consistent-system error %v", e)
 	}
@@ -80,9 +90,7 @@ func TestAsyncConverges(t *testing.T) {
 	want := lsqReference(t, a, b)
 	s, _ := New(a, Options{Seed: 10, Workers: 4, Beta: 0.9})
 	x := make([]float64, 40)
-	if _, res, err := s.Solve(x, b, 1e-7, 3_000_000, 20_000); err != nil {
-		t.Fatalf("async lsq did not converge (‖Aᵀr‖ %v)", res)
-	}
+	solveTo(t, s, x, b, 1e-7, 3_000_000, 20_000)
 	if e := vec.RelErr(x, want); e > 1e-4 {
 		t.Fatalf("async minimiser error %v", e)
 	}
@@ -162,9 +170,7 @@ func TestSquareUnsymmetricSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 3)
-	if _, res, err := s.Solve(x, b, 1e-12, 500_000, 1000); err != nil {
-		t.Fatalf("res %v: %v", res, err)
-	}
+	solveTo(t, s, x, b, 1e-12, 500_000, 1000)
 	if e := vec.RelErr(x, want); e > 1e-9 {
 		t.Fatalf("unsymmetric solve error %v", e)
 	}
@@ -246,9 +252,7 @@ func TestNormWeightedConverges(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := make([]float64, a.Cols)
-			if _, res, err := s.Solve(x, b, 1e-9, 300000, 3000); err != nil {
-				t.Fatalf("did not converge: residual %g", res)
-			}
+			solveTo(t, s, x, b, 1e-9, 300000, 3000)
 			if e := vec.RelErr(x, xref); e > 1e-5 {
 				t.Fatalf("solution error %g vs normal equations", e)
 			}

@@ -2,7 +2,6 @@ package method
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -32,9 +31,9 @@ func init() {
 	registerCore("rgs", core.Options{}, true)
 	Register(&funcMethod{name: "cg", kind: SPD, prepare: cgPrepare})
 	Register(&funcMethod{name: "fcg", kind: SPD, prepare: fcgPrepare})
-	Register(&funcMethod{name: "jacobi", kind: SPD, prepare: stationaryPrepare("jacobi")})
-	Register(&funcMethod{name: "gs", kind: SPD, prepare: stationaryPrepare("gs")})
-	Register(&funcMethod{name: "asyncjacobi", kind: SPD, prepare: stationaryPrepare("asyncjacobi")})
+	Register(&funcMethod{name: "jacobi", kind: SPD, prepare: stationaryPrepare("jacobi", jacobiBegin)})
+	Register(&funcMethod{name: "gs", kind: SPD, prepare: stationaryPrepare("gs", gsBegin)})
+	Register(&funcMethod{name: "asyncjacobi", kind: SPD, prepare: stationaryPrepare("asyncjacobi", asyncJacobiBegin)})
 	Register(&funcMethod{name: "kaczmarz", kind: SPD, prepare: kaczmarzPrepare})
 	registerLSQ := func(name string, sequential, weighted bool) {
 		Register(&funcMethod{name: name, kind: LeastSquares, prepare: lsqPrepare(name, sequential, weighted)})
@@ -188,7 +187,7 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 			residuals = p.a.BatchRelResiduals(bblk.Data, xblk.Data, c, opts.Workers)
 			worst := 0.0
 			for _, r := range residuals {
-				worst = math.Max(worst, r) // NaN propagates: a NaN column never converges
+				worst = math.Max(worst, r) // NaN propagates: a NaN column stops the batch
 			}
 			return worst
 		})
@@ -197,7 +196,7 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 	}
 	if err != nil {
 		stampBatch(results, p.name, start)
-		return results, ctxErr(p.name, ctx)
+		return results, p.stopErr(ctx, prog, err)
 	}
 	var firstErr error
 	for j := range results {
@@ -214,7 +213,21 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 }
 
 // ---------------------------------------------------------------------------
-// Krylov methods
+// Krylov and stationary baselines: krylov steps driven by outer.Run
+
+// stepper is one solve of a krylov baseline in the form outer.Run drives:
+// Step is its advance and Residual its measure.
+type stepper interface {
+	Step(k int) int
+	Residual() float64
+}
+
+// runSteps drives st through outer.Run on opts' schedule and settles the
+// result; perSweep is the coordinate updates one unit of work counts.
+func (p *preparedBase) runSteps(ctx context.Context, st stepper, x []float64, opts Opts, perSweep int, start time.Time) (Result, error) {
+	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery, st.Step, st.Residual)
+	return p.settle(ctx, prog, err, perSweep, x, opts, start)
+}
 
 // cgPrepared wraps (parallel-SpMV) conjugate gradients. CG keeps no
 // per-matrix state beyond the matrix itself, so preparation is trivially
@@ -228,22 +241,12 @@ func cgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	return &cgPrepared{preparedBase: base("cg", SPD, a)}, nil
 }
 
+// Solve checks after every iteration by default: CG forms its residual
+// inside the iteration, so a check costs nothing.
 func (p *cgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
 	opts = opts.withDefaults(1)
 	start := time.Now()
-	cgRes, err := krylov.CG(p.a, x, b, krylov.CGOptions{
-		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers, Ctx: ctx,
-	})
-	res := Result{
-		Method:   p.name,
-		Residual: cgRes.Residual, Converged: cgRes.Converged,
-		Sweeps: cgRes.Iterations, Iterations: uint64(cgRes.Iterations),
-	}
-	if err != nil && ctx.Err() != nil {
-		res.Wall = time.Since(start)
-		return res, ctxErr(p.name, ctx)
-	}
-	return res, finish(&res, p.a, x, opts, start, SPD)
+	return p.runSteps(ctx, krylov.NewCG(p.a, x, b, opts.Workers), x, opts, 1, start)
 }
 
 func (p *cgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
@@ -267,6 +270,8 @@ func fcgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	return &fcgPrepared{preparedBase: base("fcg", SPD, a), prep: prep}, nil
 }
 
+// Solve checks after every iteration by default, as cg does. Iterations
+// counts the preconditioner's coordinate updates.
 func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
 	opts = opts.withDefaults(1)
 	s, err := core.NewFromPrep(p.prep, core.Options{
@@ -277,7 +282,7 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 		return Result{}, err
 	}
 	// The Inner sweeps run one per call and stop once ctx is done;
-	// FlexibleCG then stops at its next iteration.
+	// outer.Run then stops before the next iteration.
 	pre := krylov.PrecondFunc(func(z, r []float64) {
 		clear(z)
 		for k := 0; k < opts.Inner && ctx.Err() == nil; k++ {
@@ -285,97 +290,78 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 		}
 	})
 	start := time.Now()
-	fcgRes, err := krylov.FlexibleCG(p.a, x, b, pre, krylov.FCGOptions{
-		Tol: effectiveTol(opts.Tol), MaxIter: opts.MaxSweeps, Workers: opts.Workers, Ctx: ctx,
-	})
-	res := Result{
-		Method:   p.name,
-		Residual: fcgRes.Residual, Converged: fcgRes.Converged,
-		Sweeps: fcgRes.Iterations, Iterations: s.Iterations(),
-	}
-	// A preconditioner cut short by ctx can break FlexibleCG down before
-	// it polls ctx itself.
-	if err != nil && ctx.Err() != nil {
-		res.Wall = time.Since(start)
-		return res, ctxErr(p.name, ctx)
-	}
-	return res, finish(&res, p.a, x, opts, start, SPD)
+	res, err := p.runSteps(ctx, krylov.NewFCG(p.a, x, b, pre, opts.Workers), x, opts, 1, start)
+	res.Iterations = s.Iterations()
+	return res, err
 }
 
 func (p *fcgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
 	return solveColumns(ctx, p, bs, xs, opts)
 }
 
-// effectiveTol maps the registry's "non-positive tolerance = fixed work"
-// convention onto the Krylov solvers, whose option structs replace a
-// non-positive tolerance with their own defaults: an unreachably small
-// positive value runs the full budget.
-func effectiveTol(tol float64) float64 {
-	if tol <= 0 {
-		return 1e-300
-	}
-	return tol
-}
-
-// ---------------------------------------------------------------------------
-// Classical stationary baselines
-
 // stationaryPrepared holds the prepared state of the Jacobi, Gauss–Seidel
-// and chaotic-relaxation baselines: the reciprocal diagonal, extracted
-// once per matrix instead of once per solve.
+// and chaotic-relaxation baselines: the reciprocal of the diagonal, which
+// core.PrepareMatrix validates (square, no zero entry) once per matrix.
 type stationaryPrepared struct {
 	preparedBase
-	inv []float64
+	inv   []float64
+	begin beginFunc
 }
 
-func stationaryPrepare(name string) prepareFunc {
+// beginFunc readies one solve of a stationary baseline: its step, and its
+// check interval for an unset Opts.CheckEvery.
+type beginFunc func(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (st stepper, every int)
+
+func stationaryPrepare(name string, begin beginFunc) prepareFunc {
 	return func(a *sparse.CSR) (PreparedSystem, error) {
-		if a.Rows != a.Cols {
-			return nil, errors.New("method: " + name + " needs a square matrix")
+		prep, err := core.PrepareMatrix(a)
+		if err != nil {
+			return nil, err
 		}
-		return &stationaryPrepared{
-			preparedBase: base(name, SPD, a),
-			inv:          krylov.InvDiag(a),
-		}, nil
+		return &stationaryPrepared{preparedBase: base(name, SPD, a), inv: prep.InvDiag(), begin: begin}, nil
 	}
 }
 
-// Solve runs jacobi and gs as one call each over the whole budget: both
-// poll ctx and test tol before every sweep. asyncjacobi runs one
-// barrier-free call per round of CheckEvery sweeps (16 by default), each
-// worker polling ctx between its own sweeps.
 func (p *stationaryPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(16)
+	opts = opts.withDefaults(0)
 	start := time.Now()
-	var sr krylov.StationaryResult
-	switch p.name {
-	case "jacobi":
-		sr = krylov.JacobiWithInv(ctx, p.a, p.inv, x, b, opts.MaxSweeps, opts.Tol, opts.Workers)
-	case "gs":
-		sr = krylov.GaussSeidelWithInv(ctx, p.a, p.inv, x, b, opts.MaxSweeps, opts.Tol)
-	default: // asyncjacobi
-		var throttle func(w, i int)
-		if opts.Throttle != nil {
-			var iter atomic.Uint64 // the throttle hook is invoked from every worker
-			throttle = func(w, _ int) { opts.Throttle(w, iter.Add(1)-1) }
-		}
-		prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery,
-			func(k int) int {
-				sr = krylov.AsyncJacobiWithInv(ctx, p.a, p.inv, x, b, k, opts.Workers, throttle)
-				return k
-			},
-			func() float64 { return sr.Residual })
-		return p.settle(ctx, prog, err, p.a.Rows, x, opts, start)
+	st, every := p.begin(ctx, p, b, x, opts)
+	if opts.CheckEvery <= 0 {
+		opts.CheckEvery = every
 	}
-	var err error
-	if !sr.Converged {
-		err = ctx.Err()
-	}
-	return p.settle(ctx, outer.Progress{Done: sr.Sweeps, Residual: sr.Residual, Converged: sr.Converged}, err, p.a.Rows, x, opts, start)
+	return p.runSteps(ctx, st, x, opts, p.a.Rows, start)
 }
 
 func (p *stationaryPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
 	return solveColumns(ctx, p, bs, xs, opts)
+}
+
+// jacobiBegin checks after every sweep: a Jacobi sweep forms the residual
+// of the iterate it returns.
+func jacobiBegin(_ context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (stepper, int) {
+	return krylov.NewJacobi(p.a, p.inv, x, b, opts.Workers), 1
+}
+
+// gsBegin checks after every sweep while a tolerance can stop the solve,
+// and once at the end of fixed work: its residual costs a product of its
+// own.
+func gsBegin(_ context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (stepper, int) {
+	every := 1
+	if opts.Tol <= 0 {
+		every = 0
+	}
+	return krylov.NewGaussSeidel(p.a, p.inv, x, b), every
+}
+
+// asyncJacobiBegin runs one barrier-free call per round of 16 sweeps, each
+// worker polling ctx between its own sweeps.
+func asyncJacobiBegin(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (stepper, int) {
+	var throttle func(w, i int)
+	if opts.Throttle != nil {
+		var iter atomic.Uint64 // the throttle hook is invoked from every worker
+		throttle = func(w, _ int) { opts.Throttle(w, iter.Add(1)-1) }
+	}
+	return krylov.NewAsyncJacobi(ctx, p.a, p.inv, x, b, opts.Workers, throttle), 16
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/asynclinalg/asyrgs/internal/krylov"
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -43,6 +42,21 @@ func skipNonAtomicUnderRace(t *testing.T, name string) {
 	}
 }
 
+// cgReference solves A·x = b from zero with the registry's cg to tol,
+// within 10·n iterations.
+func cgReference(t *testing.T, a *sparse.CSR, b []float64, tol float64) []float64 {
+	t.Helper()
+	m, err := method.Get("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.Cols)
+	if res, err := m.Solve(context.Background(), a, b, x, method.Opts{Tol: tol, MaxSweeps: 10 * a.Rows}); err != nil {
+		t.Fatalf("CG reference: %v (%+v)", err, res)
+	}
+	return x
+}
+
 // relDiff returns ‖u−v‖₂/‖v‖₂.
 func relDiff(u, v []float64) float64 {
 	d := make([]float64, len(u))
@@ -68,10 +82,7 @@ func TestSPDConformance(t *testing.T) {
 		b, xstar := workload.RHSForSolution(a, 11)
 
 		// CG reference solution at a tighter tolerance than the suite's.
-		xref := make([]float64, a.Cols)
-		if _, err := krylov.CG(a, xref, b, krylov.CGOptions{Tol: 1e-10}); err != nil {
-			t.Fatalf("%s: CG reference failed: %v", sys.name, err)
-		}
+		xref := cgReference(t, a, b, 1e-10)
 
 		for _, m := range method.ByKind(method.SPD) {
 			m := m
@@ -114,10 +125,7 @@ func TestLeastSquaresConformance(t *testing.T) {
 	ata := sparse.Gram(a)
 	atb := make([]float64, a.Cols)
 	a.ToCSC().MulTransVec(atb, b)
-	xref := make([]float64, a.Cols)
-	if _, err := krylov.CG(ata, xref, atb, krylov.CGOptions{Tol: 1e-12}); err != nil {
-		t.Fatalf("normal-equations reference failed: %v", err)
-	}
+	xref := cgReference(t, ata, atb, 1e-12)
 
 	lsqMethods := method.ByKind(method.LeastSquares)
 	if len(lsqMethods) == 0 {
@@ -175,8 +183,9 @@ func TestFixedWorkMode(t *testing.T) {
 // TestReportedResidualMatchesReturnedIterate: every registered method
 // reports the residual of the x it returns — ‖b−Ax‖/‖b‖ for SPD methods,
 // ‖Aᵀ(b−Ax)‖/‖Aᵀb‖ for least squares — recomputed here from x, whether
-// or not the solve converged. Methods whose residual leaves the floats
-// (jacobi on the social Gram matrix) are skipped.
+// or not the solve converged. A solve whose residual leaves the floats
+// (jacobi on the social Gram matrix) stops with ErrNonFinite, reporting
+// that residual, before its budget, on an x that is no solution.
 func TestReportedResidualMatchesReturnedIterate(t *testing.T) {
 	type system struct {
 		name string
@@ -203,11 +212,12 @@ func TestReportedResidualMatchesReturnedIterate(t *testing.T) {
 				res, err := m.Solve(context.Background(), a, b, x, method.Opts{
 					Tol: 1e-6, MaxSweeps: 300, Workers: 2, Seed: 3,
 				})
-				if err != nil && !errors.Is(err, method.ErrNotConverged) {
+				nonFinite := errors.Is(err, method.ErrNonFinite)
+				if err != nil && !nonFinite && !errors.Is(err, method.ErrNotConverged) {
 					t.Fatalf("solve: %v", err)
 				}
-				if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
-					t.Skipf("non-finite residual %v", res.Residual)
+				if finite := !math.IsNaN(res.Residual) && !math.IsInf(res.Residual, 0); finite == nonFinite {
+					t.Fatalf("residual %v with error %v", res.Residual, err)
 				}
 				r := make([]float64, a.Rows)
 				a.MulVec(r, x)
@@ -220,6 +230,14 @@ func TestReportedResidualMatchesReturnedIterate(t *testing.T) {
 					atb := make([]float64, a.Cols)
 					csc.MulTransVec(atb, b)
 					want = vec.Nrm2(atr) / vec.Nrm2(atb)
+				}
+				if nonFinite {
+					// The step's own residual overflowed; x is far from a
+					// solution, which the recomputed residual must show.
+					if res.Sweeps >= 300 || want < 1 {
+						t.Fatalf("stopped after %d sweeps on an x with residual %v", res.Sweeps, want)
+					}
+					return
 				}
 				if math.Abs(res.Residual-want) > 1e-6*want {
 					t.Fatalf("reported residual %.9e, recomputed from the returned x %.9e (converged %v after %d sweeps)",

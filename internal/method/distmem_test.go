@@ -1,7 +1,8 @@
 // Tests for the sharded distributed-memory registry method beyond what
 // the conformance and cancellation suites already assert: prep-key
 // separation of deployment shapes, communication accounting in the
-// normalized Result, and batch solves over one shared worker pool.
+// normalized Result, accumulated over rounds, and batch solves over one
+// shared worker pool.
 package method
 
 import (
@@ -82,6 +83,48 @@ func TestDistmemReportsCommunication(t *testing.T) {
 	}
 	if res.MaxQueue > 2*(4-1)+1 {
 		t.Fatalf("backlog %d exceeds the physical inbox bound %d", res.MaxQueue, 2*3+1)
+	}
+}
+
+// TestDistmemMessagesAccumulateAcrossRounds: a solve of R rounds reports
+// the sum of the rounds' messages and the max of their backlogs, not the
+// last round's numbers. One round's message count is deterministic —
+// every worker performs sweeps·(block size) iterations and ships each
+// update to the other w−1 ranks — so R rounds of CheckEvery sweeps must
+// report exactly R times one round's traffic.
+func TestDistmemMessagesAccumulateAcrossRounds(t *testing.T) {
+	a := workload.RandomSPD(120, 4, 1.5, 31)
+	b := workload.RandomRHS(120, 32)
+	m, err := Get("asyrgs-distmem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweeps, rounds = 3, 5
+	solve := func(maxSweeps int) Result {
+		x := make([]float64, 120)
+		// Tol 0 is fixed work: every round runs.
+		res, err := m.Solve(context.Background(), a, b, x, Opts{
+			MaxSweeps: maxSweeps, CheckEvery: sweeps, Workers: 4, QueueCap: 2, Seed: 33,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	oneRound := solve(sweeps)
+	perRound := oneRound.Messages
+	if perRound != uint64(sweeps*120*(4-1)) {
+		t.Fatalf("unexpected per-round traffic: %d", perRound)
+	}
+	res := solve(rounds * sweeps)
+	if res.Checks != rounds || res.Sweeps != rounds*sweeps {
+		t.Fatalf("ran %d rounds over %d sweeps, want %d over %d", res.Checks, res.Sweeps, rounds, rounds*sweeps)
+	}
+	if res.Messages != uint64(rounds)*perRound {
+		t.Fatalf("messages not accumulated: got %d, want %d rounds x %d", res.Messages, rounds, perRound)
+	}
+	if res.MaxQueue < oneRound.MaxQueue {
+		t.Fatalf("max backlog must be the max over rounds: got %d, single round saw %d", res.MaxQueue, oneRound.MaxQueue)
 	}
 }
 

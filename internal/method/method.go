@@ -15,6 +15,7 @@ package method
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"time"
@@ -28,9 +29,13 @@ var (
 	// ErrUnknownMethod is returned by Get for unregistered names.
 	ErrUnknownMethod = errors.New("method: unknown method")
 	// ErrNotConverged is returned when a sweep budget is exhausted before
-	// the requested tolerance; the iterate still holds the best
-	// approximation computed.
+	// the requested tolerance, or a Krylov recurrence breaks down; the
+	// iterate still holds the best approximation computed.
 	ErrNotConverged = errors.New("method: did not reach the requested tolerance")
+	// ErrNonFinite is returned when a measured residual is NaN or ±Inf:
+	// the solve diverged, and it stops at that check. The error names the
+	// method and the sweep.
+	ErrNonFinite = outer.ErrNonFinite
 )
 
 // Kind classifies the system shapes a method accepts.
@@ -107,12 +112,15 @@ type Opts struct {
 	// before a check after every sweep would, and on average stops within
 	// a sweep of it (kaczmarz, whose residual falls in steps, a few
 	// percent later). Zero means 16 for asyncjacobi and asyrgs-distmem,
-	// whose rounds pay worker start-up and barriers. A positive value
-	// fixes the interval: raising it amortizes the Θ(nnz) residual over
-	// more sweeps at the cost of coarser stopping. It does not set how
-	// often the context is polled: every method polls it at least once
-	// per sweep. cg, fcg, jacobi and gs ignore it; they test the
-	// tolerance every iteration.
+	// whose rounds pay worker start-up and barriers, and 1 for cg, fcg
+	// and jacobi, which form their residual inside every iteration. For
+	// gs, whose residual costs a product, zero means 1 when Tol > 0 and a
+	// single check at the end of fixed work. A positive value fixes the
+	// interval: raising it amortizes the Θ(nnz) residual over more sweeps
+	// at the cost of coarser stopping. It does not set how often the
+	// context is polled: every method polls it at least once per sweep.
+	// Every method stops at the first check whose residual is NaN or ±Inf
+	// (ErrNonFinite).
 	CheckEvery int
 
 	// Precision is read by nothing: every method stores and iterates in
@@ -149,11 +157,11 @@ type Result struct {
 	Sweeps int
 	// Checks counts the residuals the solve measured to decide whether to
 	// stop: one per round of the outer loop, shared by the columns of a
-	// block SolveBatch. Zero for cg, fcg, jacobi and gs, which test the
-	// tolerance inside every iteration.
+	// block SolveBatch.
 	Checks int
 	// Iterations is the total single-coordinate update count where the
-	// method is coordinate-wise; for Krylov methods it equals Sweeps.
+	// method is coordinate-wise; for cg it equals Sweeps, and for fcg it
+	// counts its AsyRGS preconditioner's updates.
 	Iterations uint64
 	// Wall is the solve's wall-clock time.
 	Wall time.Duration
@@ -175,7 +183,8 @@ type Result struct {
 // the system (a, b), iterates on x in place (x is also the initial
 // guess), and honours ctx: a cancelled context stops the solve promptly
 // and returns an error wrapping the context's error. On budget exhaustion
-// Solve returns the Result plus ErrNotConverged.
+// Solve returns the Result plus ErrNotConverged, and at a non-finite
+// residual an error wrapping ErrNonFinite.
 type Method interface {
 	Name() string
 	Kind() Kind
@@ -225,8 +234,8 @@ func finish(res *Result, a *sparse.CSR, x []float64, opts Opts, start time.Time,
 }
 
 // settle turns where a solve's outer loop stopped into its Result:
-// perSweep coordinate updates per sweep, and a context error wrapped by
-// ctxErr or else the trailing fields stamped by finish.
+// perSweep coordinate updates per sweep, and an early stop named by
+// stopErr or else the trailing fields stamped by finish.
 func (p *preparedBase) settle(ctx context.Context, prog outer.Progress, err error, perSweep int, x []float64, opts Opts, start time.Time) (Result, error) {
 	res := Result{
 		Method: p.name, Sweeps: prog.Done, Checks: prog.Checks, Iterations: uint64(prog.Done) * uint64(perSweep),
@@ -234,9 +243,18 @@ func (p *preparedBase) settle(ctx context.Context, prog outer.Progress, err erro
 	}
 	if err != nil {
 		res.Wall = time.Since(start)
-		return res, ctxErr(p.name, ctx)
+		return res, p.stopErr(ctx, prog, err)
 	}
 	return res, finish(&res, p.a, x, opts, start, p.kind)
+}
+
+// stopErr names why outer.Run ended a solve early: a non-finite residual,
+// with the method and the sweep, or else the context, wrapped by ctxErr.
+func (p *preparedBase) stopErr(ctx context.Context, prog outer.Progress, err error) error {
+	if errors.Is(err, ErrNonFinite) {
+		return fmt.Errorf("method %s: %w: %g at sweep %d", p.name, err, prog.Residual, prog.Done)
+	}
+	return ctxErr(p.name, ctx)
 }
 
 // ctxErr wraps a context error so callers can errors.Is it against

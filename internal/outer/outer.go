@@ -10,12 +10,21 @@
 // epoch, Theorems 3–4), so the residuals already measured give the unit
 // at which the tolerance will be crossed, and Run measures near that unit
 // instead of after every one.
+//
+// A measured residual that is NaN or ±Inf ends the solve at once: a
+// diverged iterate cannot come back under a tolerance, and the rest of
+// the budget would only be spent producing it.
 package outer
 
 import (
 	"context"
+	"errors"
 	"math"
 )
+
+// ErrNonFinite is returned by Run at the first measured residual that is
+// NaN or ±Inf.
+var ErrNonFinite = errors.New("residual is not finite")
 
 // Progress reports where a Run stopped.
 type Progress struct {
@@ -42,7 +51,8 @@ const margin = 0.8
 // budget (fixed work). A budget ≤ 0 advances nothing and measures once.
 // The last round is always cut to the budget, and a solve stops only on a
 // measured residual or at the budget: the reported residual is never a
-// prediction.
+// prediction. At the first measured residual that is NaN or ±Inf, Run
+// returns ErrNonFinite, with the Progress reporting that residual.
 //
 // every > 0 makes every round every units long. every ≤ 0 selects the
 // predicted schedule. With tol ≤ 0 it runs the whole budget as one round.
@@ -52,9 +62,11 @@ const margin = 0.8
 // while the residual has not fallen since the first measurement, so the
 // first two rounds are one unit each.
 //
-// advance(k) runs at most k units and returns how many it ran, at least
-// one; a round calls it until the round's units are spent, so the caller
-// chooses how long one uninterruptible call may be. Run polls ctx before
+// advance(k) runs at most k units and returns how many it ran; a round
+// calls it until the round's units are spent, so the caller chooses how
+// long one uninterruptible call may be. An advance that returns 0 can take
+// no further step (a Krylov breakdown): Run measures the residual once
+// more and stops there, converged or not. Run polls ctx before
 // every advance call and again after each round. A round during which
 // ctx turned done is not measured: Run returns ctx's error, with Done
 // counting the units advanced.
@@ -67,22 +79,28 @@ func Run(ctx context.Context, tol float64, budget, every int, advance func(k int
 		if every <= 0 {
 			round = p.predict(tol, budget, first, firstDone)
 		}
-		for end := p.Done + min(round, budget-p.Done); p.Done < end; {
+		stalled := false
+		for end := p.Done + min(round, budget-p.Done); p.Done < end && !stalled; {
 			if err := ctx.Err(); err != nil {
 				return p, err
 			}
-			p.Done += advance(end - p.Done)
+			k := advance(end - p.Done)
+			p.Done += k
+			stalled = k == 0
 		}
 		if err := ctx.Err(); err != nil {
 			return p, err
 		}
 		p.Residual = measure()
 		p.Checks++
+		if math.IsNaN(p.Residual) || math.IsInf(p.Residual, 0) {
+			return p, ErrNonFinite
+		}
 		if p.Checks == 1 {
 			first, firstDone = p.Residual, p.Done
 		}
 		p.Converged = tol > 0 && p.Residual <= tol
-		if p.Converged || p.Done >= budget {
+		if p.Converged || stalled || p.Done >= budget {
 			return p, nil
 		}
 	}
@@ -92,7 +110,8 @@ func Run(ctx context.Context, tol float64, budget, every int, advance func(k int
 // from one unit up to the budget left, given the first residual measured
 // (after firstDone units) and the progress so far. The length is clamped
 // in float64 before it becomes an int: a near-flat residual predicts a
-// huge or infinite length, and a NaN falls back to one unit.
+// huge or infinite length, and a NaN length (from residuals at the ends
+// of the float range) falls back to one unit.
 func (p Progress) predict(tol float64, budget int, first float64, firstDone int) int {
 	rest := budget - p.Done
 	switch {

@@ -175,14 +175,60 @@ func TestFirstRoundAtOrBelowTolConverges(t *testing.T) {
 	}
 }
 
-func TestNaNResidualNeverConverges(t *testing.T) {
-	s := &script{residuals: []float64{math.NaN()}}
-	p, err := Run(context.Background(), 1, 4, 2, s.advance, s.measure)
-	if err != nil {
-		t.Fatal(err)
+// TestNonFiniteResidualStopsTheSolve: the first NaN or ±Inf residual ends
+// the solve with ErrNonFinite at the round that measured it, on a fixed
+// and on the predicted schedule, whatever the tolerance; the Progress
+// reports the residual and the units advanced.
+func TestNonFiniteResidualStopsTheSolve(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tol := range []float64{0.1, 0} {
+			s := &script{residuals: []float64{0.9, 0.8, bad, 0.5}}
+			p, err := Run(context.Background(), tol, 40, 2, s.advance, s.measure)
+			if !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%g, tol %g: err %v, want ErrNonFinite", bad, tol, err)
+			}
+			if p.Done != 6 || p.Checks != 3 || s.measured != 3 || p.Converged || !math.IsNaN(p.Residual) && !math.IsInf(p.Residual, 0) {
+				t.Fatalf("%g, tol %g: %+v after %d measures; want 6 units, 3 checks, the non-finite residual", bad, tol, p, s.measured)
+			}
+		}
 	}
-	if p.Converged || p.Done != 4 || !math.IsNaN(p.Residual) {
-		t.Fatalf("%+v", p)
+}
+
+// TestStalledAdvanceMeasuresOnceMoreAndStops: an advance that returns 0
+// (a Krylov breakdown) ends its round; Run measures the residual and
+// stops, converged only if that residual meets tol.
+func TestStalledAdvanceMeasuresOnceMoreAndStops(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		stallAt   int // the advance call that returns 0
+		residual  float64
+		wantDone  int
+		converged bool
+	}{
+		{"stalled at once, already solved", 1, 0, 0, true},
+		{"stalled at once, unsolved", 1, 0.5, 0, false},
+		{"stalled mid-round", 6, 0.5, 5, false},
+	} {
+		calls := 0
+		ks := 0
+		advance := func(k int) int {
+			calls++
+			if calls >= c.stallAt {
+				return 0
+			}
+			ks++
+			return 1
+		}
+		measured := 0
+		measure := func() float64 { measured++; return c.residual }
+		p, err := Run(context.Background(), 1e-3, 100, 4, advance, measure)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.Done != c.wantDone || p.Converged != c.converged || calls != c.stallAt || p.Checks != measured {
+			t.Fatalf("%s: %+v after %d advance calls and %d measures; want %d units, converged %v, %d calls",
+				c.name, p, calls, measured, c.wantDone, c.converged, c.stallAt)
+		}
 	}
 }
 
@@ -341,22 +387,19 @@ func TestBudgetIsNeverPassed(t *testing.T) {
 	}
 }
 
-// Regime: a diverged or broken residual. NaN and +Inf never converge, and
-// the rates they feed the prediction (including −Inf/−Inf, a NaN length)
-// still give rounds of one unit up to the budget left.
-func TestPredictedNaNAndInfResidualsNeitherPanicNorConverge(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
+// Regime: residuals at the ends of the float range. The rates they feed
+// the prediction (an underflowing quotient, a NaN length from −Inf/−Inf)
+// still give rounds of one unit up to the budget left, and never a
+// convergence above tol.
+func TestPredictedExtremeResidualsStayWithinTheBudget(t *testing.T) {
 	for name, c := range map[string]struct {
 		tol       float64
 		residuals []float64
 	}{
-		"NaN":                   {1e-6, []float64{nan}},
-		"+Inf":                  {1e-6, []float64{inf}},
-		"NaN after a fall":      {1e-6, []float64{1, 0.5, nan}},
-		"finite after +Inf":     {1e-6, []float64{inf, 2, 1.5, 1.2}},
-		"NaN length":            {1e-300, []float64{inf, 1e300}},
-		"+Inf after a fall":     {1e-6, []float64{1, 0.9, inf, 0.8}},
-		"underflowing quotient": {1e-6, []float64{1e300, 1e-10 * 1e-300, nan}},
+		"NaN length":            {1e-300, []float64{math.MaxFloat64, 1e300}},
+		"underflowing quotient": {1e-320, []float64{1e300, 1e-30, 1e-31}},
+		"rise after a fall":     {1e-6, []float64{1, 0.9, 1e300, 0.8}},
+		"tiny above tol":        {1e-310, []float64{1e-300, 1e-305}},
 	} {
 		s := &script{residuals: c.residuals}
 		p, err := Run(context.Background(), c.tol, 40, 0, s.advance, s.measure)

@@ -5,12 +5,33 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/asynclinalg/asyrgs/internal/method"
 )
+
+// TestWriteJSONEncodesBeforeItSends: a reply JSON cannot encode sends
+// no header and no body, and the error wraps errEncode, so the caller can
+// still answer 500.
+func TestWriteJSONEncodesBeforeItSends(t *testing.T) {
+	rec := httptest.NewRecorder()
+	err := writeJSON(rec, http.StatusOK, SolveResponse{Residual: math.NaN()})
+	if !errors.Is(err, errEncode) {
+		t.Fatalf("err %v, want errEncode", err)
+	}
+	if rec.Body.Len() != 0 || len(rec.Header()) != 0 || rec.Flushed {
+		t.Fatalf("sent %d bytes and headers %v before the encode failed", rec.Body.Len(), rec.Header())
+	}
+	New(Config{}).answer(rec, err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d after an encode failure, want 500", rec.Code)
+	}
+}
 
 // TestAnswerStatusTable pins answer's table: the status each class of
 // failure gets, wrapped or not, the counter it moves (rejected for work
@@ -30,6 +51,7 @@ func TestAnswerStatusTable(t *testing.T) {
 		{"timeout", fmt.Errorf("solve: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, false, "", "deadline"},
 		{"panic", fmt.Errorf("prepare: %w", errPanic), http.StatusInternalServerError, false, "", "panic"},
 		{"unencodable", fmt.Errorf("%w: json: unsupported value: NaN", errEncode), http.StatusInternalServerError, false, "", "NaN"},
+		{"non-finite", fmt.Errorf("solve failed: method jacobi: %w: +Inf at sweep 140", method.ErrNonFinite), http.StatusUnprocessableEntity, false, "", "sweep 140"},
 		{"bad-request", errors.New("unknown matrix kind \"nope\""), http.StatusBadRequest, false, "", "nope"},
 	}
 	for _, tc := range cases {

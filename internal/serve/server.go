@@ -270,7 +270,8 @@ type SolveRequest struct {
 	// sweeps between residual checks. Unset, asyrgs*, rgs, kaczmarz and
 	// lsqcd* predict when to check: near the sweep at which the residuals
 	// measured so far cross tol (see SolveResponse.Checks); asyncjacobi
-	// and asyrgs-distmem check every 16 sweeps.
+	// and asyrgs-distmem check every 16 sweeps; cg, fcg and jacobi after
+	// every iteration; gs after every sweep, or once in fixed work.
 	Tol        float64 `json:"tol,omitempty"`
 	MaxSweeps  int     `json:"max_sweeps,omitempty"`
 	Workers    int     `json:"workers,omitempty"`
@@ -353,9 +354,8 @@ type SolveResponse struct {
 	WallMS      float64 `json:"wall_ms"`
 	ObservedTau int     `json:"observed_tau"`
 	// Checks is the number of residuals the solve measured to decide
-	// whether to stop; zero for cg, fcg, jacobi and gs, which test the
-	// tolerance every iteration. The columns of a block bs batch share
-	// one count; otherwise a batch reports its largest.
+	// whether to stop. The columns of a block bs batch share one count;
+	// otherwise a batch reports its largest.
 	Checks int `json:"checks"`
 	// Messages and MaxQueue report the sharded backend's network traffic
 	// and worst inbox backlog; zero (omitted) for shared-memory methods.
@@ -808,10 +808,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // from the queue timeout: the server's own shedding horizon is the
 // honest backoff hint. A timed-out build, prepare or solve answers 504, a
 // contained panic or an unencodable reply 500 (the input may be fine; the
-// method is not), and anything else is the client's error, 400.
+// method is not), a solve that diverged to a NaN or ±Inf residual 422 (a
+// well-formed request this method cannot solve), and anything else is the
+// client's error, 400.
 func (s *Server) answer(w http.ResponseWriter, err error) {
 	code, count := http.StatusBadRequest, &s.errs
 	switch {
+	case errors.Is(err, method.ErrNonFinite):
+		code = http.StatusUnprocessableEntity
 	case errors.Is(err, errAtCapacity):
 		code, count = http.StatusServiceUnavailable, &s.rejected
 		w.Header().Set("Retry-After", s.retryAfter)

@@ -182,8 +182,8 @@ func TestSolveReportsChecksAndANormErr(t *testing.T) {
 		t.Fatalf("check_every 1: %+v; want one check per sweep", out)
 	}
 	req.Method, req.CheckEvery = "cg", 0
-	if out, _ := postSolve(t, ts, req); !out.Converged || out.Checks != 0 {
-		t.Fatalf("cg: %+v; want no outer-loop checks", out)
+	if out, _ := postSolve(t, ts, req); !out.Converged || out.Checks != out.Sweeps {
+		t.Fatalf("cg: %+v; want one check per iteration", out)
 	}
 }
 
@@ -944,20 +944,26 @@ func TestStatsStagesBlock(t *testing.T) {
 	}
 }
 
-// TestUnencodableReplyIs500: jacobi diverges on the social Gram matrix,
-// and within the default 1000 sweeps its residual leaves the floats. JSON
-// cannot encode a NaN or ±Inf, so the reply is a 500 with a JSON error
-// body, counted as an error: not as solved, not per method and not in a
-// size band.
-func TestUnencodableReplyIs500(t *testing.T) {
+// TestDivergedSolveIs422: jacobi diverges on the social Gram matrix. The
+// solve stops at the first residual that is no longer finite, long before
+// its default 1000 sweeps, and the request answers 422 with a JSON error
+// naming the method and the sweep, counted as an error: not as solved,
+// not per method and not in a size band.
+func TestDivergedSolveIs422(t *testing.T) {
 	srv := New(Config{})
 	req := httptest.NewRequest(http.MethodPost, "/solve",
 		strings.NewReader(`{"matrix":{"kind":"socialgram","n":300,"seed":1},"method":"jacobi"}`))
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	var body map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
-		t.Fatalf("status %d, %d-byte body %q; want 500 with a JSON error", rec.Code, rec.Body.Len(), rec.Body.String())
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusUnprocessableEntity || err != nil {
+		t.Fatalf("status %d, %d-byte body %q; want 422 with a JSON error", rec.Code, rec.Body.Len(), rec.Body.String())
+	}
+	var sweep int
+	if at := strings.LastIndex(body["error"], "at sweep "); !strings.Contains(body["error"], "jacobi") || at < 0 {
+		t.Fatalf("error %q should name the method and the sweep", body["error"])
+	} else if _, err := fmt.Sscan(body["error"][at+len("at sweep "):], &sweep); err != nil || sweep >= 200 {
+		t.Fatalf("error %q: stopped at sweep %d, want a sweep before 200", body["error"], sweep)
 	}
 	st := srv.snapshot()
 	if st.Errors != 1 || st.Solved != 0 || len(st.PerMethod) != 0 {

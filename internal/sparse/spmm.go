@@ -23,27 +23,17 @@ func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int) {
 	if c == 0 {
 		return
 	}
-	// rowLoop is the one kernel body: rows [lo, hi).
-	rowLoop := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yrow := ydata[i*c : (i+1)*c]
-			for j := range yrow {
-				yrow[j] = 0
-			}
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				xrow := xdata[m.ColIdx[k]*c : (m.ColIdx[k]+1)*c]
-				Axpy(yrow, xrow, m.Vals[k])
-			}
-		}
-	}
 	rows := m.Rows
 	if workers <= 1 || rows < 128 {
-		rowLoop(0, rows)
+		m.mulDenseRows(ydata, xdata, c, 0, rows)
 		return
 	}
 	if workers > rows {
 		workers = rows
 	}
+	// The kernel is a method and the row range an argument: a func literal
+	// that the goroutines captured would move to the heap and cost every
+	// call an allocation, the serial path's included.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * rows / workers
@@ -54,10 +44,24 @@ func (m *CSR) MulDensePar(ydata, xdata []float64, c, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			rowLoop(lo, hi)
+			m.mulDenseRows(ydata, xdata, c, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// mulDenseRows is MulDensePar's kernel body over rows [lo, hi).
+func (m *CSR) mulDenseRows(ydata, xdata []float64, c, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		yrow := ydata[i*c : (i+1)*c]
+		for j := range yrow {
+			yrow[j] = 0
+		}
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			xrow := xdata[m.ColIdx[k]*c : (m.ColIdx[k]+1)*c]
+			Axpy(yrow, xrow, m.Vals[k])
+		}
+	}
 }
 
 // BatchRelResiduals returns the per-column relative residuals

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"github.com/asynclinalg/asyrgs/internal/race"
 )
 
 // randomishCSR builds a deterministic sparse matrix with nnzPerRow
@@ -24,6 +26,22 @@ func randomishCSR(rows, cols, nnzPerRow int) *CSR {
 		}
 	}
 	return coo.ToCSR()
+}
+
+// TestMulDenseParSerialPathAllocsNothing: with one worker MulDensePar
+// runs its kernel in the caller and allocates nothing. CGDense calls it
+// once per iteration and BatchRelResiduals once per check.
+func TestMulDenseParSerialPathAllocsNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	const rows, c = 96, 4
+	m := randomishCSR(rows, rows, 5)
+	x := make([]float64, rows*c)
+	y := make([]float64, rows*c)
+	if avg := testing.AllocsPerRun(20, func() { m.MulDensePar(y, x, c, 1) }); avg != 0 {
+		t.Fatalf("MulDensePar at 1 worker allocated %.1f times per call, want 0", avg)
+	}
 }
 
 func TestMulDenseParMatchesColumnwiseMulVec(t *testing.T) {
