@@ -49,8 +49,8 @@ func (r *Runner) Table1(tol float64, workers int) []Table1Row {
 
 // runFCGOnce runs the FCG+AsyRGS combination Repeats times and returns the
 // median row for the given inner sweep count. Each run drives the FCG step
-// through outer.Run, checking after every outer iteration, for at most
-// 4000 iterations.
+// through outer.RunEveryStep, checking the initial guess and every outer
+// iteration, for at most 4000 iterations.
 func (r *Runner) runFCGOnce(tol float64, workers, innerSweeps int) Table1Row {
 	repeats := r.Cfg.Repeats
 	if repeats <= 0 {
@@ -70,7 +70,7 @@ func (r *Runner) runFCGOnce(tol float64, workers, innerSweeps int) Table1Row {
 		var p outer.Progress
 		d := timeIt(func() {
 			f := krylov.NewFCG(r.Gram, x, r.b1, pre, workers)
-			p, _ = outer.Run(context.Background(), tol, 4000, 1, f.Step, f.Residual)
+			p, _ = outer.RunEveryStep(context.Background(), tol, 4000, f.Step, f.Residual)
 		})
 		outers = append(outers, p.Done)
 		times = append(times, d)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/dense"
-	"github.com/asynclinalg/asyrgs/internal/outer"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
@@ -23,28 +22,22 @@ func oneRound(a *sparse.CSR, x, b []float64, sweeps int, cfg Config) (Result, er
 	return s.Solve(context.Background(), x, b, sweeps)
 }
 
-// toTol runs rounds of sweeps on s through outer.Run, one residual per
-// round (the asyrgs-distmem method's loop), until tol or maxRounds, and
-// fails the test unless the solve converged. It returns the messages
-// sent over all rounds.
-func toTol(t *testing.T, s *Solver, x, b []float64, tol float64, sweeps, maxRounds int) uint64 {
+// toTol runs rounds of sweeps on s until a round ends at or below tol,
+// as the asyrgs-distmem method does, and fails the test after maxRounds.
+// It returns the messages sent over all rounds.
+func toTol(t *testing.T, s *Solver, x, b []float64, tol float64, sweeps, maxRounds int) (msgs uint64) {
 	t.Helper()
-	var round Result
-	var msgs uint64
-	p, err := outer.Run(context.Background(), tol, maxRounds, 1,
-		func(int) int {
-			var err error
-			if round, err = s.Solve(context.Background(), x, b, sweeps); err != nil {
-				t.Fatal(err)
-			}
-			msgs += round.MessagesSent
-			return 1
-		},
-		func() float64 { return round.Residual })
-	if err != nil || !p.Converged {
-		t.Fatalf("after %d rounds: %+v, %v", p.Done, p, err)
+	for range maxRounds {
+		res, err := s.Solve(context.Background(), x, b, sweeps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgs += res.MessagesSent; res.Residual <= tol {
+			return msgs
+		}
 	}
-	return msgs
+	t.Fatalf("no round of %d reached %g", maxRounds, tol)
+	return 0
 }
 
 // solveToTol is toTol on a fresh pool for a prepared with cfg.

@@ -23,13 +23,14 @@ type step interface {
 	Residual() float64
 }
 
-// solve drives st through outer.Run to tol within budget units, measuring
-// after every unit, as the registry does by default.
+// solve drives st to tol within budget units, measuring the initial
+// iterate and then after every unit, as the registry drives cg, fcg and
+// jacobi.
 func solve(t *testing.T, st step, tol float64, budget int) outer.Progress {
 	t.Helper()
-	p, err := outer.Run(context.Background(), tol, budget, 1, st.Step, st.Residual)
+	p, err := outer.RunEveryStep(context.Background(), tol, budget, st.Step, st.Residual)
 	if err != nil {
-		t.Fatalf("outer.Run: %v (%+v)", err, p)
+		t.Fatalf("outer.RunEveryStep: %v (%+v)", err, p)
 	}
 	return p
 }
@@ -72,19 +73,14 @@ func TestCGExactInNIterations(t *testing.T) {
 }
 
 // TestCGHonorsInitialGuess: CG starts from the x it is given; from the
-// exact solution its first residual is at rounding level, and one step
-// keeps it there.
+// exact solution it converges at once, with no iteration and x untouched.
 func TestCGHonorsInitialGuess(t *testing.T) {
 	a := spd(t, 30, 7)
 	b := workload.RandomRHS(30, 8)
 	want, _ := dense.SolveCSR(a, b)
 	x := append([]float64(nil), want...) // exact guess
-	c := NewCG(a, x, b, 0)
-	if c.Residual() > 1e-10 {
-		t.Fatalf("exact initial guess has residual %v", c.Residual())
-	}
-	if res := solve(t, c, 1e-10, 10); !res.Converged || res.Done != 1 {
-		t.Fatalf("exact initial guess should converge at the first check: %+v", res)
+	if res := solve(t, NewCG(a, x, b, 0), 1e-10, 10); !res.Converged || res.Done != 0 || !vec.Equal(x, want, 0) {
+		t.Fatalf("exact initial guess should converge immediately: %+v", res)
 	}
 }
 

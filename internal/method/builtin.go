@@ -31,9 +31,9 @@ func init() {
 	registerCore("rgs", core.Options{}, true)
 	Register(&funcMethod{name: "cg", kind: SPD, prepare: cgPrepare})
 	Register(&funcMethod{name: "fcg", kind: SPD, prepare: fcgPrepare})
-	Register(&funcMethod{name: "jacobi", kind: SPD, prepare: stationaryPrepare("jacobi", jacobiBegin)})
-	Register(&funcMethod{name: "gs", kind: SPD, prepare: stationaryPrepare("gs", gsBegin)})
-	Register(&funcMethod{name: "asyncjacobi", kind: SPD, prepare: stationaryPrepare("asyncjacobi", asyncJacobiBegin)})
+	Register(&funcMethod{name: "jacobi", kind: SPD, prepare: stationaryPrepare("jacobi", runJacobi)})
+	Register(&funcMethod{name: "gs", kind: SPD, prepare: stationaryPrepare("gs", runGS)})
+	Register(&funcMethod{name: "asyncjacobi", kind: SPD, prepare: stationaryPrepare("asyncjacobi", runAsyncJacobi)})
 	Register(&funcMethod{name: "kaczmarz", kind: SPD, prepare: kaczmarzPrepare})
 	registerLSQ := func(name string, sequential, weighted bool) {
 		Register(&funcMethod{name: name, kind: LeastSquares, prepare: lsqPrepare(name, sequential, weighted)})
@@ -215,19 +215,10 @@ func (p *corePrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts 
 // ---------------------------------------------------------------------------
 // Krylov and stationary baselines: krylov steps driven by outer.Run
 
-// stepper is one solve of a krylov baseline in the form outer.Run drives:
-// Step is its advance and Residual its measure.
-type stepper interface {
-	Step(k int) int
-	Residual() float64
-}
-
-// runSteps drives st through outer.Run on opts' schedule and settles the
-// result; perSweep is the coordinate updates one unit of work counts.
-func (p *preparedBase) runSteps(ctx context.Context, st stepper, x []float64, opts Opts, perSweep int, start time.Time) (Result, error) {
-	prog, err := outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery, st.Step, st.Residual)
-	return p.settle(ctx, prog, err, perSweep, x, opts, start)
-}
+// cg, fcg and jacobi form their residual inside every step, so they
+// measure it before the first step and after every step
+// (outer.RunEveryStep) and ignore Opts.CheckEvery: a longer interval could
+// only overshoot the tolerance.
 
 // cgPrepared wraps (parallel-SpMV) conjugate gradients. CG keeps no
 // per-matrix state beyond the matrix itself, so preparation is trivially
@@ -241,12 +232,12 @@ func cgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	return &cgPrepared{preparedBase: base("cg", SPD, a)}, nil
 }
 
-// Solve checks after every iteration by default: CG forms its residual
-// inside the iteration, so a check costs nothing.
 func (p *cgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults(0)
 	start := time.Now()
-	return p.runSteps(ctx, krylov.NewCG(p.a, x, b, opts.Workers), x, opts, 1, start)
+	c := krylov.NewCG(p.a, x, b, opts.Workers)
+	prog, err := outer.RunEveryStep(ctx, opts.Tol, opts.MaxSweeps, c.Step, c.Residual)
+	return p.settle(ctx, prog, err, 1, x, opts, start)
 }
 
 func (p *cgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
@@ -270,10 +261,9 @@ func fcgPrepare(a *sparse.CSR) (PreparedSystem, error) {
 	return &fcgPrepared{preparedBase: base("fcg", SPD, a), prep: prep}, nil
 }
 
-// Solve checks after every iteration by default, as cg does. Iterations
-// counts the preconditioner's coordinate updates.
+// Solve reports the preconditioner's coordinate updates as Iterations.
 func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults(0)
 	s, err := core.NewFromPrep(p.prep, core.Options{
 		Workers: opts.Workers, Beta: opts.Beta, Seed: opts.Seed,
 		Throttle: opts.Throttle,
@@ -290,7 +280,9 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 		}
 	})
 	start := time.Now()
-	res, err := p.runSteps(ctx, krylov.NewFCG(p.a, x, b, pre, opts.Workers), x, opts, 1, start)
+	f := krylov.NewFCG(p.a, x, b, pre, opts.Workers)
+	prog, err := outer.RunEveryStep(ctx, opts.Tol, opts.MaxSweeps, f.Step, f.Residual)
+	res, err := p.settle(ctx, prog, err, 1, x, opts, start)
 	res.Iterations = s.Iterations()
 	return res, err
 }
@@ -304,64 +296,61 @@ func (p *fcgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts O
 // core.PrepareMatrix validates (square, no zero entry) once per matrix.
 type stationaryPrepared struct {
 	preparedBase
-	inv   []float64
-	begin beginFunc
+	inv []float64
+	run runFunc
 }
 
-// beginFunc readies one solve of a stationary baseline: its step, and its
-// check interval for an unset Opts.CheckEvery.
-type beginFunc func(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (st stepper, every int)
+// runFunc runs one solve of a stationary baseline through outer.Run.
+type runFunc func(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (outer.Progress, error)
 
-func stationaryPrepare(name string, begin beginFunc) prepareFunc {
+func stationaryPrepare(name string, run runFunc) prepareFunc {
 	return func(a *sparse.CSR) (PreparedSystem, error) {
 		prep, err := core.PrepareMatrix(a)
 		if err != nil {
 			return nil, err
 		}
-		return &stationaryPrepared{preparedBase: base(name, SPD, a), inv: prep.InvDiag(), begin: begin}, nil
+		return &stationaryPrepared{preparedBase: base(name, SPD, a), inv: prep.InvDiag(), run: run}, nil
 	}
 }
 
 func (p *stationaryPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
-	opts = opts.withDefaults(0)
+	opts = opts.withDefaults(16)
 	start := time.Now()
-	st, every := p.begin(ctx, p, b, x, opts)
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = every
-	}
-	return p.runSteps(ctx, st, x, opts, p.a.Rows, start)
+	prog, err := p.run(ctx, p, b, x, opts)
+	return p.settle(ctx, prog, err, p.a.Rows, x, opts, start)
 }
 
 func (p *stationaryPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
 	return solveColumns(ctx, p, bs, xs, opts)
 }
 
-// jacobiBegin checks after every sweep: a Jacobi sweep forms the residual
-// of the iterate it returns.
-func jacobiBegin(_ context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (stepper, int) {
-	return krylov.NewJacobi(p.a, p.inv, x, b, opts.Workers), 1
+func runJacobi(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (outer.Progress, error) {
+	j := krylov.NewJacobi(p.a, p.inv, x, b, opts.Workers)
+	return outer.RunEveryStep(ctx, opts.Tol, opts.MaxSweeps, j.Step, j.Residual)
 }
 
-// gsBegin checks after every sweep while a tolerance can stop the solve,
+// runGS measures after every sweep while a tolerance can stop the solve,
 // and once at the end of fixed work: its residual costs a product of its
-// own.
-func gsBegin(_ context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (stepper, int) {
+// own. It ignores Opts.CheckEvery.
+func runGS(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (outer.Progress, error) {
+	g := krylov.NewGaussSeidel(p.a, p.inv, x, b)
 	every := 1
 	if opts.Tol <= 0 {
-		every = 0
+		every = opts.MaxSweeps
 	}
-	return krylov.NewGaussSeidel(p.a, p.inv, x, b), every
+	return outer.Run(ctx, opts.Tol, opts.MaxSweeps, every, g.Step, g.Residual)
 }
 
-// asyncJacobiBegin runs one barrier-free call per round of 16 sweeps, each
-// worker polling ctx between its own sweeps.
-func asyncJacobiBegin(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (stepper, int) {
+// runAsyncJacobi runs one barrier-free call per round of CheckEvery
+// sweeps (16 by default), each worker polling ctx between its own sweeps.
+func runAsyncJacobi(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (outer.Progress, error) {
 	var throttle func(w, i int)
 	if opts.Throttle != nil {
 		var iter atomic.Uint64 // the throttle hook is invoked from every worker
 		throttle = func(w, _ int) { opts.Throttle(w, iter.Add(1)-1) }
 	}
-	return krylov.NewAsyncJacobi(ctx, p.a, p.inv, x, b, opts.Workers, throttle), 16
+	aj := krylov.NewAsyncJacobi(ctx, p.a, p.inv, x, b, opts.Workers, throttle)
+	return outer.Run(ctx, opts.Tol, opts.MaxSweeps, opts.CheckEvery, aj.Step, aj.Residual)
 }
 
 // ---------------------------------------------------------------------------

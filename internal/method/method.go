@@ -112,15 +112,16 @@ type Opts struct {
 	// before a check after every sweep would, and on average stops within
 	// a sweep of it (kaczmarz, whose residual falls in steps, a few
 	// percent later). Zero means 16 for asyncjacobi and asyrgs-distmem,
-	// whose rounds pay worker start-up and barriers, and 1 for cg, fcg
-	// and jacobi, which form their residual inside every iteration. For
-	// gs, whose residual costs a product, zero means 1 when Tol > 0 and a
-	// single check at the end of fixed work. A positive value fixes the
-	// interval: raising it amortizes the Θ(nnz) residual over more sweeps
-	// at the cost of coarser stopping. It does not set how often the
-	// context is polled: every method polls it at least once per sweep.
-	// Every method stops at the first check whose residual is NaN or ±Inf
-	// (ErrNonFinite).
+	// whose rounds pay worker start-up and barriers. A positive value
+	// fixes the interval: raising it amortizes the Θ(nnz) residual over
+	// more sweeps at the cost of coarser stopping. It does not set how
+	// often the context is polled: every method polls it at least once
+	// per sweep. cg, fcg, jacobi and gs ignore it: cg, fcg and jacobi
+	// form their residual inside every iteration and measure it before
+	// the first iteration and after every one; gs, whose residual costs a
+	// product, measures after every sweep when Tol > 0 and once at the end
+	// of fixed work. Every method stops at the first check whose residual
+	// is NaN or ±Inf (ErrNonFinite).
 	CheckEvery int
 
 	// Precision is read by nothing: every method stores and iterates in
@@ -157,7 +158,8 @@ type Result struct {
 	Sweeps int
 	// Checks counts the residuals the solve measured to decide whether to
 	// stop: one per round of the outer loop, shared by the columns of a
-	// block SolveBatch.
+	// block SolveBatch. cg, fcg and jacobi also measure their initial
+	// guess, so they report Sweeps + 1.
 	Checks int
 	// Iterations is the total single-coordinate update count where the
 	// method is coordinate-wise; for cg it equals Sweeps, and for fcg it

@@ -81,42 +81,74 @@ var pinnedStepSolves = []struct {
 
 // TestStepMethodsKeepTheirArithmetic: driven by outer.Run, cg, fcg,
 // jacobi and gs return the same iterate, sweeps and residual, bit for
-// bit, as their own loops did. The checks follow the default schedule:
-// one per step while tol > 0; at fixed work one per step for the three
-// that form their residual inside the step, and a single one for gs,
-// whose residual costs a product.
+// bit, as their own loops did, and an explicit CheckEvery changes none of
+// it. cg, fcg and jacobi form their residual inside the step and measure
+// the initial guess and every step; gs, whose residual costs a product,
+// measures every sweep while tol > 0 and once at fixed work.
 func TestStepMethodsKeepTheirArithmetic(t *testing.T) {
 	systems := stepSystems()
 	for _, c := range pinnedStepSolves {
-		t.Run(fmt.Sprintf("%s/%s/tol=%g", c.system, c.method, c.tol), func(t *testing.T) {
+		for _, every := range []int{0, 5} {
+			t.Run(fmt.Sprintf("%s/%s/tol=%g/check=%d", c.system, c.method, c.tol, every), func(t *testing.T) {
+				m, err := method.Get(c.method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := systems[c.system]
+				b := workload.RandomRHS(a.Rows, 11)
+				opts := method.Opts{Tol: c.tol, Workers: 2, Seed: 3, CheckEvery: every}
+				if c.method == "fcg" {
+					opts.Workers = 1
+				}
+				if c.tol == 0 {
+					opts.MaxSweeps = 7
+				}
+				x := make([]float64, a.Rows)
+				res, err := m.Solve(context.Background(), a, b, x, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Sweeps != c.sweeps || math.Float64bits(res.Residual) != c.residual || digest(x) != c.x {
+					t.Fatalf("%d sweeps, residual %#016x, x %s; pinned %d, %#016x, %s",
+						res.Sweeps, math.Float64bits(res.Residual), digest(x), c.sweeps, c.residual, c.x)
+				}
+				wantChecks := res.Sweeps + 1
+				if c.method == "gs" {
+					wantChecks = res.Sweeps
+					if c.tol == 0 {
+						wantChecks = 1
+					}
+				}
+				if res.Checks != wantChecks || res.Converged != (c.tol > 0) {
+					t.Fatalf("%d checks, converged %v; want %d, %v", res.Checks, res.Converged, wantChecks, c.tol > 0)
+				}
+			})
+		}
+	}
+}
+
+// TestSolvedGuessTakesNoStep: started from a guess that already meets
+// tol, cg, fcg and jacobi measure it and stop with x untouched, as their
+// own loops did; gs, which measured only after a sweep, still runs one.
+func TestSolvedGuessTakesNoStep(t *testing.T) {
+	a := workload.RandomSPD(60, 6, 1.5, 7)
+	b, xstar := workload.RHSForSolution(a, 8)
+	for _, c := range []struct {
+		method string
+		sweeps int
+	}{{"cg", 0}, {"fcg", 0}, {"jacobi", 0}, {"gs", 1}} {
+		t.Run(c.method, func(t *testing.T) {
 			m, err := method.Get(c.method)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := systems[c.system]
-			b := workload.RandomRHS(a.Rows, 11)
-			opts := method.Opts{Tol: c.tol, Workers: 2, Seed: 3}
-			if c.method == "fcg" {
-				opts.Workers = 1
+			x := append([]float64(nil), xstar...)
+			res, err := m.Solve(context.Background(), a, b, x, method.Opts{Tol: 1e-8, Workers: 1})
+			if err != nil || !res.Converged || res.Sweeps != c.sweeps || res.Checks != 1 {
+				t.Fatalf("%+v, %v; want converged after %d sweeps, 1 check", res, err, c.sweeps)
 			}
-			if c.tol == 0 {
-				opts.MaxSweeps = 7
-			}
-			x := make([]float64, a.Rows)
-			res, err := m.Solve(context.Background(), a, b, x, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Sweeps != c.sweeps || math.Float64bits(res.Residual) != c.residual || digest(x) != c.x {
-				t.Fatalf("%d sweeps, residual %#016x, x %s; pinned %d, %#016x, %s",
-					res.Sweeps, math.Float64bits(res.Residual), digest(x), c.sweeps, c.residual, c.x)
-			}
-			wantChecks := res.Sweeps
-			if c.method == "gs" && c.tol == 0 {
-				wantChecks = 1
-			}
-			if res.Checks != wantChecks || res.Converged != (c.tol > 0) {
-				t.Fatalf("%d checks, converged %v; want %d, %v", res.Checks, res.Converged, wantChecks, c.tol > 0)
+			if c.sweeps == 0 && digest(x) != digest(xstar) {
+				t.Fatal("a solve that took no step changed x")
 			}
 		})
 	}
@@ -138,8 +170,8 @@ func TestDivergedSolveStopsAtItsFirstNonFiniteResidual(t *testing.T) {
 	if !errors.Is(err, method.ErrNonFinite) || errors.Is(err, method.ErrNotConverged) {
 		t.Fatalf("err %v, want ErrNonFinite", err)
 	}
-	if res.Sweeps >= 200 || res.Checks != res.Sweeps || res.Converged || !math.IsInf(res.Residual, 0) && !math.IsNaN(res.Residual) {
-		t.Fatalf("%+v; want a non-finite residual within 200 sweeps, one check per sweep", res)
+	if res.Sweeps >= 200 || res.Checks != res.Sweeps+1 || res.Converged || !math.IsInf(res.Residual, 0) && !math.IsNaN(res.Residual) {
+		t.Fatalf("%+v; want a non-finite residual within 200 sweeps, checks of the guess and every sweep", res)
 	}
 	if msg := err.Error(); !strings.Contains(msg, "jacobi") || !strings.Contains(msg, fmt.Sprintf("sweep %d", res.Sweeps)) {
 		t.Fatalf("error %q should name the method and sweep %d", msg, res.Sweeps)

@@ -71,12 +71,29 @@ const margin = 0.8
 // ctx turned done is not measured: Run returns ctx's error, with Done
 // counting the units advanced.
 func Run(ctx context.Context, tol float64, budget, every int, advance func(k int) int, measure func() float64) (Progress, error) {
+	return run(ctx, tol, budget, every, false, advance, measure)
+}
+
+// RunEveryStep is Run for a step that forms its residual as it advances
+// (a Krylov or Jacobi iteration), so that a measurement costs nothing: it
+// measures the initial iterate before the first advance and then after
+// every unit. An initial guess that already meets tol takes no step
+// (Done 0, Checks 1).
+func RunEveryStep(ctx context.Context, tol float64, budget int, advance func(k int) int, measure func() float64) (Progress, error) {
+	return run(ctx, tol, budget, 1, true, advance, measure)
+}
+
+// run is Run with a first round of zero units when measureFirst is set.
+func run(ctx context.Context, tol float64, budget, every int, measureFirst bool, advance func(k int) int, measure func() float64) (Progress, error) {
 	var p Progress
 	var first float64 // the first measured residual
 	firstDone := 0
 	for {
 		round := every
-		if every <= 0 {
+		switch {
+		case measureFirst && p.Checks == 0:
+			round = 0
+		case every <= 0:
 			round = p.predict(tol, budget, first, firstDone)
 		}
 		stalled := false

@@ -175,6 +175,44 @@ func TestFirstRoundAtOrBelowTolConverges(t *testing.T) {
 	}
 }
 
+// TestRunEveryStepMeasuresTheInitialIterateFirst: RunEveryStep measures
+// before it advances and then after every unit, so a guess that already
+// meets tol takes no step and a non-finite initial residual stops the
+// solve before any work.
+func TestRunEveryStepMeasuresTheInitialIterateFirst(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		residuals []float64
+		budget    int
+		want      Progress
+		err       error
+	}{
+		{"solved guess", []float64{1e-12, 0.5}, 10, Progress{Done: 0, Residual: 1e-12, Converged: true, Checks: 1}, nil},
+		{"converges", []float64{1, 0.5, 0.25, 1e-11}, 10, Progress{Done: 3, Residual: 1e-11, Converged: true, Checks: 4}, nil},
+		{"budget", []float64{1, 0.5}, 2, Progress{Done: 2, Residual: 0.5, Checks: 3}, nil},
+		{"no budget", []float64{1}, 0, Progress{Done: 0, Residual: 1, Checks: 1}, nil},
+		{"non-finite guess", []float64{math.Inf(1)}, 10, Progress{Done: 0, Residual: math.Inf(1), Checks: 1}, ErrNonFinite},
+	} {
+		s := &script{residuals: c.residuals}
+		p, err := RunEveryStep(context.Background(), 1e-10, c.budget, s.advance, s.measure)
+		if err != c.err || p != c.want {
+			t.Fatalf("%s: %+v, %v; want %+v, %v", c.name, p, err, c.want, c.err)
+		}
+		if !slices.Equal(s.measuredAt, intsUpTo(p.Done)) || slices.ContainsFunc(s.ks, func(k int) bool { return k != 1 }) {
+			t.Fatalf("%s: measured at %v with advance calls %v; want one unit per call, measured at 0..%d", c.name, s.measuredAt, s.ks, p.Done)
+		}
+	}
+}
+
+// intsUpTo returns 0, 1, …, n.
+func intsUpTo(n int) []int {
+	s := make([]int, n+1)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 // TestNonFiniteResidualStopsTheSolve: the first NaN or ±Inf residual ends
 // the solve with ErrNonFinite at the round that measured it, on a fixed
 // and on the predicted schedule, whatever the tolerance; the Progress

@@ -270,8 +270,9 @@ type SolveRequest struct {
 	// sweeps between residual checks. Unset, asyrgs*, rgs, kaczmarz and
 	// lsqcd* predict when to check: near the sweep at which the residuals
 	// measured so far cross tol (see SolveResponse.Checks); asyncjacobi
-	// and asyrgs-distmem check every 16 sweeps; cg, fcg and jacobi after
-	// every iteration; gs after every sweep, or once in fixed work.
+	// and asyrgs-distmem check every 16 sweeps. cg, fcg, jacobi and gs
+	// ignore it: cg, fcg and jacobi check their initial guess and every
+	// iteration, gs every sweep, or once in fixed work.
 	Tol        float64 `json:"tol,omitempty"`
 	MaxSweeps  int     `json:"max_sweeps,omitempty"`
 	Workers    int     `json:"workers,omitempty"`
@@ -354,8 +355,9 @@ type SolveResponse struct {
 	WallMS      float64 `json:"wall_ms"`
 	ObservedTau int     `json:"observed_tau"`
 	// Checks is the number of residuals the solve measured to decide
-	// whether to stop. The columns of a block bs batch share one count;
-	// otherwise a batch reports its largest.
+	// whether to stop; cg, fcg and jacobi count their initial guess too.
+	// The columns of a block bs batch share one count; otherwise a batch
+	// reports its largest.
 	Checks int `json:"checks"`
 	// Messages and MaxQueue report the sharded backend's network traffic
 	// and worst inbox backlog; zero (omitted) for shared-memory methods.

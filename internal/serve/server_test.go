@@ -182,8 +182,8 @@ func TestSolveReportsChecksAndANormErr(t *testing.T) {
 		t.Fatalf("check_every 1: %+v; want one check per sweep", out)
 	}
 	req.Method, req.CheckEvery = "cg", 0
-	if out, _ := postSolve(t, ts, req); !out.Converged || out.Checks != out.Sweeps {
-		t.Fatalf("cg: %+v; want one check per iteration", out)
+	if out, _ := postSolve(t, ts, req); !out.Converged || out.Checks != out.Sweeps+1 {
+		t.Fatalf("cg: %+v; want a check of the initial guess and one per iteration", out)
 	}
 }
 
