@@ -9,8 +9,9 @@
 // guess whose Step advances x by one iteration or sweep and whose
 // Residual reports ‖b−Ax‖₂/‖b‖₂. Nothing here decides when a solve stops;
 // the caller drives the step with outer.Run, which owns the tolerance,
-// the budget and the context. CGDense, the paper's Figure 1–2 block CG,
-// runs a fixed number of iterations.
+// the budget and the context (CG, FCG and Jacobi, whose residual comes
+// with the step, with outer.RunEveryStep). CGDense, the paper's Figure
+// 1–2 block CG, runs a fixed number of iterations.
 package krylov
 
 // Preconditioner approximates z ≈ M⁻¹·r for FCG. The operator M
