@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -191,5 +192,39 @@ func TestAsybenchSingleExperiment(t *testing.T) {
 	out := run(t, asybench, "-exp", "rho", "-n", "200", "-threads", "1,2")
 	if !strings.Contains(out, "Interference parameters") {
 		t.Fatalf("asybench rho output unexpected:\n%s", out)
+	}
+}
+
+// TestAsybenchTable1Threads: Table 1 runs at the -threads count it is
+// given, so one worker makes its outer-iteration column the same run to
+// run.
+func TestAsybenchTable1Threads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	asybench := buildTool(t, t.TempDir(), "asybench")
+	outerColumn := func() string {
+		out := run(t, asybench, "-exp", "table1", "-n", "200", "-threads", "1", "-repeats", "1")
+		if !strings.Contains(out, "1 threads") {
+			t.Fatalf("asybench table1 did not run 1 thread:\n%s", out)
+		}
+		var col []string
+		for _, line := range strings.Split(out, "\n") {
+			// A table row starts with the inner sweeps and outer iterations.
+			f := strings.Fields(line)
+			if len(f) < 2 {
+				continue
+			}
+			if _, err := strconv.Atoi(f[0]); err == nil {
+				col = append(col, f[0]+":"+f[1])
+			}
+		}
+		if len(col) != 7 {
+			t.Fatalf("asybench table1 printed %d rows, want 7:\n%s", len(col), out)
+		}
+		return strings.Join(col, " ")
+	}
+	if a, b := outerColumn(), outerColumn(); a != b {
+		t.Fatalf("outer column changed between runs: %s, then %s", a, b)
 	}
 }

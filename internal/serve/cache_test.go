@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
@@ -269,5 +274,31 @@ func TestMatrixSpecKeyStability(t *testing.T) {
 		if a.key() == other.key() {
 			t.Fatalf("distinct specs collide: %+v vs %+v", a, other)
 		}
+	}
+}
+
+// TestMatrixSpecKeyInlineBody pins an inline body's key, shows a body of
+// many hash chunks keys by the SHA-256 of all its bytes, and bounds what
+// key() allocates for a 1 MB body: it must not copy the body.
+func TestMatrixSpecKeyInlineBody(t *testing.T) {
+	small := MatrixSpec{Kind: "mm", MM: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 2 5\n"}
+	if got, want := small.key(), "mm:792e570dd621f3d7"; got != want {
+		t.Fatalf("inline key %s, want %s", got, want)
+	}
+	big := MatrixSpec{Kind: "mm", MM: strings.Repeat("12 7 0.5\n", 1<<20/9+1)}
+	sum := sha256.Sum256([]byte(big.MM))
+	if got, want := big.key(), "mm:"+hex.EncodeToString(sum[:])[:16]; got != want {
+		t.Fatalf("1 MB inline key %s, want %s", got, want)
+	}
+	if race.Enabled {
+		return // allocation accounting differs under -race
+	}
+	const maxBytes = 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	big.key()
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > maxBytes {
+		t.Fatalf("key() of a %d-byte body allocated %d bytes, budget %d", len(big.MM), bytes, maxBytes)
 	}
 }

@@ -156,7 +156,14 @@ func (s MatrixSpec) key() string {
 	c := s.canonical()
 	h := sha256.New()
 	if c.Kind == "mm" {
-		h.Write([]byte(c.MM))
+		// Feed the body through a fixed buffer: h.Write([]byte(c.MM))
+		// would copy all of it (7 MB for an upload) on every request.
+		var chunk [8 << 10]byte
+		for rest := c.MM; rest != ""; {
+			n := copy(chunk[:], rest)
+			h.Write(chunk[:n])
+			rest = rest[n:]
+		}
 	} else {
 		fmt.Fprintf(h, "%s|%d|%d|%d|%d|%g|%d", c.Kind, c.N, c.Rows, c.Cols, c.NNZ, c.Dominance, c.Seed)
 	}
