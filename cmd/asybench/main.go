@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -65,8 +64,7 @@ func main() {
 			r.Fig2Center()
 			r.Fig2Right()
 		case "table1":
-			// The paper's Table 1 runs its largest thread count (64).
-			r.Table1(*tol, slices.Max(cfg.Threads))
+			r.Table1(*tol)
 		case "fig3":
 			r.Fig3(*tol)
 		case "theory":

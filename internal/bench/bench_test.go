@@ -105,7 +105,7 @@ func TestFig2RightShape(t *testing.T) {
 func TestTable1Shape(t *testing.T) {
 	cfg := tinyConfig()
 	r := NewRunner(cfg)
-	rows := r.Table1(1e-6, 4)
+	rows := r.Table1(1e-6)
 	if len(rows) != 7 {
 		t.Fatalf("Table 1 must have 7 rows, got %d", len(rows))
 	}

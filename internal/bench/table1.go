@@ -2,7 +2,7 @@ package bench
 
 import (
 	"context"
-	"runtime"
+	"slices"
 	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/core"
@@ -23,18 +23,17 @@ type Table1Row struct {
 // Table1 reproduces Table 1: Flexible-CG with AsyRGS (inconsistent read)
 // as preconditioner, solving the social-media system to relative residual
 // 1e-8, for inner sweep counts {30,20,10,5,3,2,1}. The reported values are
-// medians over Cfg.Repeats runs (the paper uses 5). The paper's shape:
-// outer iterations fall as inner sweeps grow, total mat-ops mostly grow,
-// mat-ops/sec grows (more work in the efficient asynchronous part), and
-// total time is minimised at ~2 inner sweeps.
-func (r *Runner) Table1(tol float64, workers int) []Table1Row {
+// medians over Cfg.Repeats runs (the paper uses 5), at the largest count
+// in Cfg.Threads (the paper's 64). The paper's shape: outer iterations
+// fall as inner sweeps grow, total mat-ops mostly grow, mat-ops/sec grows
+// (more work in the efficient asynchronous part), and total time is
+// minimised at ~2 inner sweeps.
+func (r *Runner) Table1(tol float64) []Table1Row {
 	r.Prepare()
 	if tol <= 0 {
 		tol = 1e-8
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) * 4 // the paper's 64 threads on 16 cores
-	}
+	workers := slices.Max(r.Cfg.Threads)
 	inner := []int{30, 20, 10, 5, 3, 2, 1}
 	rows := make([]Table1Row, 0, len(inner))
 	r.printf("\n== Table 1: Flexible-CG + AsyRGS preconditioner (tol=%.0e, %d threads, median of %d) ==\n", tol, workers, r.Cfg.Repeats)

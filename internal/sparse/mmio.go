@@ -127,11 +127,11 @@ func ReadMMLimit(r io.Reader, maxDim int) (*CSR, error) {
 				return nil, fmt.Errorf("sparse: bad MatrixMarket entry %q", line)
 			}
 		}
-		i, err := parseIndex(f[0])
+		i, err := strconv.Atoi(string(f[0]))
 		if err != nil {
 			return nil, fmt.Errorf("sparse: bad row index %q: %v", f[0], err)
 		}
-		j, err := parseIndex(f[1])
+		j, err := strconv.Atoi(string(f[1]))
 		if err != nil {
 			return nil, fmt.Errorf("sparse: bad col index %q: %v", f[1], err)
 		}
@@ -236,22 +236,6 @@ func nextField(s []byte) (field, rest []byte) {
 		i += size
 	}
 	return s[start:i], s[i:]
-}
-
-// parseIndex is strconv.Atoi for a field: plain digits, the form every
-// index takes, are summed in place; any other field goes to Atoi.
-func parseIndex(f []byte) (int, error) {
-	if len(f) == 0 || len(f) > 18 {
-		return strconv.Atoi(string(f))
-	}
-	n := 0
-	for _, c := range f {
-		if c < '0' || c > '9' {
-			return strconv.Atoi(string(f))
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
 }
 
 // WriteMM writes the matrix in MatrixMarket coordinate real general format.

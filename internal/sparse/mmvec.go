@@ -59,7 +59,7 @@ func readArrayVector(br *bufio.Reader, header []string, maxDim int) ([]float64, 
 		return nil, fmt.Errorf("sparse: unsupported array field %q", f)
 	}
 	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(make([]byte, mmMaxLine), mmMaxLine)
 	var rows, cols int
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
