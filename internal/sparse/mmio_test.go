@@ -167,8 +167,8 @@ func uploadMM(n, perRow int, seed uint64) string {
 }
 
 func TestReadMMMatchesCOOParser(t *testing.T) {
-	// An upload-shaped body above the concurrent-merge cut-off, and the
-	// benchmark's own size when time allows.
+	// An upload-shaped body, and the benchmark's own size when time
+	// allows.
 	sizes := []int{6000}
 	if !testing.Short() {
 		sizes = append(sizes, 20000)
@@ -176,8 +176,8 @@ func TestReadMMMatchesCOOParser(t *testing.T) {
 	for _, n := range sizes {
 		body := uploadMM(n, 16, uint64(n))
 		m := sameAsCOOParser(t, fmt.Sprintf("upload n=%d", n), body, math.MaxInt32)
-		if m.Rows != n || m.NNZ() < 2*minBlockEntries {
-			t.Fatalf("upload n=%d: %dx%d with %d entries, want n rows and at least %d entries", n, m.Rows, m.Cols, m.NNZ(), 2*minBlockEntries)
+		if m == nil || m.Rows != n {
+			t.Fatalf("upload n=%d: parsed %v, want %d rows", n, m, n)
 		}
 	}
 	// The 1 MB line limit counts the line end: a line one byte shorter

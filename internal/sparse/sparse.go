@@ -91,11 +91,6 @@ func (c *COO) ToCSR() *CSR {
 // then summed left to right, so the result's bits depend on the order
 // the entries sit in their bucket. Columns must lie in [0, cols).
 //
-// A matrix of at least 2·minBlockEntries entries is merged in row blocks
-// of about equal entry counts, up to GOMAXPROCS of them at once. Each row
-// still sees the same sort on the same bucket, so the bits do not depend
-// on the block count.
-//
 // The work is done in place: the returned matrix owns rowPtr, colIdx and
 // vals, and the caller must not use them afterwards.
 func FromRowBuckets(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
@@ -104,107 +99,23 @@ func FromRowBuckets(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
 		panic(fmt.Sprintf("sparse: FromRowBuckets bad buckets for %dx%d: len(rowPtr)=%d len(colIdx)=%d len(vals)=%d",
 			rows, cols, len(rowPtr), len(colIdx), len(vals)))
 	}
-	blocks := min(runtime.GOMAXPROCS(0), len(colIdx)/minBlockEntries)
-	w := mergeBuckets(rowPtr, colIdx, vals, blocks)
-	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w], Vals: vals[:w]}
-}
-
-// minBlockEntries is the fewest entries a concurrently merged row block
-// holds. On a 2-vCPU KVM guest (Xeon, Go 1.24), merging RandomSPD-shaped
-// buckets in two blocks instead of one broke even at about 4k entries,
-// was 29% faster at 8k, and 37–47% faster from 16k (the first count this
-// admits) up to RandomSPD(20000, 64)'s 1.3M.
-const minBlockEntries = 1 << 13
-
-// bucketEntry is one entry of a row bucket while it is sorted.
-type bucketEntry struct {
-	col int
-	val float64
-}
-
-// mergeBuckets sorts and merges the buckets of len(rowPtr)-1 rows in place
-// and returns the merged entry count. With blocks ≥ 2 it splits the rows
-// into that many blocks, one per goroutine.
-func mergeBuckets(rowPtr, colIdx []int, vals []float64, blocks int) int {
-	rows := len(rowPtr) - 1
-	if blocks = min(blocks, rows); blocks >= 2 {
-		return mergeBlocks(rowPtr, colIdx, vals, blocks)
+	type entry struct {
+		col int
+		val float64
 	}
 	longest := 0
 	for i := 0; i < rows; i++ {
 		longest = max(longest, rowPtr[i+1]-rowPtr[i])
 	}
-	return mergeRows(rowPtr, colIdx, vals, 0, rows, 0, make([]bucketEntry, longest))
-}
-
-// rowBlock is rows [r0, r1) of a concurrent merge, whose entries start at
-// lo and, merged, end at end; longest is its longest row.
-type rowBlock struct {
-	r0, r1, lo, end, longest int
-}
-
-// mergeBlocks is mergeBuckets over blocks row blocks of about equal entry
-// counts. The calling goroutine merges the first block and, once all are
-// done, closes the gaps their merged duplicates left.
-func mergeBlocks(rowPtr, colIdx []int, vals []float64, blocks int) int {
-	rows := len(rowPtr) - 1
-	// Every block's rows, start and longest row are read here, before any
-	// goroutine runs: a block rewrites rowPtr up to its last row's end,
-	// which is the next block's start.
-	bl := make([]rowBlock, blocks)
-	r0, size := 0, 0
-	for b := range bl {
-		r1 := rows
-		if b < blocks-1 {
-			r1 = max(r0, sort.SearchInts(rowPtr, (b+1)*len(colIdx)/blocks))
-		}
-		longest := 0
-		for i := r0; i < r1; i++ {
-			longest = max(longest, rowPtr[i+1]-rowPtr[i])
-		}
-		bl[b] = rowBlock{r0: r0, r1: r1, lo: rowPtr[r0], longest: longest}
-		r0 = r1
-		size += longest
-	}
-	scratch := make([]bucketEntry, size)
-	var wg sync.WaitGroup
-	off := bl[0].longest
-	for b := 1; b < blocks; b++ {
-		wg.Add(1)
-		go func(b *rowBlock, scratch []bucketEntry) {
-			defer wg.Done()
-			b.end = mergeRows(rowPtr, colIdx, vals, b.r0, b.r1, b.lo, scratch)
-		}(&bl[b], scratch[off:off+bl[b].longest])
-		off += bl[b].longest
-	}
-	w := mergeRows(rowPtr, colIdx, vals, 0, bl[0].r1, 0, scratch[:bl[0].longest])
-	wg.Wait()
-	for _, b := range bl[1:] {
-		if shift := b.lo - w; shift > 0 {
-			copy(colIdx[w:], colIdx[b.lo:b.end])
-			copy(vals[w:], vals[b.lo:b.end])
-			for i := b.r0 + 1; i <= b.r1; i++ {
-				rowPtr[i] -= shift
-			}
-		}
-		w += b.end - b.lo
-	}
-	return w
-}
-
-// mergeRows sorts rows [r0, r1), whose entries start at lo, by column and
-// sums their duplicates left to right, writing them from lo on and each
-// row's end to rowPtr; it returns where the last row ends. It reads
-// rowPtr only at r0+1 through r1, each entry before it rewrites it.
-func mergeRows(rowPtr, colIdx []int, vals []float64, r0, r1, lo int, scratch []bucketEntry) int {
-	w := lo
-	for i := r0; i < r1; i++ {
+	scratch := make([]entry, longest)
+	w, lo := 0, 0
+	for i := 0; i < rows; i++ {
 		hi := rowPtr[i+1]
 		row := scratch[:hi-lo]
 		for k := range row {
-			row[k] = bucketEntry{colIdx[lo+k], vals[lo+k]}
+			row[k] = entry{colIdx[lo+k], vals[lo+k]}
 		}
-		slices.SortFunc(row, func(a, b bucketEntry) int { return cmp.Compare(a.col, b.col) })
+		slices.SortFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
 		start := w
 		for _, e := range row {
 			if w > start && colIdx[w-1] == e.col {
@@ -218,7 +129,7 @@ func mergeRows(rowPtr, colIdx []int, vals []float64, r0, r1, lo int, scratch []b
 		rowPtr[i+1] = w
 		lo = hi
 	}
-	return w
+	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w], Vals: vals[:w]}
 }
 
 // CSR is a compressed sparse row matrix. Row i occupies

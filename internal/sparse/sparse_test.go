@@ -151,106 +151,6 @@ func TestFromRowBucketsInPlace(t *testing.T) {
 	FromRowBuckets(2, 3, []int{0, 1, 3}, []int{0, 1}, []float64{1, 2})
 }
 
-// randomBuckets returns the row buckets of an n×n symmetric matrix in the
-// shape RandomSPD builds before its diagonal: row i draws draws partners j
-// (a draw of i is skipped), and each draw lands in rows i and j in draw
-// order, so columns arrive unsorted and repeated draws stay duplicates.
-// Values span many binades, so a different summation order changes bits.
-func randomBuckets(n, draws int, seed uint64) (rowPtr, colIdx []int, vals []float64) {
-	g := rng.NewSequential(seed)
-	type draw struct {
-		i, j int
-		v    float64
-	}
-	var ds []draw
-	rowPtr = make([]int, n+1)
-	for i := 0; i < n; i++ {
-		for k := 0; k < draws; k++ {
-			if j := g.Intn(n); j != i {
-				ds = append(ds, draw{i, j, (2*g.Float64() - 1) * math.Ldexp(1, g.Intn(60)-30)})
-				rowPtr[i+1]++
-				rowPtr[j+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	colIdx = make([]int, rowPtr[n])
-	vals = make([]float64, rowPtr[n])
-	next := slices.Clone(rowPtr[:n])
-	for _, d := range ds {
-		colIdx[next[d.i]], vals[next[d.i]] = d.j, d.v
-		next[d.i]++
-		colIdx[next[d.j]], vals[next[d.j]] = d.i, d.v
-		next[d.j]++
-	}
-	return rowPtr, colIdx, vals
-}
-
-// TestFromRowBucketsBlocksMatchSerial merges bucket sets above the
-// concurrent cut-off in 2 to 7 row blocks and wants the serial merge's
-// bits. The sets range from dense rows, where most entries are duplicates
-// and their order shows, to rows of about four entries, some empty.
-func TestFromRowBucketsBlocksMatchSerial(t *testing.T) {
-	for _, s := range []struct {
-		n, draws int
-		seed     uint64
-	}{{3000, 24, 1}, {400, 200, 2}, {40000, 2, 3}} {
-		rowPtr, colIdx, vals := randomBuckets(s.n, s.draws, s.seed)
-		if len(colIdx) < 2*minBlockEntries {
-			t.Fatalf("n=%d draws=%d: %d entries, below the cut-off %d", s.n, s.draws, len(colIdx), 2*minBlockEntries)
-		}
-		wantPtr, wantCol, wantVal := slices.Clone(rowPtr), slices.Clone(colIdx), slices.Clone(vals)
-		w := mergeBuckets(wantPtr, wantCol, wantVal, 1)
-		want := &CSR{Rows: s.n, Cols: s.n, RowPtr: wantPtr, ColIdx: wantCol[:w], Vals: wantVal[:w]}
-		if w == len(colIdx) {
-			t.Fatalf("n=%d draws=%d: no duplicates to merge", s.n, s.draws)
-		}
-		for _, blocks := range []int{2, 3, 4, 7} {
-			ptr, col, val := slices.Clone(rowPtr), slices.Clone(colIdx), slices.Clone(vals)
-			w := mergeBuckets(ptr, col, val, blocks)
-			got := &CSR{Rows: s.n, Cols: s.n, RowPtr: ptr, ColIdx: col[:w], Vals: val[:w]}
-			if !bitsEqual(got, want) {
-				t.Fatalf("n=%d draws=%d: %d blocks differ from the serial merge", s.n, s.draws, blocks)
-			}
-		}
-	}
-	// Blocks the rows cannot fill: one row holding every entry, more
-	// blocks than rows, and a heavy first row that leaves a block empty.
-	colIdx := []int{4, 1, 4, 0, 1, 2, 2, 0, 3, 3, 1, 1, 1, 0, 0}
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
-	for _, rowPtr := range [][]int{{0, 15}, {0, 5, 10, 15}, {0, 13, 14, 15}} {
-		wantPtr, wantCol, wantVal := slices.Clone(rowPtr), slices.Clone(colIdx), slices.Clone(vals)
-		w := mergeBuckets(wantPtr, wantCol, wantVal, 1)
-		for _, blocks := range []int{2, 3, 5} {
-			ptr, col, val := slices.Clone(rowPtr), slices.Clone(colIdx), slices.Clone(vals)
-			if got := mergeBuckets(ptr, col, val, blocks); got != w || !slices.Equal(ptr, wantPtr) ||
-				!slices.Equal(col[:got], wantCol[:w]) || !slices.Equal(val[:got], wantVal[:w]) {
-				t.Fatalf("RowPtr %v in %d blocks: RowPtr %v ColIdx %v, want %v %v", rowPtr, blocks, ptr, col[:got], wantPtr, wantCol[:w])
-			}
-		}
-	}
-}
-
-// BenchmarkFromRowBuckets merges buckets shaped like the cold-gen system's
-// (randomspd n = 20000, nnz = 64: about 1.3M entries in unsorted rows) at
-// the machine's GOMAXPROCS. Each iteration merges a fresh copy.
-func BenchmarkFromRowBuckets(b *testing.B) {
-	rowPtr, colIdx, vals := randomBuckets(20000, 33, 1)
-	ptr, col, val := slices.Clone(rowPtr), slices.Clone(colIdx), slices.Clone(vals)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		copy(ptr, rowPtr)
-		copy(col, colIdx)
-		copy(val, vals)
-		b.StartTimer()
-		FromRowBuckets(20000, 20000, ptr, col, val)
-	}
-}
-
 func TestMulVecAgainstDense(t *testing.T) {
 	m := randomCSR(17, 13, 0.3, 1)
 	d := m.Dense()
