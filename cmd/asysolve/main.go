@@ -116,17 +116,10 @@ func main() {
 		defer cancel()
 	}
 
-	// Delay measurement claims one iteration at a time, so an explicit
-	// claiming granularity turns it off — the point of -chunk is to see
-	// the uninstrumented hot path.
-	measureDelay := *chunk == 0
-	if !measureDelay {
-		fmt.Printf("claiming chunk %d: delay measurement disabled\n", *chunk)
-	}
 	opts := method.Opts{
 		Tol: *tol, MaxSweeps: *maxSweeps, Workers: *workers,
 		Beta: *beta, Seed: *seed, Inner: *inner, CheckEvery: *checkEvery,
-		QueueCap: *queueCap, Chunk: *chunk, XStar: xstar, MeasureDelay: measureDelay,
+		QueueCap: *queueCap, Chunk: *chunk, XStar: xstar, MeasureDelay: true,
 	}
 
 	// Phase 1: capture the per-matrix state once.

@@ -69,6 +69,13 @@ func TestMatgenAsysolvePipeline(t *testing.T) {
 		t.Fatalf("solution file missing: %v", err)
 	}
 
+	// Delay measurement works at every chunk size: an explicit chunk
+	// keeps it on.
+	out = run(t, asysolve, "-A", mtx, "-method", "asyrgs", "-tol", "1e-6", "-chunk", "64")
+	if !strings.Contains(out, "converged=true") || strings.Contains(out, "delay measurement disabled") {
+		t.Fatalf("asysolve -chunk 64:\n%s", out)
+	}
+
 	// The roster listing is registry-driven: every built-in shows up.
 	list := run(t, asysolve, "-method", "list")
 	for _, name := range []string{"asyrgs", "cg", "fcg", "kaczmarz", "lsqcd", "lsqcd-async"} {

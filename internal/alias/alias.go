@@ -104,9 +104,6 @@ func New(w []float64) (*Table, error) {
 	return t, nil
 }
 
-// N returns the number of slots.
-func (t *Table) N() int { return len(t.prob) }
-
 // Pick returns the slot drawn at stream index j: one Philox block, one
 // multiply-shift reduction, one comparison — O(1) regardless of n.
 func (t *Table) Pick(stream rng.Stream, j uint64) int {

@@ -28,11 +28,6 @@ func Load(addr *float64) float64 {
 	return math.Float64frombits(atomic.LoadUint64(word(addr)))
 }
 
-// Store atomically stores v into *addr.
-func Store(addr *float64, v float64) {
-	atomic.StoreUint64(word(addr), math.Float64bits(v))
-}
-
 // Add atomically performs *addr += delta and returns the new value. It
 // implements the compare-and-exchange retry loop that gives AsyRGS its
 // atomic single-coordinate update.
@@ -45,10 +40,4 @@ func Add(addr *float64, delta float64) float64 {
 			return next
 		}
 	}
-}
-
-// CompareAndSwap atomically replaces *addr with next if it currently holds
-// old (bitwise comparison). It returns whether the swap happened.
-func CompareAndSwap(addr *float64, old, next float64) bool {
-	return atomic.CompareAndSwapUint64(word(addr), math.Float64bits(old), math.Float64bits(next))
 }

@@ -118,12 +118,6 @@ func medianInt(xs []int) int {
 	return xs[len(xs)/2]
 }
 
-// medianFloat returns the median of xs (sorted in place).
-func medianFloat(xs []float64) float64 {
-	sort.Float64s(xs)
-	return xs[len(xs)/2]
-}
-
 // clampWorkers reminds readers that thread counts beyond the physical core
 // count still exercise asynchrony (delays grow with P) but cannot add
 // wall-clock speedup; the tables annotate such rows.

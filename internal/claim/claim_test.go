@@ -3,59 +3,36 @@ package claim
 import "testing"
 
 func TestExplicitWins(t *testing.T) {
-	if got := SizeFor(7, 1_000_000, 8, 64); got != 7 {
+	if got := SizeFor(7, 1_000_000, 8); got != 7 {
 		t.Fatalf("explicit chunk: got %d, want 7", got)
 	}
-	if got := SizeFor(300, 1000, 1, 0); got != 300 {
-		t.Fatalf("explicit chunk may exceed the cache-aware cap: got %d, want 300", got)
+	if got := SizeFor(300, 1000, 1); got != 300 {
+		t.Fatalf("explicit chunk may exceed the auto size: got %d, want 300", got)
 	}
-	if got := SizeFor(300, 10, 1, 0); got != 10 {
+	if got := SizeFor(300, 10, 1); got != 10 {
 		t.Fatalf("explicit chunk beyond the budget claims the whole range: got %d, want 10", got)
 	}
 	// A huge range does not let a huge explicit chunk size an unbounded
 	// direction buffer: the chunk stops at maxChunkCap.
-	if got := SizeFor(1<<40, 1<<40, 2, 64); got != maxChunkCap {
+	if got := SizeFor(1<<40, 1<<40, 2); got != maxChunkCap {
 		t.Fatalf("huge explicit chunk over a huge range: got %d, want %d", got, maxChunkCap)
 	}
 }
 
 func TestLowerBoundOne(t *testing.T) {
-	if got := SizeFor(0, 10, 64, 64); got != 1 {
+	if got := SizeFor(0, 10, 64); got != 1 {
 		t.Fatalf("tiny budgets must claim single iterations: got %d", got)
 	}
 }
 
-func TestLegacyCapWithoutFootprint(t *testing.T) {
-	if got := SizeFor(0, 1<<30, 1, 0); got != 256 {
-		t.Fatalf("rowBytes=0 must keep the legacy 256 cap: got %d", got)
+// The auto chunk is total/(16·workers) up to maxChunkCap: a benchmark
+// workload's one-sweep call on an n=20000 system at 2 workers claims 625.
+func TestAutoChunk(t *testing.T) {
+	if got := SizeFor(0, 20000, 2); got != 625 {
+		t.Fatalf("one sweep of n=20000 at 2 workers: got %d, want 625", got)
 	}
-	if MaxChunk(0) != 256 || MaxChunk(-5) != 256 {
-		t.Fatal("MaxChunk must fall back to 256 without a footprint estimate")
-	}
-}
-
-func TestCacheAwareCapShrinksWithRowBytes(t *testing.T) {
-	small := MaxChunk(64)
-	big := MaxChunk(64 << 10)
-	if small < big {
-		t.Fatalf("cap must not grow with row footprint: %d < %d", small, big)
-	}
-	for _, rb := range []int{1, 64, 4 << 10, 1 << 20} {
-		c := MaxChunk(rb)
-		if c < minChunkCap || c > maxChunkCap {
-			t.Fatalf("MaxChunk(%d) = %d outside [%d, %d]", rb, c, minChunkCap, maxChunkCap)
-		}
-	}
-	// A huge per-iteration footprint must pin the cap at the floor.
-	if got := MaxChunk(1 << 30); got != minChunkCap {
-		t.Fatalf("huge rows: got %d, want %d", got, minChunkCap)
-	}
-}
-
-func TestSizeForUsesCap(t *testing.T) {
-	rb := 1 << 20 // forces the minChunkCap floor regardless of probed L2
-	if got := SizeFor(0, 1<<40, 1, rb); got != minChunkCap {
-		t.Fatalf("huge budget must clamp to the cache-aware cap: got %d", got)
+	if got := SizeFor(0, 1<<40, 1); got != maxChunkCap {
+		t.Fatalf("huge budget: got %d, want %d", got, maxChunkCap)
 	}
 }
 

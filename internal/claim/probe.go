@@ -7,26 +7,9 @@ import (
 	"sync"
 )
 
-// Cache-topology-aware chunk cap. A worker that claims a chunk of k
-// iterations touches k·rowBytes of matrix/iterate data plus 4·k bytes of
-// bulk-generated int32 directions before returning to the shared counter.
-// Capping k so that footprint fits in half the per-core L2 (the other
-// half is left to the iterate vector's working set and the neighbor
-// hyperthread) keeps the streamed rows cache-resident across the
-// direction-generation and execution passes of one chunk instead of
-// evicting them in between.
-
-const (
-	// fallbackL2 is assumed when sysfs has no cache topology (non-Linux,
-	// containers with masked sysfs): 256 KiB, the common per-core floor.
-	fallbackL2 = 256 << 10
-
-	// minChunkCap keeps tiny-L2 (or huge-row) systems from degrading to
-	// per-iteration CAS traffic; maxChunkCap bounds tail imbalance on
-	// huge caches the same way the legacy clamp did.
-	minChunkCap = 16
-	maxChunkCap = 4096
-)
+// fallbackL2 is assumed when sysfs has no cache topology (non-Linux,
+// containers with masked sysfs): 256 KiB, the common per-core floor.
+const fallbackL2 = 256 << 10
 
 var l2Once struct {
 	sync.Once
@@ -35,8 +18,8 @@ var l2Once struct {
 
 // L2CacheBytes returns the per-core L2 data-cache size, probed once from
 // /sys/devices/system/cpu/cpu0/cache and memoized; fallbackL2 when the
-// probe finds nothing. The probe allocates only on first use, keeping
-// warm solve paths allocation-free.
+// probe finds nothing. No solver reads it: only the benchmark's
+// environment stamp does.
 func L2CacheBytes() int {
 	l2Once.Do(func() {
 		l2Once.bytes = probeL2("/sys/devices/system/cpu/cpu0/cache")
@@ -99,22 +82,4 @@ func parseCacheSize(s string) int {
 		return 0
 	}
 	return n * mult
-}
-
-// MaxChunk returns the chunk-size cap for a per-iteration footprint of
-// rowBytes: half the L2 divided by the iteration footprint (row data plus
-// the 4-byte direction entry), clamped to [minChunkCap, maxChunkCap].
-// rowBytes <= 0 returns the legacy fixed cap of 256.
-func MaxChunk(rowBytes int) int {
-	if rowBytes <= 0 {
-		return 256
-	}
-	c := (L2CacheBytes() / 2) / (rowBytes + 4)
-	switch {
-	case c < minChunkCap:
-		return minChunkCap
-	case c > maxChunkCap:
-		return maxChunkCap
-	}
-	return c
 }

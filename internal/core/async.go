@@ -135,7 +135,7 @@ func (s *Solver) runAsync(sweeps int, block func(worker int, base uint64, picks 
 	}
 	stream := rng.NewStream(s.opts.Seed)
 	smp := s.newSampler(true)
-	chunk := claim.SizeFor(s.opts.Chunk, period, workers, s.rowBytes)
+	chunk := claim.SizeFor(s.opts.Chunk, period, workers)
 	// One direction buffer per worker, padded a cache line apart.
 	stride := chunk + 16
 	picks := make([]int32, workers*stride)

@@ -30,7 +30,6 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
-	"github.com/asynclinalg/asyrgs/internal/theory"
 )
 
 // Errors returned by solver construction.
@@ -124,9 +123,6 @@ type Solver struct {
 	// buffer for the synchronous chunked fill, residual vector.
 	pickBuf    []int32
 	resScratch []float64
-	// rowBytes estimates the bytes one iteration touches (mean row values
-	// + indices + iterate/rhs entries), feeding the cache-aware chunk cap.
-	rowBytes int
 	// delayHist[k] counts iterations whose observed delay fell in
 	// [2^(k-1), 2^k) (bucket 0 is delay 0); updated atomically.
 	delayHist [delayBuckets]uint64
@@ -152,29 +148,6 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 	}
 	return NewFromPrep(p, opts)
 }
-
-// OptimalBeta returns the bound-optimal asynchronous step size
-// β̃ = 1/(1+2ρτ) for this matrix and a delay bound τ (Theorem 3), with ρ
-// taken on the unit-diagonal scaling as the theorems define it. A
-// reasonable τ when none is measured is the worker count P.
-func (s *Solver) OptimalBeta(tau int) float64 {
-	scaled, err := s.unitScaled()
-	if err != nil {
-		// No scaling exists without a positive diagonal, and no theorem
-		// applies; ρ of the matrix itself is all there is.
-		scaled = s.a
-	}
-	return theory.OptimalBeta(theory.Rho(scaled), tau)
-}
-
-// N returns the problem size.
-func (s *Solver) N() int { return s.a.Rows }
-
-// Beta returns the configured step size.
-func (s *Solver) Beta() float64 { return s.beta }
-
-// Matrix returns the underlying CSR matrix (shared, do not mutate).
-func (s *Solver) Matrix() *sparse.CSR { return s.a }
 
 // ObservedTau returns the largest measured asynchrony delay τ̂ so far.
 // Zero unless Options.MeasureDelay was set and an asynchronous method ran.

@@ -12,7 +12,6 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
-	"github.com/asynclinalg/asyrgs/internal/theory"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
@@ -60,8 +59,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Beta() != 1 || s.N() != 3 || s.Matrix() != ok {
-		t.Fatal("defaults wrong")
+	if s.beta != 1 {
+		t.Fatal("default β must be 1")
 	}
 }
 
@@ -303,31 +302,6 @@ func TestBetaSweepProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOptimalBetaAccessor(t *testing.T) {
-	a := testSPD(t, 20, 25)
-	s, _ := New(a, Options{})
-	bt := s.OptimalBeta(8)
-	if bt <= 0 || bt > 1 {
-		t.Fatalf("OptimalBeta = %v", bt)
-	}
-	// The theorems define ρ on the unit-diagonal scaling. A Laplacian's
-	// diagonal of 4 makes the unscaled ρ four times too large (β̃ 0.4386
-	// against 0.7576 here).
-	lap := workload.Laplacian2D(10, 10)
-	scaled, _, err := sparse.UnitDiagonalScale(lap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err = New(lap, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := theory.OptimalBeta(theory.Rho(scaled), 8)
-	if got := s.OptimalBeta(8); math.Abs(got-want) > 1e-12*want {
-		t.Fatalf("OptimalBeta(8) = %v, want %v from ρ of the unit-diagonal scaling", got, want)
 	}
 }
 

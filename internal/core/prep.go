@@ -53,9 +53,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 	return &Prep{a: a, diag: diag, invD: invD}, nil
 }
 
-// Matrix returns the prepared matrix (shared, do not mutate).
-func (p *Prep) Matrix() *sparse.CSR { return p.a }
-
 // InvDiag returns the reciprocal of the validated diagonal (shared, do
 // not mutate): the prepared state of the stationary baselines too.
 func (p *Prep) InvDiag() []float64 { return p.invD }
@@ -108,13 +105,6 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 		return fmt.Errorf("core: negative claiming chunk %d", opts.Chunk)
 	}
 	s.a, s.diag, s.invD = p.a, p.diag, p.invD
-	// Per-iteration cache footprint for the chunk auto-sizer: mean row
-	// values + int column indices, plus the x, b and invD entries touched.
-	meanNNZ := 0
-	if p.a.Rows > 0 {
-		meanNNZ = p.a.NNZ() / p.a.Rows
-	}
-	s.rowBytes = meanNNZ*16 + 24
 	s.beta, s.opts = beta, opts
 	s.diagAlias = nil
 	s.Reset()

@@ -42,7 +42,6 @@ type Solver struct {
 	opts     Options
 	beta     float64
 	next     uint64
-	rowBytes int // per-iteration cache footprint estimate for chunk sizing
 	// resScratch holds b − A·x for Residual, allocated on first use and
 	// reused by every later check.
 	resScratch []float64
@@ -98,9 +97,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 	return p, nil
 }
 
-// Matrix returns the prepared matrix (shared, do not mutate).
-func (p *Prep) Matrix() *sparse.CSR { return p.a }
-
 // NewFromPrep forks a Solver from prepared per-matrix state, validating
 // only the options — no matrix traversal.
 func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
@@ -114,15 +110,7 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if opts.Chunk < 0 {
 		return nil, errors.New("kaczmarz: negative claiming chunk")
 	}
-	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, tab: p.tab, opts: opts, beta: beta}
-	meanNNZ := 0
-	if p.a.Rows > 0 {
-		meanNNZ = p.a.NNZ() / p.a.Rows
-	}
-	// One projection reads and scatters a full row: values + indices for
-	// both passes, plus the touched x entries and the b/norm scalars.
-	s.rowBytes = meanNNZ*24 + 24
-	return s, nil
+	return &Solver{a: p.a, rowNorm2: p.rowNorm2, tab: p.tab, opts: opts, beta: beta}, nil
 }
 
 // New validates and prepares a solver for A·x = b. Rows with zero norm are
@@ -168,7 +156,7 @@ func (s *Solver) Iterations(x, b []float64, m int) {
 			s.step(x, b, s.tab.Pick(stream, j), false)
 		}
 	} else {
-		chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers, s.rowBytes)
+		chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers)
 		claim.Run(start, end, s.opts.Workers, chunk, false, func(_ int, lo, hi uint64) {
 			for j := lo; j < hi; j++ {
 				s.step(x, b, s.tab.Pick(stream, j), true)

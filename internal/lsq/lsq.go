@@ -62,7 +62,6 @@ type Solver struct {
 	beta     float64
 	opts     Options
 	next     uint64
-	rowBytes int // per-iteration cache footprint estimate for chunk sizing
 	// resScratch (Rows) and atrScratch (Cols) hold b − A·x and Aᵀ(b − A·x)
 	// for the residual checks, allocated on first use and reused by every
 	// later check.
@@ -124,9 +123,6 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 	return &Prep{a: a, csc: csc, colNorm2: norms}, nil
 }
 
-// Matrix returns the prepared matrix (shared, do not mutate).
-func (p *Prep) Matrix() *sparse.CSR { return p.a }
-
 // NewFromPrep forks a Solver from prepared per-matrix state, validating
 // only the options — no transpose or norm computation (the norm-weighted
 // alias table is memoized inside the Prep).
@@ -153,16 +149,6 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 		}
 		s.tab = tab
 	}
-	// The async step walks one column and re-derives each touched row's
-	// product: roughly column nnz × mean row nnz entries of values+indices.
-	meanColNNZ, meanRowNNZ := 0, 0
-	if p.a.Cols > 0 {
-		meanColNNZ = p.a.NNZ() / p.a.Cols
-	}
-	if p.a.Rows > 0 {
-		meanRowNNZ = p.a.NNZ() / p.a.Rows
-	}
-	s.rowBytes = meanColNNZ*(1+meanRowNNZ)*16 + 24
 	return s, nil
 }
 
@@ -233,7 +219,7 @@ func (s *Solver) pickCol(stream rng.Stream, it uint64) int {
 // relevant residual entries (A_i·x for rows i touching column j) with
 // plain reads, and commits the single-coordinate update atomically.
 func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) {
-	chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers, s.rowBytes)
+	chunk := claim.SizeFor(s.opts.Chunk, end-start, s.opts.Workers)
 	claim.Run(start, end, s.opts.Workers, chunk, false, func(_ int, lo, hi uint64) {
 		for it := lo; it < hi; it++ {
 			j := s.pickCol(stream, it)

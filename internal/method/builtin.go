@@ -65,7 +65,7 @@ type corePrepared struct {
 // carries the variant flags; sequential forces one worker (the
 // synchronous Randomized Gauss–Seidel iteration).
 func corePrepare(name string, baseOpts core.Options, sequential bool) prepareFunc {
-	return func(a *sparse.CSR) (PreparedSystem, error) {
+	return func(a *sparse.CSR, _ Opts) (PreparedSystem, error) {
 		prep, err := core.PrepareMatrix(a)
 		if err != nil {
 			return nil, err
@@ -228,7 +228,7 @@ type cgPrepared struct {
 	preparedBase
 }
 
-func cgPrepare(a *sparse.CSR) (PreparedSystem, error) {
+func cgPrepare(a *sparse.CSR, _ Opts) (PreparedSystem, error) {
 	return &cgPrepared{preparedBase: base("cg", SPD, a)}, nil
 }
 
@@ -241,7 +241,7 @@ func (p *cgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Resu
 }
 
 func (p *cgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	return solveColumns(ctx, p, bs, xs, opts)
+	return solveColumns(ctx, p.Solve, bs, xs, opts)
 }
 
 // fcgPrepared is the paper's recommended high-accuracy configuration:
@@ -253,7 +253,7 @@ type fcgPrepared struct {
 	prep *core.Prep
 }
 
-func fcgPrepare(a *sparse.CSR) (PreparedSystem, error) {
+func fcgPrepare(a *sparse.CSR, _ Opts) (PreparedSystem, error) {
 	prep, err := core.PrepareMatrix(a)
 	if err != nil {
 		return nil, err
@@ -288,7 +288,7 @@ func (p *fcgPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 }
 
 func (p *fcgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	return solveColumns(ctx, p, bs, xs, opts)
+	return solveColumns(ctx, p.Solve, bs, xs, opts)
 }
 
 // stationaryPrepared holds the prepared state of the Jacobi, Gauss–Seidel
@@ -304,7 +304,7 @@ type stationaryPrepared struct {
 type runFunc func(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (outer.Progress, error)
 
 func stationaryPrepare(name string, run runFunc) prepareFunc {
-	return func(a *sparse.CSR) (PreparedSystem, error) {
+	return func(a *sparse.CSR, _ Opts) (PreparedSystem, error) {
 		prep, err := core.PrepareMatrix(a)
 		if err != nil {
 			return nil, err
@@ -321,7 +321,7 @@ func (p *stationaryPrepared) Solve(ctx context.Context, b, x []float64, opts Opt
 }
 
 func (p *stationaryPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	return solveColumns(ctx, p, bs, xs, opts)
+	return solveColumns(ctx, p.Solve, bs, xs, opts)
 }
 
 func runJacobi(ctx context.Context, p *stationaryPrepared, b, x []float64, opts Opts) (outer.Progress, error) {
@@ -363,7 +363,7 @@ type kaczmarzPrepared struct {
 	prep *kaczmarz.Prep
 }
 
-func kaczmarzPrepare(a *sparse.CSR) (PreparedSystem, error) {
+func kaczmarzPrepare(a *sparse.CSR, _ Opts) (PreparedSystem, error) {
 	prep, err := kaczmarz.PrepareMatrix(a)
 	if err != nil {
 		return nil, err
@@ -387,7 +387,7 @@ func (p *kaczmarzPrepared) Solve(ctx context.Context, b, x []float64, opts Opts)
 }
 
 func (p *kaczmarzPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	return solveColumns(ctx, p, bs, xs, opts)
+	return solveColumns(ctx, p.Solve, bs, xs, opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ type lsqPrepared struct {
 }
 
 func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
-	return func(a *sparse.CSR) (PreparedSystem, error) {
+	return func(a *sparse.CSR, _ Opts) (PreparedSystem, error) {
 		prep, err := lsq.PrepareMatrix(a)
 		if err != nil {
 			return nil, err
@@ -463,5 +463,5 @@ func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 }
 
 func (p *lsqPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	return solveColumns(ctx, p, bs, xs, opts)
+	return solveColumns(ctx, p.Solve, bs, xs, opts)
 }

@@ -7,7 +7,9 @@ package method_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/method"
@@ -242,6 +244,31 @@ func TestReportedResidualMatchesReturnedIterate(t *testing.T) {
 				if math.Abs(res.Residual-want) > 1e-6*want {
 					t.Fatalf("reported residual %.9e, recomputed from the returned x %.9e (converged %v after %d sweeps)",
 						res.Residual, want, res.Converged, res.Sweeps)
+				}
+			})
+		}
+	}
+}
+
+// TestNoSolveConvergesOnANonFiniteIterate: A = [1 3; 3 1] is symmetric
+// but indefinite, so the SPD methods blow up on it. Whatever the method
+// and the worker count, a solve that reports Converged returns a finite
+// x: a NaN iterate must not measure as a zero residual.
+func TestNoSolveConvergesOnANonFiniteIterate(t *testing.T) {
+	a, err := sparse.ReadMM(strings.NewReader("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1\n2 1 3\n2 2 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range method.ByKind(method.SPD) {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", m.Name(), workers), func(t *testing.T) {
+				skipNonAtomicUnderRace(t, m.Name())
+				x := make([]float64, 2)
+				res, err := m.Solve(context.Background(), a, []float64{1, 1}, x, method.Opts{Tol: 1e-6, Workers: workers})
+				for _, v := range x {
+					if res.Converged && (math.IsNaN(v) || math.IsInf(v, 0)) {
+						t.Fatalf("converged (residual %v, err %v) on x = %v", res.Residual, err, x)
+					}
 				}
 			})
 		}

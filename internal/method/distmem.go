@@ -11,7 +11,6 @@ package method
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -21,18 +20,15 @@ import (
 )
 
 func init() {
-	Register(distmemMethod{})
+	Register(distmemMethod{&funcMethod{name: "asyrgs-distmem", kind: SPD, prepare: distmemPrepare}})
 }
 
-// distmemMethod adapts internal/distmem to the registry. Unlike the
-// funcMethod built-ins its Prepare consumes Opts — the worker count,
-// queue budget, step size and seed are deployment shape, baked into the
-// partition and streams — so it implements PrepKeyer and serving caches
-// key prepared state by those fields.
-type distmemMethod struct{}
-
-func (distmemMethod) Name() string { return "asyrgs-distmem" }
-func (distmemMethod) Kind() Kind   { return SPD }
+// distmemMethod is the funcMethod of internal/distmem plus PrepKey.
+// Unlike the other built-ins its Prepare consumes Opts — the worker
+// count, queue budget, step size and seed are deployment shape, baked
+// into the partition and streams — so serving caches key prepared state
+// by those fields.
+type distmemMethod struct{ *funcMethod }
 
 // distmemConfig maps the normalized options onto the backend's
 // deployment shape. Exactly these fields appear in PrepKey.
@@ -62,25 +58,14 @@ func (distmemMethod) PrepKey(opts Opts) string {
 	return fmt.Sprintf("w%d|q%d|b%g|s%d", cfg.Workers, cfg.QueueCap, cfg.Beta, cfg.Seed)
 }
 
-// Prepare captures the sharded per-matrix state: ownership partition,
-// validated diagonal, and one direction-stream key per rank.
-func (m distmemMethod) Prepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+// distmemPrepare captures the sharded per-matrix state: ownership
+// partition, validated diagonal, and one direction-stream key per rank.
+func distmemPrepare(a *sparse.CSR, opts Opts) (PreparedSystem, error) {
 	prep, err := distmem.Prepare(a, distmemConfig(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &distmemPrepared{preparedBase: base(m.Name(), SPD, a), prep: prep}, nil
-}
-
-// Solve is the one-shot convenience path: prepare plus a single solve.
-func (m distmemMethod) Solve(ctx context.Context, a *sparse.CSR, b, x []float64, opts Opts) (Result, error) {
-	ps, err := m.Prepare(ctx, a, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ps.Solve(ctx, b, x, opts)
-	res.Method = m.Name()
-	return res, err
+	return &distmemPrepared{preparedBase: base("asyrgs-distmem", SPD, a), prep: prep}, nil
 }
 
 // distmemPrepared is the backend's PreparedSystem: immutable shared
@@ -130,30 +115,11 @@ func (p *distmemPrepared) solveOn(ctx context.Context, s *distmem.Solver, b, x [
 
 // SolveBatch solves the columns sequentially over one shared worker
 // pool: preparation and pool spawn are paid zero additional times per
-// right-hand side. Error semantics match solveColumns (sticky
-// ErrNotConverged, first hard error aborts).
+// right-hand side.
 func (p *distmemPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	if len(bs) != len(xs) {
-		panic("method: SolveBatch needs one initial guess per right-hand side")
-	}
-	opts = opts.withDefaults(16)
-	opts.XStar = nil
 	s := p.prep.NewSolver()
 	defer s.Close()
-	results := make([]Result, 0, len(bs))
-	var firstErr error
-	for i := range bs {
-		res, err := p.solveOn(ctx, s, bs[i], xs[i], opts)
-		results = append(results, res)
-		if err != nil {
-			if errors.Is(err, ErrNotConverged) {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			return results, err
-		}
-	}
-	return results, firstErr
+	return solveColumns(ctx, func(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
+		return p.solveOn(ctx, s, b, x, opts)
+	}, bs, xs, opts.withDefaults(16))
 }

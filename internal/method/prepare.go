@@ -28,12 +28,6 @@ import (
 // call; fields that would require new per-matrix state are fixed at
 // Prepare time.
 type PreparedSystem interface {
-	// Method returns the registry name that prepared this system.
-	Method() string
-	// Kind reports the system shape the prepared method accepts.
-	Kind() Kind
-	// Matrix returns the prepared matrix (shared, do not mutate).
-	Matrix() *sparse.CSR
 	// Solve runs one right-hand side against the prepared state.
 	Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error)
 	// SolveBatch runs len(bs) right-hand sides against the prepared
@@ -87,10 +81,6 @@ func base(name string, kind Kind, a *sparse.CSR) preparedBase {
 	return preparedBase{name: name, kind: kind, a: a}
 }
 
-func (p *preparedBase) Method() string      { return p.name }
-func (p *preparedBase) Kind() Kind          { return p.kind }
-func (p *preparedBase) Matrix() *sparse.CSR { return p.a }
-
 // fallbackPrepared adapts a Method without separable preparation: each
 // Solve goes through the method's full path, setup included.
 type fallbackPrepared struct {
@@ -103,16 +93,16 @@ func (p *fallbackPrepared) Solve(ctx context.Context, b, x []float64, opts Opts)
 }
 
 func (p *fallbackPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Opts) ([]Result, error) {
-	return solveColumns(ctx, p, bs, xs, opts)
+	return solveColumns(ctx, p.Solve, bs, xs, opts)
 }
 
 // solveColumns is the shared sequential batch path: each right-hand side
-// goes through ps.Solve against the same prepared state, so the batch
+// goes through solve against the same prepared state, so the batch
 // pays preparation zero additional times. The first hard error (anything
 // but budget exhaustion) aborts the batch; results computed so far are
 // returned alongside it. ErrNotConverged is sticky: if any column
 // exhausts its budget the batch reports it after finishing the rest.
-func solveColumns(ctx context.Context, ps PreparedSystem, bs, xs [][]float64, opts Opts) ([]Result, error) {
+func solveColumns(ctx context.Context, solve func(context.Context, []float64, []float64, Opts) (Result, error), bs, xs [][]float64, opts Opts) ([]Result, error) {
 	if len(bs) != len(xs) {
 		panic("method: SolveBatch needs one initial guess per right-hand side")
 	}
@@ -120,7 +110,7 @@ func solveColumns(ctx context.Context, ps PreparedSystem, bs, xs [][]float64, op
 	results := make([]Result, 0, len(bs))
 	var firstErr error
 	for i := range bs {
-		res, err := ps.Solve(ctx, bs[i], xs[i], opts)
+		res, err := solve(ctx, bs[i], xs[i], opts)
 		results = append(results, res)
 		if err != nil {
 			if errors.Is(err, ErrNotConverged) {

@@ -77,9 +77,10 @@ func ByKind(k Kind) []Method {
 	return ms
 }
 
-// prepareFunc captures one method family's per-matrix setup. No built-in
-// Prepare consumes Opts, so the hook sees only the matrix.
-type prepareFunc func(a *sparse.CSR) (PreparedSystem, error)
+// prepareFunc captures one method family's per-matrix setup. Only
+// asyrgs-distmem's hook reads opts (its deployment shape); every other
+// built-in's prepared state depends on the matrix alone.
+type prepareFunc func(a *sparse.CSR, opts Opts) (PreparedSystem, error)
 
 // funcMethod adapts a prepare hook to the Method interface; every
 // built-in is one of these. Solve is the one-shot convenience path —
@@ -95,8 +96,8 @@ func (m *funcMethod) Name() string { return m.name }
 func (m *funcMethod) Kind() Kind   { return m.kind }
 
 // Prepare captures the method's per-matrix state for repeated solves.
-func (m *funcMethod) Prepare(_ context.Context, a *sparse.CSR, _ Opts) (PreparedSystem, error) {
-	return m.prepare(a)
+func (m *funcMethod) Prepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+	return m.prepare(a, opts)
 }
 
 func (m *funcMethod) Solve(ctx context.Context, a *sparse.CSR, b, x []float64, opts Opts) (Result, error) {

@@ -45,7 +45,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register(&funcMethod{name: "cg", kind: SPD,
-		prepare: func(a *sparse.CSR) (PreparedSystem, error) {
+		prepare: func(*sparse.CSR, Opts) (PreparedSystem, error) {
 			return nil, nil
 		}})
 }

@@ -975,3 +975,24 @@ func TestDivergedSolveIs422(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNIterateIs422: asyncjacobi blows up on this indefinite 2×2
+// upload until x is [NaN NaN]. Its residual is NaN, not 0, so the solve
+// stops as diverged: 422, counted as an error, never a converged 200.
+func TestNaNIterateIs422(t *testing.T) {
+	srv := New(Config{})
+	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(
+		`{"matrix":{"kind":"mm","mm":"%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1\n2 1 3\n2 2 1\n"},"method":"asyncjacobi","b":[1,1],"workers":1}`))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusUnprocessableEntity || err != nil {
+		t.Fatalf("status %d, body %q; want 422 with a JSON error", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(body["error"], "asyncjacobi: residual is not finite: NaN") {
+		t.Fatalf("error %q should name the method and the NaN residual", body["error"])
+	}
+	if st := srv.snapshot(); st.Errors != 1 || st.Solved != 0 {
+		t.Fatalf("errors %d, solved %d; want 1 and 0", st.Errors, st.Solved)
+	}
+}

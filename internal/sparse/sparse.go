@@ -322,15 +322,6 @@ func (m *CSR) InfNorm() float64 {
 	return max
 }
 
-// FrobNorm returns the Frobenius norm of the matrix.
-func (m *CSR) FrobNorm() float64 {
-	var s float64
-	for _, v := range m.Vals {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // RowStats summarises the per-row non-zero counts; the paper's reference
 // scenario is characterised by C1 = Min, C2 = Max with C2/C1 small, while
 // its experimental matrix is deliberately skewed (Max ≫ Mean).

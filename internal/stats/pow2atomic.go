@@ -13,8 +13,8 @@ import (
 func Pow2Bucket(v uint64) int { return bits.Len64(v) }
 
 // AtomicPow2Histogram is a fixed-size power-of-two histogram safe for
-// concurrent Observe calls — the recording shape the serving layer and
-// the load generator use for request latencies (in microseconds). It
+// concurrent Observe calls — the recording shape the serving layer uses
+// for request latencies (in microseconds). It
 // shares the bucket convention of Pow2Histogram, which a Snapshot
 // returns for reporting.
 //

@@ -1,93 +1,12 @@
-// Package stats provides the small summary-statistics toolkit the
-// experiment harness uses: streaming mean/variance, quantiles, and
-// power-of-two histograms for delay distributions. The paper's conclusion
-// argues that the worst-case delay τ is a pessimistic summary of real
-// executions and that delay *distributions* are more descriptive; this
-// package turns the solver's measured histograms into reportable numbers.
+// Package stats turns the solver's measured power-of-two histograms into
+// reportable numbers: delay distributions from core's MeasureDelay, and
+// the serving layer's latency histograms. The paper's conclusion argues
+// that the worst-case delay τ is a pessimistic summary of real executions
+// and that delay *distributions* are more descriptive. It has no moments
+// or sample quantiles: only bucket bounds.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Summary holds streaming moments of a sample.
-type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation into the summary (Welford's algorithm).
-func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the sample mean (0 for an empty summary).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Summary) Max() float64 { return s.max }
-
-// String renders "mean ± std [min, max] (n)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.3g [%.4g, %.4g] (n=%d)", s.Mean(), s.Std(), s.min, s.max, s.n)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation; xs is copied, not mutated.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		q = 0
-	}
-	if q >= 1 {
-		q = 1
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
+import "math"
 
 // Pow2Histogram interprets counts as a power-of-two histogram (bucket 0 =
 // value 0, bucket k ≥ 1 = values in [2^(k-1), 2^k)), the format produced
@@ -154,27 +73,4 @@ func (h Pow2Histogram) MeanUpperBound() float64 {
 		sum += float64(c) * float64(uint64(1)<<uint(k))
 	}
 	return sum / float64(t)
-}
-
-// String renders the non-empty buckets compactly:
-// "0:123 [1,2):45 [2,4):6 …".
-func (h Pow2Histogram) String() string {
-	var b strings.Builder
-	for k, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		if k == 0 {
-			fmt.Fprintf(&b, "0:%d", c)
-		} else {
-			fmt.Fprintf(&b, "[%d,%d):%d", uint64(1)<<uint(k-1), uint64(1)<<uint(k), c)
-		}
-	}
-	if b.Len() == 0 {
-		return "(empty)"
-	}
-	return b.String()
 }

@@ -50,13 +50,3 @@ func (d *Dense) SetCol(j int, src []float64) {
 		d.Data[i*d.Cols+j] = src[i]
 	}
 }
-
-// Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	c := NewDense(d.Rows, d.Cols)
-	copy(c.Data, d.Data)
-	return c
-}
-
-// FrobNorm returns the Frobenius norm of the block.
-func (d *Dense) FrobNorm() float64 { return Nrm2(d.Data) }

@@ -25,7 +25,9 @@ func Dot(x, y []float64) float64 {
 }
 
 // Nrm2 returns the Euclidean norm ‖x‖₂ using scaled accumulation to avoid
-// overflow/underflow for extreme magnitudes.
+// overflow/underflow for extreme magnitudes. A NaN entry gives NaN, so a
+// NaN iterate never measures as a zero residual; otherwise an infinite
+// entry gives +Inf.
 func Nrm2(x []float64) float64 {
 	var scale, ssq float64
 	ssq = 1
@@ -34,17 +36,23 @@ func Nrm2(x []float64) float64 {
 			continue
 		}
 		a := math.Abs(v)
-		if scale < a {
+		switch {
+		case scale < a:
 			r := scale / a
 			ssq = 1 + ssq*r*r
 			scale = a
-		} else {
+		case a == scale:
+			// a/scale is 1 for finite entries; ∞/∞ would be NaN.
+			ssq++
+		default:
 			r := a / scale
 			ssq += r * r
 		}
 	}
 	if scale == 0 {
-		return 0
+		// No entry raised scale: ssq is still 1 unless a NaN entry (which
+		// fails every comparison) reached the else branch and made it NaN.
+		return ssq - 1
 	}
 	return scale * math.Sqrt(ssq)
 }
@@ -77,25 +85,6 @@ func Sub(dst, x, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] - y[i]
 	}
-}
-
-// Add computes dst ← x + y.
-func Add(dst, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("vec: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// Sum returns the sum of the entries of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
 }
 
 // Equal reports whether x and y agree entrywise to within tol (absolute).

@@ -8,6 +8,7 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
+	"github.com/asynclinalg/asyrgs/internal/vec"
 )
 
 func TestSocialGramShape(t *testing.T) {
@@ -215,7 +216,7 @@ func TestRandomRHSAndMultiRHS(t *testing.T) {
 	if d.Rows != 10 || d.Cols != 3 {
 		t.Fatal("MultiRHS shape")
 	}
-	if d.FrobNorm() == 0 {
+	if vec.Nrm2(d.Data) == 0 {
 		t.Fatal("MultiRHS should be non-zero")
 	}
 }
