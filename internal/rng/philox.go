@@ -25,26 +25,20 @@ const (
 	philoxW1 = 0xBB67AE85 // sqrt(3)-1 key schedule increment
 )
 
-// Block4x32 is one 128-bit Philox output block.
-type Block4x32 [4]uint32
-
-// Philox4x32 computes ten rounds of Philox4x32 on counter ctr with key key
-// and returns the 128-bit output block. It is a pure function: identical
-// inputs produce identical outputs on every platform.
-func Philox4x32(ctr Block4x32, key [2]uint32) Block4x32 {
-	c0, c1, c2, c3 := ctr[0], ctr[1], ctr[2], ctr[3]
-	k0, k1 := key[0], key[1]
+// philox computes ten rounds of Philox4x32 on the counter (c0, c1, c2, c3)
+// with the key (k0, k1) and returns the 128-bit output block. It is a pure
+// function: identical inputs produce identical outputs on every platform.
+// Counter, key and block are separate words, not arrays, so that they
+// travel in registers: Go's register ABI passes arrays through memory.
+func philox(c0, c1, c2, c3, k0, k1 uint32) (uint32, uint32, uint32, uint32) {
 	for round := 0; round < 10; round++ {
 		hi0, lo0 := mulHiLo32(philoxM0, c0)
 		hi1, lo1 := mulHiLo32(philoxM1, c2)
-		c0 = hi1 ^ c1 ^ k0
-		c1 = lo1
-		c2 = hi0 ^ c3 ^ k1
-		c3 = lo0
+		c0, c1, c2, c3 = hi1^c1^k0, lo1, hi0^c3^k1, lo0
 		k0 += philoxW0
 		k1 += philoxW1
 	}
-	return Block4x32{c0, c1, c2, c3}
+	return c0, c1, c2, c3
 }
 
 // mulHiLo32 returns the high and low 32-bit halves of a×b.
@@ -59,30 +53,25 @@ func mulHiLo32(a, b uint32) (hi, lo uint32) {
 // solver needs — worker p computing global iteration j evaluates At(j)
 // without touching shared state.
 type Stream struct {
-	key [2]uint32
+	k0, k1 uint32
 }
 
 // NewStream returns the random-access stream identified by seed.
 func NewStream(seed uint64) Stream {
-	return Stream{key: [2]uint32{uint32(seed), uint32(seed >> 32)}}
-}
-
-// BlockAt returns the 128-bit block at index i.
-func (s Stream) BlockAt(i uint64) Block4x32 {
-	return Philox4x32(Block4x32{uint32(i), uint32(i >> 32), 0, 0}, s.key)
+	return Stream{k0: uint32(seed), k1: uint32(seed >> 32)}
 }
 
 // Uint64At returns the i-th 64-bit output of the stream.
 func (s Stream) Uint64At(i uint64) uint64 {
-	b := s.BlockAt(i)
-	return uint64(b[0]) | uint64(b[1])<<32
+	b0, b1, _, _ := philox(uint32(i), uint32(i>>32), 0, 0, s.k0, s.k1)
+	return uint64(b0) | uint64(b1)<<32
 }
 
 // Uint64PairAt returns two independent 64-bit outputs for index i, using
 // all 128 bits of the underlying block.
 func (s Stream) Uint64PairAt(i uint64) (uint64, uint64) {
-	b := s.BlockAt(i)
-	return uint64(b[0]) | uint64(b[1])<<32, uint64(b[2]) | uint64(b[3])<<32
+	b0, b1, b2, b3 := philox(uint32(i), uint32(i>>32), 0, 0, s.k0, s.k1)
+	return uint64(b0) | uint64(b1)<<32, uint64(b2) | uint64(b3)<<32
 }
 
 // Float64At returns the i-th output as a float64 uniform on [0,1). It uses

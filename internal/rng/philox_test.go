@@ -9,30 +9,65 @@ import (
 // known-answer vectors for philox4x32-10.
 func TestPhiloxKnownAnswer(t *testing.T) {
 	cases := []struct {
-		ctr  Block4x32
+		ctr  [4]uint32
 		key  [2]uint32
-		want Block4x32
+		want [4]uint32
 	}{
 		{
-			ctr:  Block4x32{0, 0, 0, 0},
+			ctr:  [4]uint32{0, 0, 0, 0},
 			key:  [2]uint32{0, 0},
-			want: Block4x32{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8},
+			want: [4]uint32{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8},
 		},
 		{
-			ctr:  Block4x32{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+			ctr:  [4]uint32{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
 			key:  [2]uint32{0xffffffff, 0xffffffff},
-			want: Block4x32{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd},
+			want: [4]uint32{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd},
 		},
 		{
 			// The "pi" test vector from the Random123 kat_vectors file.
-			ctr:  Block4x32{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+			ctr:  [4]uint32{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
 			key:  [2]uint32{0xa4093822, 0x299f31d0},
-			want: Block4x32{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1},
+			want: [4]uint32{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1},
 		},
 	}
 	for i, c := range cases {
-		if got := Philox4x32(c.ctr, c.key); got != c.want {
-			t.Errorf("case %d: Philox4x32 = %08x, want %08x", i, got, c.want)
+		var got [4]uint32
+		got[0], got[1], got[2], got[3] = philox(c.ctr[0], c.ctr[1], c.ctr[2], c.ctr[3], c.key[0], c.key[1])
+		if got != c.want {
+			t.Errorf("case %d: philox = %08x, want %08x", i, got, c.want)
+		}
+	}
+}
+
+// TestStreamPinned pins Uint64At, Uint64PairAt and IntnAt at low, high
+// and 2³²-straddling indices for a seed with a zero high key word and one
+// with both key words set, so a change to how a Stream builds its counter
+// or key cannot go unseen.
+func TestStreamPinned(t *testing.T) {
+	cases := []struct {
+		seed, i    uint64
+		first, snd uint64 // Uint64PairAt(i); Uint64At(i) is first
+		intn       int    // IntnAt(i, 120147)
+	}{
+		{0x1, 0x0, 0xe50a0ebce3e80670, 0xb615aa2795f222c0, 107493},
+		{0x1, 0x1, 0xdfc5ccbeac08141b, 0xa7f6609379c07a47, 105021},
+		{0x1, 0x100000005, 0xe3c40733c17b6722, 0x176a7b1d34d2ae52, 106895},
+		{0x1, 0x8000000000000000, 0x340e401734a4d61d, 0xe9f52b96f6945830, 24430},
+		{0x9e3779b97f4a7c15, 0x0, 0x4f1a097e40892754, 0x2f9e2f43261374e1, 37124},
+		{0x9e3779b97f4a7c15, 0x1, 0xc3eb0c5eee03f1f9, 0x9dc0d8d6e467d641, 91949},
+		{0x9e3779b97f4a7c15, 0x100000005, 0xdea2ed8662db8890, 0x3fb02be24ced4980, 104488},
+		{0x9e3779b97f4a7c15, 0x8000000000000000, 0xda69a706055f70b3, 0x81162fa68cd0f16d, 102506},
+	}
+	for _, c := range cases {
+		s := NewStream(c.seed)
+		if got := s.Uint64At(c.i); got != c.first {
+			t.Errorf("seed %#x: Uint64At(%#x) = %#x, want %#x", c.seed, c.i, got, c.first)
+		}
+		if a, b := s.Uint64PairAt(c.i); a != c.first || b != c.snd {
+			t.Errorf("seed %#x: Uint64PairAt(%#x) = %#x, %#x, want %#x, %#x", c.seed, c.i, a, b, c.first, c.snd)
+		}
+		if got := s.IntnAt(c.i, 120147); got != c.intn {
+			t.Errorf("seed %#x: IntnAt(%#x, 120147) = %d, want %d", c.seed, c.i, got, c.intn)
 		}
 	}
 }
@@ -224,13 +259,16 @@ func TestStreamIndependenceAcrossSeeds(t *testing.T) {
 	}
 }
 
+// philoxSink keeps BenchmarkPhiloxBlock's blocks live.
+var philoxSink uint32
+
 func BenchmarkPhiloxBlock(b *testing.B) {
 	var acc uint32
 	for i := 0; i < b.N; i++ {
-		out := Philox4x32(Block4x32{uint32(i), 0, 0, 0}, [2]uint32{1, 2})
-		acc ^= out[0]
+		out, _, _, _ := philox(uint32(i), 0, 0, 0, 1, 2)
+		acc ^= out
 	}
-	_ = acc
+	philoxSink = acc
 }
 
 func BenchmarkStreamIntnAt(b *testing.B) {

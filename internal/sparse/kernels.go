@@ -59,8 +59,8 @@ func scatter64(x []float64, vals []float64, idx []int, g float64) {
 	n := len(vals)
 	idx = idx[:n]
 	k := 0
-	// Rows are deduplicated (FromRowBuckets), so the four writes per
-	// step never alias each other and can issue independently.
+	// A CSR row lists each column once, so the four writes per step
+	// never alias each other and can issue independently.
 	for ; k+4 <= n; k += 4 {
 		x[idx[k]] += g * vals[k]
 		x[idx[k+1]] += g * vals[k+1]

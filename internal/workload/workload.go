@@ -17,7 +17,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -243,7 +242,9 @@ func Laplacian3D(nx, ny, nz int) *sparse.CSR {
 // uniform in [-1,1], and diagonal = dominance × (row absolute sum).
 // dominance must exceed 1. Row i draws nnzPerRow/2+1 partners j (a draw
 // of j = i is skipped), each with one value stored at (i,j) and (j,i);
-// repeated draws of a position sum.
+// repeated draws of a position sum in generation order. The rows are
+// assembled by transposing the draws' row buckets, which leaves every row
+// in column order without a sort.
 func RandomSPD(n, nnzPerRow int, dominance float64, seed uint64) *sparse.CSR {
 	if dominance <= 1 {
 		panic("workload: RandomSPD needs dominance > 1")
@@ -271,9 +272,8 @@ func RandomSPD(n, nnzPerRow int, dominance float64, seed uint64) *sparse.CSR {
 	for i := 0; i < n; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	// Scatter each draw to rows i and j in generation order. The bits
-	// depend on this order: FromRowBuckets sums a row's duplicates in the
-	// order its sort leaves them, and that follows the bucket order.
+	// Scatter each draw to rows i and j in generation order, so that the
+	// copies of a repeated position sit in every bucket in that order.
 	cols := make([]int, ptr[n])
 	vals := make([]float64, ptr[n])
 	next := make([]int, n)
@@ -292,35 +292,60 @@ func RandomSPD(n, nnzPerRow int, dominance float64, seed uint64) *sparse.CSR {
 			next[j]++
 		}
 	}
-	off := sparse.FromRowBuckets(n, n, ptr, cols, vals)
 
-	// Insert each row's diagonal only now, from its merged off-diagonal
-	// sum: an extra entry in the sort would change its swaps, and with them
-	// the duplicate order. off's RowPtr becomes the final row starts.
-	colIdx := make([]int, off.NNZ()+n)
-	out := make([]float64, off.NNZ()+n)
+	// Transpose: the matrix is symmetric, so bucket r also lists column
+	// r's entries, and appending (r, v) to row c for each (c, v) in bucket
+	// r = 0, 1, … fills every row in column order, with the copies of a
+	// repeated position still in generation order. Row r holds one extra
+	// slot for its diagonal, written just before bucket r is read: row r
+	// then holds every column below r, and bucket r never lists r itself.
+	colIdx := make([]int, ptr[n]+n)
+	out := make([]float64, ptr[n]+n)
+	for r := range next {
+		next[r] = ptr[r] + r
+	}
+	for r := 0; r < n; r++ {
+		colIdx[next[r]] = r
+		next[r]++
+		for k := ptr[r]; k < ptr[r+1]; k++ {
+			c := cols[k]
+			colIdx[next[c]], out[next[c]] = r, vals[k]
+			next[c]++
+		}
+	}
+
+	// Merge each row's repeated positions left to right, set its diagonal
+	// from the merged off-diagonals summed in column order, and compact it
+	// in place. ptr becomes the final row starts.
 	w, lo := 0, 0
 	for i := 0; i < n; i++ {
-		hi := off.RowPtr[i+1]
+		hi := ptr[i+1] + i + 1
+		start, diag := w, 0
+		for k := lo; k < hi; k++ {
+			if w > start && colIdx[w-1] == colIdx[k] {
+				out[w-1] += out[k]
+				continue
+			}
+			if colIdx[k] == i {
+				diag = w
+			}
+			colIdx[w], out[w] = colIdx[k], out[k]
+			w++
+		}
 		var sum float64
-		for _, v := range off.Vals[lo:hi] {
-			sum += math.Abs(v)
+		for k := start; k < w; k++ {
+			if k != diag {
+				sum += math.Abs(out[k])
+			}
 		}
 		if sum == 0 {
 			sum = 1
 		}
-		at := lo + sort.SearchInts(off.ColIdx[lo:hi], i)
-		d := w + at - lo
-		copy(colIdx[w:d], off.ColIdx[lo:at])
-		copy(out[w:d], off.Vals[lo:at])
-		colIdx[d], out[d] = i, dominance*sum
-		copy(colIdx[d+1:], off.ColIdx[at:hi])
-		copy(out[d+1:], off.Vals[at:hi])
-		w = d + 1 + hi - at
-		off.RowPtr[i+1] = w
+		out[diag] = dominance * sum
+		ptr[i+1] = w
 		lo = hi
 	}
-	return &sparse.CSR{Rows: n, Cols: n, RowPtr: off.RowPtr, ColIdx: colIdx, Vals: out}
+	return &sparse.CSR{Rows: n, Cols: n, RowPtr: ptr, ColIdx: colIdx[:w], Vals: out[:w]}
 }
 
 // RandomOverdetermined returns a rows×cols full-column-rank-ish sparse
